@@ -10,6 +10,7 @@ let () =
       ("packing-and-lp", Test_packing_lp.suite);
       ("topology-and-routing", Test_topology_routing.suite);
       ("core-types", Test_core_types.suite);
+      ("otree", Test_otree.suite);
       ("algorithms", Test_algorithms.suite);
       ("experiments", Test_experiments.suite);
       ("extensions", Test_extensions.suite);
@@ -29,4 +30,5 @@ let () =
       ("engine-trace", Test_engine_trace.suite);
       ("wire", Test_wire.suite);
       ("daemon", Test_daemon.suite);
+      ("fingerprint", Test_fingerprint.suite);
     ]
