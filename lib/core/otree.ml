@@ -3,31 +3,69 @@ type t = {
   pairs : (int * int) array;
   routes : Route.t array;
   usage : (int * int) array;
+  mutable key_cache : string;
 }
 
-let build ~session_id ~pairs ~routes =
-  if Array.length pairs <> Array.length routes then
-    invalid_arg "Otree.build: pairs/routes length mismatch";
-  let order = Array.init (Array.length pairs) (fun i -> i) in
-  let normalized =
-    Array.map (fun (a, b) -> if a < b then (a, b) else (b, a)) pairs
+(* The sign of [compare_pairs] equals that of polymorphic [compare] on
+   int pairs. *)
+let compare_pairs ((a1 : int), (b1 : int)) (a2, b2) =
+  if a1 <> a2 then compare a1 a2 else compare b1 b2
+
+(* (edge id, multiplicity) rows of the routes' edges, ascending by id:
+   every edge id in one array, sorted, then run-length encoded *)
+let usage_of_routes routes =
+  let total =
+    Array.fold_left (fun acc r -> acc + Array.length r.Route.edges) 0 routes
   in
-  Array.sort (fun i j -> compare normalized.(i) normalized.(j)) order;
+  let ids = Array.make total 0 in
+  ignore
+    (Array.fold_left
+       (fun pos r ->
+         let edges = r.Route.edges in
+         Array.blit edges 0 ids pos (Array.length edges);
+         pos + Array.length edges)
+       0 routes);
+  Array.stable_sort (fun (a : int) b -> compare a b) ids;
+  let distinct = ref 0 in
+  for i = 0 to total - 1 do
+    if i = 0 || ids.(i) <> ids.(i - 1) then incr distinct
+  done;
+  let usage = Array.make !distinct (0, 0) in
+  let row = ref 0 and run = ref 0 in
+  for i = 0 to total - 1 do
+    incr run;
+    if i = total - 1 || ids.(i + 1) <> ids.(i) then begin
+      usage.(!row) <- (ids.(i), !run);
+      incr row;
+      run := 0
+    end
+  done;
+  usage
+
+let build ~session_id ~pairs ~routes =
+  let n = Array.length pairs in
+  if n <> Array.length routes then
+    invalid_arg "Otree.build: pairs/routes length mismatch";
+  let normalized =
+    Array.map (fun ((a, b) as p) -> if a < b then p else (b, a)) pairs
+  in
+  let cmp i j = compare_pairs normalized.(i) normalized.(j) in
+  let order = Array.init n (fun i -> i) in
+  Array.stable_sort cmp order;
+  (* Without ties the sorted order is unique, so any sort finds it.
+     Tied pairs (never in a tree) are re-sorted from the identity with
+     [Array.sort], whose tie order otree.mli documents. *)
+  let tied = ref false in
+  for i = 1 to n - 1 do
+    if cmp order.(i - 1) order.(i) = 0 then tied := true
+  done;
+  if !tied then begin
+    Array.iteri (fun i _ -> order.(i) <- i) order;
+    Array.sort cmp order
+  end;
   let pairs = Array.map (fun i -> normalized.(i)) order in
   let routes = Array.map (fun i -> routes.(i)) order in
-  (* accumulate physical edge multiplicities *)
-  let counts = Hashtbl.create 32 in
-  Array.iter
-    (fun route ->
-      Route.iter_edges route (fun id ->
-          let c = try Hashtbl.find counts id with Not_found -> 0 in
-          Hashtbl.replace counts id (c + 1)))
-    routes;
-  let usage =
-    Hashtbl.fold (fun id c acc -> (id, c) :: acc) counts []
-    |> List.sort compare |> Array.of_list
-  in
-  { session_id; pairs; routes; usage }
+  { session_id; pairs; routes; usage = usage_of_routes routes; key_cache = "" }
 
 let n_e t edge_id =
   let lo = ref 0 and hi = ref (Array.length t.usage - 1) in
@@ -78,25 +116,82 @@ let bottleneck_arr t caps =
   done;
   !acc
 
+(* --- identity strings ---------------------------------------------------
+
+   The key is ["a,b;" per pair] ^ "|" ^ [route edge ids, unseparated,
+   then "/" per route], every integer in decimal as [string_of_int]
+   prints it.  It is written straight into one exactly-sized buffer:
+   one pass measures, one pass writes. *)
+
+(* decimal digits of [x <= 0]; working on non-positive values keeps
+   [min_int] in range *)
+let rec neg_digits x = if x > -10 then 1 else 1 + neg_digits (x / 10)
+
+let int_width n = if n < 0 then 1 + neg_digits n else neg_digits (-n)
+
+(* writes [n] at [pos], returns the position after it *)
+let write_int buf pos n =
+  let stop = pos + int_width n in
+  let x = ref (if n > 0 then -n else n) in
+  let p = ref (stop - 1) in
+  Bytes.unsafe_set buf !p (Char.unsafe_chr (48 - (!x mod 10)));
+  x := !x / 10;
+  while !x <> 0 do
+    decr p;
+    Bytes.unsafe_set buf !p (Char.unsafe_chr (48 - (!x mod 10)));
+    x := !x / 10
+  done;
+  if n < 0 then Bytes.unsafe_set buf pos '-';
+  stop
+
+let pairs_width pairs =
+  Array.fold_left (fun acc (a, b) -> acc + int_width a + int_width b + 2) 0 pairs
+
+let write_pairs buf pairs =
+  Array.fold_left
+    (fun pos (a, b) ->
+      let pos = write_int buf pos a in
+      Bytes.unsafe_set buf pos ',';
+      let pos = write_int buf (pos + 1) b in
+      Bytes.unsafe_set buf pos ';';
+      pos + 1)
+    0 pairs
+
+let build_key t =
+  let routes_width =
+    Array.fold_left
+      (fun acc r ->
+        Array.fold_left (fun acc id -> acc + int_width id) (acc + 1) r.Route.edges)
+      0 t.routes
+  in
+  let buf = Bytes.create (pairs_width t.pairs + 1 + routes_width) in
+  let pos = write_pairs buf t.pairs in
+  Bytes.unsafe_set buf pos '|';
+  ignore
+    (Array.fold_left
+       (fun pos r ->
+         let pos = Array.fold_left (write_int buf) pos r.Route.edges in
+         Bytes.unsafe_set buf pos '/';
+         pos + 1)
+       (pos + 1) t.routes);
+  Bytes.unsafe_to_string buf
+
+(* A key is never empty (it always holds the '|'), so [""] marks an
+   unfilled cache.  Racing fills from several domains each write an
+   equal string; either one may stay. *)
 let key t =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "%d,%d;" a b))
-    t.pairs;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun r ->
-      Route.iter_edges r (fun id -> Buffer.add_string buf (string_of_int id));
-      Buffer.add_char buf '/')
-    t.routes;
-  Buffer.contents buf
+  let k = t.key_cache in
+  if String.length k > 0 then k
+  else begin
+    let k = build_key t in
+    t.key_cache <- k;
+    k
+  end
 
 let shape_key t =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "%d,%d;" a b))
-    t.pairs;
-  Buffer.contents buf
+  let buf = Bytes.create (pairs_width t.pairs) in
+  ignore (write_pairs buf t.pairs);
+  Bytes.unsafe_to_string buf
 
 let n_overlay_edges t = Array.length t.pairs
 

@@ -14,11 +14,17 @@ type t = {
   routes : Route.t array;  (** physical realization, aligned with [pairs] *)
   usage : (int * int) array;
   (** (physical edge id, n_e) pairs, sorted by edge id, n_e >= 1 *)
+  mutable key_cache : string;
+  (** {!key}'s memo: [""] until the first {!key} call fills it.  Never
+      written by callers; see {!key} for what it relies on. *)
 }
 
 (** [build ~session_id ~pairs ~routes] canonicalizes and derives the
-    usage table.  Raises [Invalid_argument] when [pairs] and [routes]
-    disagree in length. *)
+    usage table, in time [O(n log n + h log h)] for [n] pairs and [h]
+    route edges in total.  Pairs are normalized to [fst < snd] and
+    sorted; tied pairs keep their routes in the order a polymorphic
+    [Array.sort compare] gives.  Raises [Invalid_argument] when [pairs]
+    and [routes] disagree in length. *)
 val build : session_id:int -> pairs:(int * int) array -> routes:Route.t array -> t
 
 (** [n_e t edge_id] is the multiplicity of a physical edge in the tree
@@ -51,7 +57,27 @@ val bottleneck_arr : t -> float array -> float
 (** [key t] is a canonical identity string: the overlay shape plus the
     physical realization.  Two trees with equal keys are the same tree
     (needed to count distinct trees under arbitrary routing, where one
-    overlay shape can be realized by different routes over time). *)
+    overlay shape can be realized by different routes over time).
+
+    The string is ["a,b;"] for each pair, then ["|"], then for each
+    route its edge ids in decimal with no separator and a closing
+    ["/"].  (Without a separator the route part alone is ambiguous —
+    edges [[1; 23]] and [[12; 3]] both print ["123/"] — so keys can
+    only be trusted to tell apart trees whose routes differ in more
+    than the split of one digit run.)
+
+    {b Cache.}  The first call builds the string in one exactly-sized
+    buffer and stores it in [t.key_cache]; every later call returns it
+    without allocating.  This relies on two conditions:
+    - [key] depends only on [pairs] and [routes], and a record copy
+      carries the cache along.  A copy [{ t with ... }] may therefore
+      change only [session_id] and [usage]; a copy that changed
+      [pairs] or [routes] would report the original's key.
+    - A tree shared between domains (e.g. the trees that
+      {!Random_rounding.round_average}'s [Par] workers add to their own
+      solutions) may have its cache filled by several domains at once.
+      Each computes an equal string, and whichever write lands last is
+      kept, so readers always see a correct key. *)
 val key : t -> string
 
 (** [shape_key t] identifies only the overlay shape (member pairs),

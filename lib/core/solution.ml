@@ -4,10 +4,11 @@ type t = {
   session_array : Session.t array;
   slot_of_id : (int, int) Hashtbl.t;
   per_session : (string, entry) Hashtbl.t array;
-  (* per-session memo of the most recently added entry: the FPTAS adds
-     the same winning tree (physically, via the overlay's Otree memo)
-     for long runs of iterations, and the pointer comparison skips the
-     [Otree.key] string build — the dominant steady-state allocation *)
+  (* per-session memo of the most recently added entry: a run of
+     iterations that keeps the same winning tree (physically, via the
+     overlay's Otree memo) skips the table lookup.  Most adds miss it —
+     the winner changes between consecutive adds of one session — and
+     go through the table, keyed by the tree's cached [Otree.key]. *)
   last : entry option array;
 }
 

@@ -3,7 +3,9 @@
    multiplicity counts, Printf key), kept here so the production
    [Otree.build] / [Otree.key] can be checked field by field and byte
    by byte on random trees, degenerate pair lists, and the record
-   copies callers make. *)
+   copies callers make.  Allocation gates pin the key cache: a read
+   key is never rebuilt, so [Solution.add] of a known tree costs the
+   same for every tree size. *)
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -187,6 +189,75 @@ let test_key_stable_under_copies () =
     (Otree.key late_usage);
   checks "original unchanged by the copies" expected (Otree.key tree)
 
+(* --- allocation gates ---------------------------------------------------- *)
+
+let random_tree rng ~k ~session_id =
+  let pairs = random_tree_pairs rng k in
+  let routes =
+    Array.map (fun (a, b) -> random_route rng ~src:a ~dst:b ~pool:1000) pairs
+  in
+  Otree.build ~session_id ~pairs ~routes
+
+let sizes = [ 3; 30; 300 ]
+
+(* once read, a key is returned from the cache: no string is rebuilt *)
+let test_cached_key_allocates_nothing () =
+  let rng = Rng.create 19 in
+  List.iter
+    (fun k ->
+      let tree = random_tree rng ~k ~session_id:0 in
+      ignore (Otree.key tree);
+      let words =
+        Obs.Alloc.measure ~warmup:10 ~iters:1000 (fun () ->
+            ignore (Sys.opaque_identity (Otree.key tree)))
+      in
+      if words <> 0.0 then
+        Alcotest.failf "cached key of a %d-member tree allocates %.2f words"
+          k words)
+    sizes
+
+(* Adding a tree that is already in the solution, but is not the
+   session's last-added tree, costs the table lookup only: the words
+   allocated per add are a small constant, the same for every tree
+   size. *)
+let test_solution_add_constant_alloc () =
+  let rng = Rng.create 23 in
+  let per_add =
+    List.map
+      (fun k ->
+        let session =
+          Session.create ~id:0 ~members:(Array.init k (fun i -> i)) ~demand:1.0
+        in
+        let a = random_tree rng ~k ~session_id:0 in
+        let b = random_tree rng ~k ~session_id:0 in
+        let sol = Solution.create [| session |] in
+        Solution.add sol a 1.0;
+        Solution.add sol b 1.0;
+        (* alternating adds defeat the last-added shortcut every time *)
+        let words =
+          Obs.Alloc.measure ~warmup:10 ~iters:1000 (fun () ->
+              Solution.add sol a 1.0;
+              Solution.add sol b 1.0)
+          /. 2.0
+        in
+        Alcotest.(check int) "both trees recorded" 2 (Solution.n_trees sol 0);
+        if words > 16.0 then
+          Alcotest.failf "Solution.add of a known %d-member tree allocates \
+                          %.1f words"
+            k words;
+        words)
+      sizes
+  in
+  match per_add with
+  | [] -> ()
+  | w0 :: rest ->
+    List.iter
+      (fun w ->
+        if w <> w0 then
+          Alcotest.failf "Solution.add allocation depends on tree size: %s"
+            (String.concat ", " (List.map (Printf.sprintf "%.1f") per_add)))
+      rest
+
 let suite =
   [
     Alcotest.test_case "build and key match the oracle on random trees"
@@ -197,4 +268,8 @@ let suite =
       test_one_shape_two_realizations;
     Alcotest.test_case "key stable across reads and record copies" `Quick
       test_key_stable_under_copies;
+    Alcotest.test_case "cached key allocates nothing" `Quick
+      test_cached_key_allocates_nothing;
+    Alcotest.test_case "Solution.add of a known tree: constant allocation"
+      `Quick test_solution_add_constant_alloc;
   ]
