@@ -77,15 +77,22 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
     -. ((1.0 /. epsilon) *. log (smax *. float_of_int u_bound))
   in
   let m = Graph.n_edges graph in
-  let lens = Array.make m 1.0 in
-  (* d_e starts at delta for every edge: lens = 1, ln_base = ln delta *)
+  (* per-edge capacities, precomputed: the same IEEE values the closures
+     produced, without a call per use *)
+  let caps = Array.init m (fun id -> Graph.capacity graph id) in
+  (* d_e starts at delta for every edge: lens = 1, ln_base = ln delta.
+     A zero-capacity edge can never carry flow, so it is priced at
+     +infinity: trees avoid it wherever the overlay allows, instead of
+     winning with a zero bottleneck that would stop the run. *)
+  let lens = Array.map (fun c -> if c > 0.0 then 1.0 else infinity) caps in
   let ln_base = ref ln_delta in
   (* Warm start seeds the duals with a previous run's shape.  Only
      length ratios enter the MSTs and the update rule, so the stored
-     magnitudes are renormalized (largest entry 1) and the previous
-     [exp prev_ln_base] scale is folded away; [ln_base] is re-aimed
-     below, once the warmest tree is known, so the run opens with
-     [room] nats of dual headroom instead of the full delta range. *)
+     magnitudes are renormalized (largest finite entry 1) and the
+     previous [exp prev_ln_base] scale is folded away; [ln_base] is
+     re-aimed below, once the warmest tree is known, so the run opens
+     with [room] nats of dual headroom instead of the full delta range.
+     Zero-capacity edges stay at +infinity whatever they inherit. *)
   (match warm_start with
   | None -> ()
   | Some w ->
@@ -94,15 +101,21 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
     if not (Float.is_finite w.room && w.room > 0.0) then
       invalid_arg "Max_flow.solve: warm_start room must be positive";
     let mx = ref 0.0 in
-    Array.iter
-      (fun v ->
-        if (not (Float.is_finite v)) || v <= 0.0 then
-          invalid_arg "Max_flow.solve: warm_start lengths must be finite > 0";
-        if v > !mx then mx := v)
+    Array.iteri
+      (fun e v ->
+        if Float.is_nan v || v <= 0.0 then
+          invalid_arg "Max_flow.solve: warm_start lengths must be > 0";
+        if caps.(e) > 0.0 then begin
+          if not (Float.is_finite v) then
+            invalid_arg
+              "Max_flow.solve: warm_start length infinite on a capacitated \
+               edge";
+          if v > !mx then mx := v
+        end)
       w.prev_lens;
     let inv = 1.0 /. !mx in
     for e = 0 to m - 1 do
-      lens.(e) <- w.prev_lens.(e) *. inv
+      if caps.(e) > 0.0 then lens.(e) <- w.prev_lens.(e) *. inv
     done);
   let length id = lens.(id) in
   (* flat engine: the [length] closure is backed by [lens], so the
@@ -113,12 +126,10 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
   else Array.iter (fun o -> Overlay.set_flat o false) overlays;
   let solution = Solution.create sessions in
   let iterations = ref 0 in
-  (* per-session normalizers and per-edge capacities, precomputed: the
-     same IEEE values the closures produced, without a call per use *)
+  (* per-session normalizers, precomputed like [caps] *)
   let norm =
     Array.init k (fun i -> smax /. float_of_int (Session.receivers sessions.(i)))
   in
-  let caps = Array.init m (fun id -> Graph.capacity graph id) in
   Obs.Counter.incr c_runs;
   Obs.Sink.emit obs Obs.Run_start ~session:run_name ~a:(float_of_int k)
     ~b:epsilon;

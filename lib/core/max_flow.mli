@@ -28,7 +28,10 @@ type result = {
       so [Check.certify_max_flow] consumes this array directly and the
       shared [exp dual_ln_base] factor cancels — which is what makes
       the certificate computable even when [delta] underflows a double
-      (ratio 0.99 and beyond). *)
+      (ratio 0.99 and beyond).  Zero-capacity edges hold [infinity]:
+      they can carry no flow, so the solver prices them out of every
+      tree that can avoid them (the certificate's dual objective skips
+      them). *)
   dual_ln_base : float;
   (** log of the common scale factor of [dual_lengths] (see above). *)
 }
@@ -61,7 +64,10 @@ val ratio_to_epsilon : float -> float
 type warm_start = {
   prev_lens : float array;
       (** previous [result.dual_lengths]; length must equal the edge
-          count, entries finite positive (read-only, copied on entry) *)
+          count, entries positive, and finite on every edge of positive
+          capacity — [infinity] is accepted on zero-capacity edges,
+          which the solver prices at [infinity] regardless (read-only,
+          copied on entry) *)
   prev_ln_base : float;
       (** previous [result.dual_ln_base] — carried for provenance; the
           solver renormalizes, so only the shape of [prev_lens]

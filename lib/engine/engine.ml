@@ -155,19 +155,19 @@ let append arr x = Array.append arr [| x |]
    value is a heuristic (the certificate gates correctness): keep
    [c_e d_e] continuous when both capacities are positive, and give a
    newly capacitated edge the congestion price of the cheapest
-   existing edge. *)
+   existing edge.  A cut edge (c_new = 0) can never carry flow: both
+   solvers price it at +infinity, so warm trees route around it. *)
 let repair_capacity t ~edge ~c_old ~c_new =
   let lens = t.duals in
   match t.config.solver with
   | Maxflow ->
-    if c_old > 0.0 && c_new > 0.0 then
-      lens.(edge) <- lens.(edge) *. (c_old /. c_new)
-    else if c_new > 0.0 then begin
+    if c_new <= 0.0 then lens.(edge) <- infinity
+    else if c_old > 0.0 then lens.(edge) <- lens.(edge) *. (c_old /. c_new)
+    else begin
       let mn = ref infinity in
       Array.iter (fun v -> if v < !mn then mn := v) lens;
       lens.(edge) <- (if Float.is_finite !mn then !mn else 1.0)
     end
-    (* c_new = 0: the edge can never carry flow; its dual is inert *)
   | Mcf _ ->
     if c_new <= 0.0 then lens.(edge) <- infinity
     else if c_old > 0.0 && Float.is_finite lens.(edge) then
@@ -193,7 +193,7 @@ let repair_capacity t ~edge ~c_old ~c_new =
    them before the surviving sessions see a single iteration.  The
    floor compresses dead territory to "cheap" while preserving the
    top-of-range bottleneck ordering that warm starts exist to reuse.
-   Infinite entries (zero-capacity edges under MCF) are left alone. *)
+   Infinite entries (zero-capacity edges) are left alone. *)
 let clamp_range ~clamp lens =
   if not (Float.is_finite clamp && clamp > 0.0) then lens
   else begin

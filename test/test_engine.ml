@@ -191,6 +191,44 @@ let test_bad_events () =
   let r = Engine.resolve t in
   checkb "still solvable" true r.Engine.certified
 
+(* A link cut to capacity 0 and then restored: the most-loaded link of
+   the current solution is the hardest cut, since every tree that used
+   it must move.  Each report must certify and the cut link must carry
+   nothing while it is down. *)
+let cut_and_restore ~solver () =
+  let graph, _, t = mk_engine ~solver ~seed:70 () in
+  let load () =
+    match Engine.solution t with
+    | Some sol -> Solution.link_load sol graph
+    | None -> Alcotest.fail "engine holds no solution"
+  in
+  let loads = load () in
+  let edge = ref 0 in
+  Array.iteri (fun e l -> if l > loads.(!edge) then edge := e) loads;
+  let edge = !edge in
+  let capacity = Graph.capacity graph edge in
+  checkb "the cut link carries flow" true (loads.(edge) > 0.0);
+  let cut = Engine.apply t (ev 1.0 (Churn.Capacity_change { edge; capacity = 0.0 })) in
+  checkb "cut certified" true cut.Engine.certified;
+  checkb "objective positive after the cut" true (cut.Engine.objective > 0.0);
+  check (Alcotest.float 0.0) "cut link unloaded" 0.0 (load ()).(edge);
+  let restore = Engine.apply t (ev 2.0 (Churn.Capacity_change { edge; capacity })) in
+  checkb "restore certified" true restore.Engine.certified;
+  checkb "objective positive after the restore" true
+    (restore.Engine.objective > 0.0)
+
+let test_link_cut_maxflow () = cut_and_restore ~solver:Engine.Maxflow ()
+
+let test_link_cut_mcf () =
+  cut_and_restore
+    ~solver:
+      (Engine.Mcf
+         {
+           variant = Max_concurrent_flow.Paper;
+           scaling = Max_concurrent_flow.Proportional;
+         })
+    ()
+
 (* Steady-state churn handling must reuse the persistent overlay
    workspaces: a warm demand-change re-solve allocates far less than a
    from-scratch handler that rebuilds overlays and solves cold. *)
@@ -266,6 +304,10 @@ let suite =
       test_leave_rejoin_identity;
     Alcotest.test_case "empty engine and first join" `Quick test_empty_engine;
     Alcotest.test_case "invalid events rejected" `Quick test_bad_events;
+    Alcotest.test_case "loaded link cut and restored (maxflow)" `Quick
+      test_link_cut_maxflow;
+    Alcotest.test_case "loaded link cut and restored (mcf)" `Quick
+      test_link_cut_mcf;
     Alcotest.test_case "workspace reuse: warm events allocate less" `Quick
       test_workspace_reuse_alloc;
     Alcotest.test_case "speed probe (informational)" `Quick test_speed_probe;
