@@ -61,10 +61,8 @@ val bottleneck_arr : t -> float array -> float
 
     The string is ["a,b;"] for each pair, then ["|"], then for each
     route its edge ids in decimal with no separator and a closing
-    ["/"].  (Without a separator the route part alone is ambiguous —
-    edges [[1; 23]] and [[12; 3]] both print ["123/"] — so keys can
-    only be trusted to tell apart trees whose routes differ in more
-    than the split of one digit run.)
+    ["/"].  Without a separator, routes whose edge ids print the same
+    digits ([[1; 23]] and [[12; 3]] both give ["123/"]) share a key.
 
     {b Cache.}  The first call builds the string in one exactly-sized
     buffer and stores it in [t.key_cache]; every later call returns it
