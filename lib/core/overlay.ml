@@ -155,19 +155,17 @@ let sparsify_pairs spec graph session =
   Sparsify.select spec ~k ~salt:session.Session.id ~row
 
 (* [refresh_oe] must close over both [t] (op counters) and the engine,
-   so it is installed right after the record is built. *)
+   so it is installed right after the record is built.  Only the flat
+   path with unbound lengths calls it: bound lengths are refreshed
+   inside [Flat.Prim.lazy_routes_into]. *)
 let install_refresh t =
   match t.ip with
   | None -> ()
   | Some eng ->
     t.refresh_oe <-
       (fun oe ->
-        let w =
-          if Array.length eng.bound_lens > 0 then
-            Flat.Routes.weight eng.froutes oe eng.bound_lens
-          else Route.weight eng.oroutes.(oe) ~length:t.cur_length
-        in
-        eng.cached_w.(oe) <- w;
+        eng.cached_w.(oe) <-
+          Route.weight eng.oroutes.(oe) ~length:t.cur_length;
         eng.dirty.(oe) <- false;
         (* registry tally is batched: the flat MST path flushes
            [t.weight_ops - ops_before] into [c_weight_ops] in one
@@ -481,18 +479,21 @@ let ip_weights t eng ~length =
 let rec oedges_clean dirty in_prev oe n =
   oe >= n || ((not (dirty.(oe) && in_prev.(oe))) && oedges_clean dirty in_prev (oe + 1) n)
 
-let rec same_prefix a b i n = i >= n || (a.(i) = b.(i) && same_prefix a b (i + 1) n)
+let rec same_prefix (a : int array) (b : int array) i n =
+  i >= n || (a.(i) = b.(i) && same_prefix a b (i + 1) n)
 
 let memo_cap = 512
 
-(* The monotone skip applies when the engine is on, every stale weight
-   stems from an increase, a previous tree exists, and no overlay edge of
-   that tree is stale.  Cross-check mode disables it so each call
+(* The lazy paths apply when the engine is on and every stale weight
+   stems from an increase.  Cross-check mode disables them so each call
    verifies the full cache. *)
-let can_skip_mst eng =
+let lazy_valid eng =
   eng.incremental && eng.skip_valid && (not eng.all_dirty)
-  && (not (cross_check ()))
-  &&
+  && not (cross_check ())
+
+(* On top of [lazy_valid], the monotone skip needs a previous tree none
+   of whose overlay edges is stale. *)
+let prev_tree_clean eng =
   match eng.prev_tree with
   | None -> false
   | Some _ ->
@@ -521,7 +522,8 @@ let min_spanning_tree t ~length =
   match t.mode with
   | Ip ->
     let eng = Option.get t.ip in
-    if can_skip_mst eng then begin
+    let lazy_bounds = lazy_valid eng in
+    if lazy_bounds && prev_tree_clean eng then begin
       Obs.Counter.incr c_lazy_skips;
       if Obs.Sink.enabled t.sink then
         Obs.Sink.emit t.sink Obs.Mst_lazy_skip ~session:t.session.Session.id
@@ -536,10 +538,6 @@ let min_spanning_tree t ~length =
          simply stay dirty.  [prim_lazy]'s trajectory is identical to
          the eager run, so the tree sequence cannot drift.  Cross-check
          mode keeps the eager path (it verifies the full cache). *)
-      let lazy_bounds =
-        eng.incremental && eng.skip_valid && (not eng.all_dirty)
-        && not (cross_check ())
-      in
       let ops_before = t.weight_ops in
       let nt = Array.length t.tree_buf in
       let tree =
@@ -547,12 +545,21 @@ let min_spanning_tree t ~length =
           (* Flat kernel: Prim writes the winning overlay edges into
              [tree_buf]; an unchanged edge sequence returns the memoized
              [Otree.t] physically — the whole call allocates nothing. *)
-          t.cur_length <- length;
           if lazy_bounds then begin
-            ignore
-              (Flat.Prim.lazy_into t.prim_ws t.ocsr ~w:eng.cached_w
-                 ~dirty:eng.dirty ~refresh:t.refresh_oe ~edges:t.tree_buf);
-            (* flush the batched registry tally (see [install_refresh]) *)
+            (if Array.length eng.bound_lens > 0 then
+               t.weight_ops <-
+                 t.weight_ops
+                 + Flat.Prim.lazy_routes_into t.prim_ws t.ocsr
+                     ~w:eng.cached_w ~dirty:eng.dirty ~routes:eng.froutes
+                     ~lens:eng.bound_lens ~edges:t.tree_buf
+             else begin
+               t.cur_length <- length;
+               ignore
+                 (Flat.Prim.lazy_into t.prim_ws t.ocsr ~w:eng.cached_w
+                    ~dirty:eng.dirty ~refresh:t.refresh_oe ~edges:t.tree_buf)
+             end);
+            (* flush the batched registry tally: both lazy calls count
+               their refreshes into [t.weight_ops] (see [install_refresh]) *)
             let refreshed = t.weight_ops - ops_before in
             if refreshed > 0 then Obs.Counter.add c_weight_ops refreshed
           end
@@ -619,13 +626,17 @@ let min_spanning_tree t ~length =
         end
       in
       if eng.incremental then begin
-        Array.fill eng.in_prev_mst 0 (Array.length eng.in_prev_mst) false;
-        for i = 0 to nt - 1 do
-          eng.in_prev_mst.(t.tree_buf.(i)) <- true
-        done;
         (match eng.prev_tree with
-        | Some prev when prev == tree -> ()
-        | _ -> eng.prev_tree <- Some tree);
+        | Some prev when prev == tree ->
+          (* the memo returned the previous tree itself, so the edge
+             sequence is the one [in_prev_mst] already marks *)
+          ()
+        | _ ->
+          Array.fill eng.in_prev_mst 0 (Array.length eng.in_prev_mst) false;
+          for i = 0 to nt - 1 do
+            eng.in_prev_mst.(t.tree_buf.(i)) <- true
+          done;
+          eng.prev_tree <- Some tree);
         eng.skip_valid <- true
       end;
       Obs.Counter.incr c_recomputes;

@@ -103,62 +103,84 @@ module Prim = struct
      [Mst.prim]'s.
 
      Unsafe accesses are confined to the workspace's own arrays and the
-     CSR (both sized at construction; heap indices are bounded by
-     [size <= n]).  Caller-provided arrays ([w], [dirty], [edges]) keep
-     their bounds checks. *)
+     CSR (the workspace is checked against the graph size on every run;
+     heap indices are bounded by [size <= n]).  Caller-provided arrays
+     ([w], [dirty], [edges]) keep their bounds checks. *)
   type ws = {
-    in_tree : Bytes.t;
     best_edge : int array;
     keys : int array;    (* heap slot -> vertex *)
     prios : float array; (* heap slot -> priority *)
-    slots : int array;   (* vertex -> heap slot, -1 if absent *)
+    slots : int array;   (* vertex -> heap slot, or [absent] / [popped] *)
     mutable size : int;
   }
+
+  (* [slots] sentinels: a vertex not yet queued, and one already taken
+     into the tree (which also replaces a separate visited table). *)
+  let absent = -1
+  let popped = -2
 
   let ws ~n =
     let n = max n 1 in
     {
-      in_tree = Bytes.make n '\000';
       best_edge = Array.make n (-1);
       keys = Array.make n (-1);
       prios = Array.make n 0.0;
-      slots = Array.make n (-1);
+      slots = Array.make n absent;
       size = 0;
     }
 
-  let swap t i j =
-    let ki = Array.unsafe_get t.keys i and kj = Array.unsafe_get t.keys j in
-    let pi = Array.unsafe_get t.prios i and pj = Array.unsafe_get t.prios j in
-    Array.unsafe_set t.keys i kj;
-    Array.unsafe_set t.keys j ki;
-    Array.unsafe_set t.prios i pj;
-    Array.unsafe_set t.prios j pi;
-    Array.unsafe_set t.slots kj i;
-    Array.unsafe_set t.slots ki j
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if Array.unsafe_get t.prios i < Array.unsafe_get t.prios parent then begin
-        swap t i parent;
-        sift_up t parent
+  (* Hole-based sifts: the moving entry is held aside and written once,
+     at its final slot.  Each step makes the comparison the swap-based
+     sift of [Indexed_heap] makes (the held entry is the one at [!i]
+     there), so the heap layout after every operation is the same.
+     The heap operations are [@inline]: a call would box the float
+     priority of [insert] and spill the Prim loop's registers. *)
+  let[@inline] sift_up t i =
+    let keys = t.keys and prios = t.prios and slots = t.slots in
+    let k = Array.unsafe_get keys i and p = Array.unsafe_get prios i in
+    let i = ref i and moving = ref true in
+    while !moving && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let pp = Array.unsafe_get prios parent in
+      if p < pp then begin
+        let pk = Array.unsafe_get keys parent in
+        Array.unsafe_set keys !i pk;
+        Array.unsafe_set prios !i pp;
+        Array.unsafe_set slots pk !i;
+        i := parent
       end
-    end
+      else moving := false
+    done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set prios !i p;
+    Array.unsafe_set slots k !i
 
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && Array.unsafe_get t.prios l < Array.unsafe_get t.prios !smallest
-    then smallest := l;
-    if r < t.size && Array.unsafe_get t.prios r < Array.unsafe_get t.prios !smallest
-    then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
+  let[@inline] sift_down t i =
+    let keys = t.keys and prios = t.prios and slots = t.slots in
+    let size = t.size in
+    let k = Array.unsafe_get keys i and p = Array.unsafe_get prios i in
+    let i = ref i and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c = if l < size && Array.unsafe_get prios l < p then l else !i in
+      let cp = if c = !i then p else Array.unsafe_get prios c in
+      let c = if r < size && Array.unsafe_get prios r < cp then r else c in
+      if c = !i then moving := false
+      else begin
+        let ck = Array.unsafe_get keys c in
+        Array.unsafe_set keys !i ck;
+        Array.unsafe_set prios !i (Array.unsafe_get prios c);
+        Array.unsafe_set slots ck !i;
+        i := c
+      end
+    done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set prios !i p;
+    Array.unsafe_set slots k !i
 
-  (* precondition: [key] not in the heap (slot -1), [size < n] *)
-  let insert t key prio =
+  (* precondition: [key] not in the heap (slot [absent]), [size < n] *)
+  let[@inline] insert t key prio =
     let i = t.size in
     Array.unsafe_set t.keys i key;
     Array.unsafe_set t.prios i prio;
@@ -166,8 +188,9 @@ module Prim = struct
     t.size <- i + 1;
     sift_up t i
 
-  (* precondition: [size > 0]; drops the root, restores heap order *)
-  let remove_min t =
+  (* precondition: [size > 0]; drops the root, restores heap order and
+     marks the dropped vertex [popped] *)
+  let[@inline] remove_min t =
     let key = Array.unsafe_get t.keys 0 in
     let last = t.size - 1 in
     t.size <- last;
@@ -178,14 +201,22 @@ module Prim = struct
       Array.unsafe_set t.slots k 0;
       sift_down t 0
     end;
-    Array.unsafe_set t.slots key (-1)
+    Array.unsafe_set t.slots key popped
 
+  (* A loop rather than [Array.fill]: on k-member overlays the C call
+     costs more than the stores. *)
   let reset ws n =
+    if n > Array.length ws.slots then
+      invalid_arg "Flat.Prim: workspace smaller than the graph";
     ws.size <- 0;
-    Bytes.fill ws.in_tree 0 n '\000';
-    Array.fill ws.best_edge 0 n (-1);
-    Array.fill ws.slots 0 n (-1)
+    for v = 0 to n - 1 do
+      Array.unsafe_set ws.best_edge v (-1);
+      Array.unsafe_set ws.slots v absent
+    done
 
+  (* Each vertex enters the heap once ([absent] -> [insert], queued ->
+     decrease-key) and leaves it as [popped], so every pop is a new
+     tree vertex. *)
   let into ws csr ~w ~edges =
     Obs.Counter.incr c_prim;
     let n = csr.Csr.n in
@@ -193,7 +224,6 @@ module Prim = struct
     else begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
-      let in_tree = ws.in_tree in
       let best_edge = ws.best_edge in
       let prios = ws.prios and slots = ws.slots in
       let weight = ref 0.0 in
@@ -204,96 +234,124 @@ module Prim = struct
         let v = Array.unsafe_get ws.keys 0 in
         let key = Array.unsafe_get prios 0 in
         remove_min ws;
-        if Bytes.unsafe_get in_tree v = '\000' then begin
-          Bytes.unsafe_set in_tree v '\001';
-          incr picked;
-          let be = Array.unsafe_get best_edge v in
-          if be >= 0 then begin
-            edges.(!n_edges) <- be;
-            incr n_edges;
-            weight := !weight +. key
-          end;
-          for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-            let u = Array.unsafe_get dst i in
-            if Bytes.unsafe_get in_tree u = '\000' then begin
-              let id = Array.unsafe_get eid i in
-              let len = w.(id) in
-              if len < 0.0 then invalid_arg "Mst.prim: negative edge length";
-              let s = Array.unsafe_get slots u in
-              if s < 0 then begin
-                insert ws u len;
-                Array.unsafe_set best_edge u id
-              end
-              else if len < Array.unsafe_get prios s then begin
-                (* decrease *)
-                Array.unsafe_set prios s len;
-                sift_up ws s;
-                Array.unsafe_set best_edge u id
-              end
+        incr picked;
+        let be = Array.unsafe_get best_edge v in
+        if be >= 0 then begin
+          edges.(!n_edges) <- be;
+          incr n_edges;
+          weight := !weight +. key
+        end;
+        for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+          let u = Array.unsafe_get dst i in
+          let s = Array.unsafe_get slots u in
+          if s <> popped then begin
+            let id = Array.unsafe_get eid i in
+            let len = w.(id) in
+            if len < 0.0 then invalid_arg "Mst.prim: negative edge length";
+            if s < 0 then begin
+              insert ws u len;
+              Array.unsafe_set best_edge u id
             end
-          done
-        end
+            else if len < Array.unsafe_get prios s then begin
+              (* decrease *)
+              Array.unsafe_set prios s len;
+              sift_up ws s;
+              Array.unsafe_set best_edge u id
+            end
+          end
+        done
       done;
       if !picked <> n then failwith "Mst.prim: graph is disconnected";
       !weight
     end
 
-  let lazy_into ws csr ~w ~dirty ~refresh ~edges =
+  (* Shared body of [lazy_into] and [lazy_routes_into].  A promising
+     dirty edge is refreshed in place from [routes] and [lens] when
+     [lens] is non-empty, otherwise through [refresh].  Returns the
+     number of refreshes. *)
+  let lazy_run ws csr ~w ~dirty ~refresh ~(routes : Routes.t) ~lens ~edges =
     Obs.Counter.incr c_prim_lazy;
     let n = csr.Csr.n in
-    if n = 0 then 0.0
+    if n = 0 then 0
     else begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
-      let in_tree = ws.in_tree in
       let best_edge = ws.best_edge in
       let prios = ws.prios and slots = ws.slots in
-      let weight = ref 0.0 in
+      let in_place = Array.length lens > 0 in
+      let roff = routes.Routes.off and redge = routes.Routes.edge in
+      let refreshed = ref 0 in
       let picked = ref 0 in
       let n_edges = ref 0 in
       insert ws 0 0.0;
       while ws.size > 0 do
         let v = Array.unsafe_get ws.keys 0 in
-        let key = Array.unsafe_get prios 0 in
         remove_min ws;
-        if Bytes.unsafe_get in_tree v = '\000' then begin
-          Bytes.unsafe_set in_tree v '\001';
-          incr picked;
-          let be = Array.unsafe_get best_edge v in
-          if be >= 0 then begin
-            edges.(!n_edges) <- be;
-            incr n_edges;
-            weight := !weight +. key
-          end;
-          for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-            let u = Array.unsafe_get dst i in
-            if Bytes.unsafe_get in_tree u = '\000' then begin
-              let id = Array.unsafe_get eid i in
-              (* stale w.(id) is a lower bound; a bound that already
-                 loses implies the exact length loses too *)
-              let s = Array.unsafe_get slots u in
-              let promising = s < 0 || w.(id) < Array.unsafe_get prios s in
-              if promising then begin
-                if dirty.(id) then refresh id;
-                let len = w.(id) in
-                if len < 0.0 then
-                  invalid_arg "Mst.prim_lazy: negative edge length";
-                (* [refresh] never touches the heap, so [s] is current *)
-                if s < 0 then begin
-                  insert ws u len;
-                  Array.unsafe_set best_edge u id
+        incr picked;
+        let be = Array.unsafe_get best_edge v in
+        if be >= 0 then begin
+          edges.(!n_edges) <- be;
+          incr n_edges
+        end;
+        for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+          let u = Array.unsafe_get dst i in
+          let s = Array.unsafe_get slots u in
+          if s <> popped then begin
+            let id = Array.unsafe_get eid i in
+            (* stale w.(id) is a lower bound; a bound that already
+               loses implies the exact length loses too *)
+            let promising = s < 0 || w.(id) < Array.unsafe_get prios s in
+            if promising then begin
+              if dirty.(id) then begin
+                if in_place then begin
+                  (* [Routes.weight routes id lens], inlined *)
+                  let acc = ref 0.0 in
+                  for k = roff.(id) to roff.(id + 1) - 1 do
+                    acc := !acc +. lens.(Array.unsafe_get redge k)
+                  done;
+                  w.(id) <- !acc;
+                  dirty.(id) <- false
                 end
-                else if len < Array.unsafe_get prios s then begin
-                  Array.unsafe_set prios s len;
-                  sift_up ws s;
-                  Array.unsafe_set best_edge u id
-                end
+                else refresh id;
+                incr refreshed
+              end;
+              let len = w.(id) in
+              if len < 0.0 then
+                invalid_arg "Mst.prim_lazy: negative edge length";
+              (* a refresh never touches the heap, so [s] is current *)
+              if s < 0 then begin
+                insert ws u len;
+                Array.unsafe_set best_edge u id
+              end
+              else if len < Array.unsafe_get prios s then begin
+                Array.unsafe_set prios s len;
+                sift_up ws s;
+                Array.unsafe_set best_edge u id
               end
             end
-          done
-        end
+          end
+        done
       done;
       if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
-      !weight
+      !refreshed
     end
+
+  let no_routes = { Routes.off = [| 0 |]; edge = [| 0 |] }
+
+  let lazy_into ws csr ~w ~dirty ~refresh ~edges =
+    ignore
+      (lazy_run ws csr ~w ~dirty ~refresh ~routes:no_routes ~lens:[||] ~edges);
+    (* A key is the exact length of the popped vertex's best edge, and
+       no edge is refreshed twice, so summing [w] over the picks in
+       pick order adds the keys in pop order: Mst.prim_lazy's weight. *)
+    let weight = ref 0.0 in
+    for i = 0 to csr.Csr.n - 2 do
+      weight := !weight +. w.(edges.(i))
+    done;
+    !weight
+
+  let lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges =
+    if Array.length lens = 0 then
+      invalid_arg "Flat.Prim.lazy_routes_into: empty length array";
+    lazy_run ws csr ~w ~dirty ~refresh:ignore ~routes ~lens ~edges
 end

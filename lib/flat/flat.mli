@@ -32,8 +32,8 @@
     {b Allocation contract.}  Construction ([Csr.of_graph],
     [Routes.of_routes], [Inc.of_incidence], [Prim.ws]) allocates; the
     per-iteration operations ([Routes.weight], [Prim.into],
-    [Prim.lazy_into]) allocate {e nothing} — no closures, no boxed
-    floats, no intermediate lists.  [bench/main.ml]'s
+    [Prim.lazy_into], [Prim.lazy_routes_into]) allocate {e nothing} —
+    no closures, no boxed floats, no intermediate lists.  [bench/main.ml]'s
     [flat_steady_state_words] gate measures this at < 8 minor words per
     steady-state solver iteration.
 
@@ -91,9 +91,10 @@ module Inc : sig
 end
 
 module Prim : sig
-  (** Reusable Prim working set: visited flags, best-edge table and one
-      indexed heap, sized for a fixed vertex count.  Not thread-safe —
-      one workspace per concurrently evaluated overlay. *)
+  (** Reusable Prim working set: best-edge table and one indexed heap
+      whose vertex-to-slot table also marks tree vertices, sized for a
+      fixed vertex count.  Not thread-safe — one workspace per
+      concurrently evaluated overlay. *)
   type ws
 
   (** [ws ~n] builds a working set for [n]-vertex trees. *)
@@ -124,4 +125,22 @@ module Prim : sig
     refresh:(int -> unit) ->
     edges:int array ->
     float
+
+  (** [lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges] is
+      [lazy_into] with the refresh done in place: a promising dirty edge
+      [id] gets [w.(id) <- Routes.weight routes id lens] and
+      [dirty.(id) <- false].  Same picks in [edges], same refreshes;
+      returns the number of refreshes instead of the tree weight.  The
+      overlay engine uses it whenever its lengths are bound, so the Prim
+      loop calls no closure.  Raises [Invalid_argument] on an empty
+      [lens]. *)
+  val lazy_routes_into :
+    ws ->
+    Csr.t ->
+    w:float array ->
+    dirty:bool array ->
+    routes:Routes.t ->
+    lens:float array ->
+    edges:int array ->
+    int
 end

@@ -186,6 +186,53 @@ let test_prim_lazy_matches () =
       checki "no refresh on clean cache" 0 !flat_refreshes
   done
 
+(* The in-place refresh of [lazy_routes_into] against [lazy_into] with
+   the equivalent closure: same picks, same refreshed cache and dirty
+   flags, and a refresh count equal to the closure's call count. *)
+let test_prim_lazy_routes_matches () =
+  for seed = 1 to 20 do
+    let rng = Rng.create (500 + seed) in
+    let n = 4 + Rng.int rng 30 in
+    let g = random_graph rng ~n ~extra:(Rng.int rng (3 * n)) in
+    let m = Graph.n_edges g in
+    (* each edge of [g] stands for a route over a physical graph *)
+    let physical = random_graph rng ~n:12 ~extra:20 in
+    let routes = Flat.Routes.of_routes (random_routes rng physical ~count:m) in
+    let lens = random_lengths rng (Graph.n_edges physical) in
+    let dirty = Array.init m (fun _ -> Rng.int rng 3 = 0) in
+    let cache =
+      Array.init m (fun id ->
+          let exact = Flat.Routes.weight routes id lens in
+          if dirty.(id) then exact /. (1.5 +. Rng.float rng 2.0) else exact)
+    in
+    let csr = Flat.Csr.of_graph g in
+    let ws = Flat.Prim.ws ~n in
+    let w_closure = Array.copy cache and dirty_closure = Array.copy dirty in
+    let calls = ref 0 in
+    let edges_closure = Array.make (n - 1) (-1) in
+    ignore
+      (Flat.Prim.lazy_into ws csr ~w:w_closure ~dirty:dirty_closure
+         ~refresh:(fun id ->
+           incr calls;
+           w_closure.(id) <- Flat.Routes.weight routes id lens;
+           dirty_closure.(id) <- false)
+         ~edges:edges_closure);
+    let w_inline = Array.copy cache and dirty_inline = Array.copy dirty in
+    let edges_inline = Array.make (n - 1) (-1) in
+    let refreshed =
+      Flat.Prim.lazy_routes_into ws csr ~w:w_inline ~dirty:dirty_inline
+        ~routes ~lens ~edges:edges_inline
+    in
+    checkb "edge picks (in order)" true (edges_closure = edges_inline);
+    let same_bits a b =
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    in
+    checkb "refreshed cache (bits)" true
+      (Array.for_all2 same_bits w_closure w_inline);
+    checkb "dirty flags" true (dirty_closure = dirty_inline);
+    checki "refresh count" !calls refreshed
+  done
+
 (* --- overlay engine lockstep: flat vs record --------------------------- *)
 
 let lockstep_instance seed =
@@ -316,6 +363,8 @@ let suite =
       test_prim_into_errors;
     Alcotest.test_case "Prim.lazy_into = Mst.prim_lazy" `Quick
       test_prim_lazy_matches;
+    Alcotest.test_case "Prim.lazy_routes_into = lazy_into + Routes.weight"
+      `Quick test_prim_lazy_routes_matches;
     Alcotest.test_case "overlay lockstep flat vs record (ip)" `Quick
       test_lockstep_ip;
     Alcotest.test_case "overlay lockstep flat vs record (arbitrary)" `Quick
