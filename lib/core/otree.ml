@@ -7,7 +7,8 @@ type t = {
 }
 
 (* The sign of [compare_pairs] equals that of polymorphic [compare] on
-   int pairs. *)
+   int pairs, and [Array.sort]'s moves depend only on that sign, so
+   [build] orders pairs, ties included, as a polymorphic sort would. *)
 let compare_pairs ((a1 : int), (b1 : int)) (a2, b2) =
   if a1 <> a2 then compare a1 a2 else compare b1 b2
 
@@ -49,20 +50,8 @@ let build ~session_id ~pairs ~routes =
   let normalized =
     Array.map (fun ((a, b) as p) -> if a < b then p else (b, a)) pairs
   in
-  let cmp i j = compare_pairs normalized.(i) normalized.(j) in
   let order = Array.init n (fun i -> i) in
-  Array.stable_sort cmp order;
-  (* Without ties the sorted order is unique, so any sort finds it.
-     Tied pairs (never in a tree) are re-sorted from the identity with
-     [Array.sort], whose tie order otree.mli documents. *)
-  let tied = ref false in
-  for i = 1 to n - 1 do
-    if cmp order.(i - 1) order.(i) = 0 then tied := true
-  done;
-  if !tied then begin
-    Array.iteri (fun i _ -> order.(i) <- i) order;
-    Array.sort cmp order
-  end;
+  Array.sort (fun i j -> compare_pairs normalized.(i) normalized.(j)) order;
   let pairs = Array.map (fun i -> normalized.(i)) order in
   let routes = Array.map (fun i -> routes.(i)) order in
   { session_id; pairs; routes; usage = usage_of_routes routes; key_cache = "" }
@@ -120,61 +109,34 @@ let bottleneck_arr t caps =
 
    The key is ["a,b;" per pair] ^ "|" ^ [route edge ids, unseparated,
    then "/" per route], every integer in decimal as [string_of_int]
-   prints it.  It is written straight into one exactly-sized buffer:
-   one pass measures, one pass writes. *)
+   prints it.  Digits go straight into one [Buffer]; member slots and
+   edge ids are never negative. *)
 
-(* decimal digits of [x <= 0]; working on non-positive values keeps
-   [min_int] in range *)
-let rec neg_digits x = if x > -10 then 1 else 1 + neg_digits (x / 10)
+(* appends [n >= 0] in decimal *)
+let rec add_int buf n =
+  if n < 0 then invalid_arg "Otree: negative slot or edge id";
+  if n >= 10 then add_int buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
 
-let int_width n = if n < 0 then 1 + neg_digits n else neg_digits (-n)
-
-(* writes [n] at [pos], returns the position after it *)
-let write_int buf pos n =
-  let stop = pos + int_width n in
-  let x = ref (if n > 0 then -n else n) in
-  let p = ref (stop - 1) in
-  Bytes.unsafe_set buf !p (Char.unsafe_chr (48 - (!x mod 10)));
-  x := !x / 10;
-  while !x <> 0 do
-    decr p;
-    Bytes.unsafe_set buf !p (Char.unsafe_chr (48 - (!x mod 10)));
-    x := !x / 10
-  done;
-  if n < 0 then Bytes.unsafe_set buf pos '-';
-  stop
-
-let pairs_width pairs =
-  Array.fold_left (fun acc (a, b) -> acc + int_width a + int_width b + 2) 0 pairs
-
-let write_pairs buf pairs =
-  Array.fold_left
-    (fun pos (a, b) ->
-      let pos = write_int buf pos a in
-      Bytes.unsafe_set buf pos ',';
-      let pos = write_int buf (pos + 1) b in
-      Bytes.unsafe_set buf pos ';';
-      pos + 1)
-    0 pairs
+let add_pairs buf pairs =
+  Array.iter
+    (fun (a, b) ->
+      add_int buf a;
+      Buffer.add_char buf ',';
+      add_int buf b;
+      Buffer.add_char buf ';')
+    pairs
 
 let build_key t =
-  let routes_width =
-    Array.fold_left
-      (fun acc r ->
-        Array.fold_left (fun acc id -> acc + int_width id) (acc + 1) r.Route.edges)
-      0 t.routes
-  in
-  let buf = Bytes.create (pairs_width t.pairs + 1 + routes_width) in
-  let pos = write_pairs buf t.pairs in
-  Bytes.unsafe_set buf pos '|';
-  ignore
-    (Array.fold_left
-       (fun pos r ->
-         let pos = Array.fold_left (write_int buf) pos r.Route.edges in
-         Bytes.unsafe_set buf pos '/';
-         pos + 1)
-       (pos + 1) t.routes);
-  Bytes.unsafe_to_string buf
+  let buf = Buffer.create 64 in
+  add_pairs buf t.pairs;
+  Buffer.add_char buf '|';
+  Array.iter
+    (fun r ->
+      Array.iter (add_int buf) r.Route.edges;
+      Buffer.add_char buf '/')
+    t.routes;
+  Buffer.contents buf
 
 (* A key is never empty (it always holds the '|'), so [""] marks an
    unfilled cache.  Racing fills from several domains each write an
@@ -189,9 +151,9 @@ let key t =
   end
 
 let shape_key t =
-  let buf = Bytes.create (pairs_width t.pairs) in
-  ignore (write_pairs buf t.pairs);
-  Bytes.unsafe_to_string buf
+  let buf = Buffer.create 64 in
+  add_pairs buf t.pairs;
+  Buffer.contents buf
 
 let n_overlay_edges t = Array.length t.pairs
 

@@ -64,9 +64,12 @@ val bottleneck_arr : t -> float array -> float
     ["/"].  Without a separator, routes whose edge ids print the same
     digits ([[1; 23]] and [[12; 3]] both give ["123/"]) share a key.
 
-    {b Cache.}  The first call builds the string in one exactly-sized
-    buffer and stores it in [t.key_cache]; every later call returns it
-    without allocating.  This relies on two conditions:
+    Raises [Invalid_argument] on a negative slot or edge id, which no
+    tree built from a session and a graph has.
+
+    {b Cache.}  The first call builds the string in one [Buffer] and
+    stores it in [t.key_cache]; every later call returns it without
+    allocating.  This relies on two conditions:
     - [key] depends only on [pairs] and [routes], and a record copy
       carries the cache along.  A copy [{ t with ... }] may therefore
       change only [session_id] and [usage]; a copy that changed
@@ -79,7 +82,7 @@ val bottleneck_arr : t -> float array -> float
 val key : t -> string
 
 (** [shape_key t] identifies only the overlay shape (member pairs),
-    ignoring routes. *)
+    ignoring routes: the part of {!key} before ["|"]. *)
 val shape_key : t -> string
 
 (** [n_overlay_edges t] is the number of overlay edges, [|S_i| - 1]. *)

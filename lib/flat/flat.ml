@@ -50,7 +50,8 @@ module Routes = struct
     done;
     { off; edge }
 
-  let weight t oe lens =
+  (* [@inline]: [Prim.lazy_routes_into] calls it inside its loop *)
+  let[@inline] weight t oe lens =
     let acc = ref 0.0 in
     let edge = t.edge in
     (* [off] reads stay checked ([oe] is caller input); the [edge]
@@ -265,11 +266,64 @@ module Prim = struct
       !weight
     end
 
-  (* Shared body of [lazy_into] and [lazy_routes_into].  A promising
-     dirty edge is refreshed in place from [routes] and [lens] when
-     [lens] is non-empty, otherwise through [refresh].  Returns the
-     number of refreshes. *)
-  let lazy_run ws csr ~w ~dirty ~refresh ~(routes : Routes.t) ~lens ~edges =
+  let lazy_into ws csr ~w ~dirty ~refresh ~edges =
+    Obs.Counter.incr c_prim_lazy;
+    let n = csr.Csr.n in
+    if n = 0 then 0.0
+    else begin
+      reset ws n;
+      let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
+      let best_edge = ws.best_edge in
+      let prios = ws.prios and slots = ws.slots in
+      let weight = ref 0.0 in
+      let picked = ref 0 in
+      let n_edges = ref 0 in
+      insert ws 0 0.0;
+      while ws.size > 0 do
+        let v = Array.unsafe_get ws.keys 0 in
+        let key = Array.unsafe_get prios 0 in
+        remove_min ws;
+        incr picked;
+        let be = Array.unsafe_get best_edge v in
+        if be >= 0 then begin
+          edges.(!n_edges) <- be;
+          incr n_edges;
+          weight := !weight +. key
+        end;
+        for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
+          let u = Array.unsafe_get dst i in
+          let s = Array.unsafe_get slots u in
+          if s <> popped then begin
+            let id = Array.unsafe_get eid i in
+            (* stale w.(id) is a lower bound; a bound that already
+               loses implies the exact length loses too *)
+            let promising = s < 0 || w.(id) < Array.unsafe_get prios s in
+            if promising then begin
+              if dirty.(id) then refresh id;
+              let len = w.(id) in
+              if len < 0.0 then
+                invalid_arg "Mst.prim_lazy: negative edge length";
+              (* [refresh] never touches the heap, so [s] is current *)
+              if s < 0 then begin
+                insert ws u len;
+                Array.unsafe_set best_edge u id
+              end
+              else if len < Array.unsafe_get prios s then begin
+                Array.unsafe_set prios s len;
+                sift_up ws s;
+                Array.unsafe_set best_edge u id
+              end
+            end
+          end
+        done
+      done;
+      if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
+      !weight
+    end
+
+  (* [lazy_into]'s loop with the refresh written out, so no closure is
+     called per promising edge *)
+  let lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges =
     Obs.Counter.incr c_prim_lazy;
     let n = csr.Csr.n in
     if n = 0 then 0
@@ -278,8 +332,6 @@ module Prim = struct
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
       let best_edge = ws.best_edge in
       let prios = ws.prios and slots = ws.slots in
-      let in_place = Array.length lens > 0 in
-      let roff = routes.Routes.off and redge = routes.Routes.edge in
       let refreshed = ref 0 in
       let picked = ref 0 in
       let n_edges = ref 0 in
@@ -298,27 +350,16 @@ module Prim = struct
           let s = Array.unsafe_get slots u in
           if s <> popped then begin
             let id = Array.unsafe_get eid i in
-            (* stale w.(id) is a lower bound; a bound that already
-               loses implies the exact length loses too *)
             let promising = s < 0 || w.(id) < Array.unsafe_get prios s in
             if promising then begin
               if dirty.(id) then begin
-                if in_place then begin
-                  (* [Routes.weight routes id lens], inlined *)
-                  let acc = ref 0.0 in
-                  for k = roff.(id) to roff.(id + 1) - 1 do
-                    acc := !acc +. lens.(Array.unsafe_get redge k)
-                  done;
-                  w.(id) <- !acc;
-                  dirty.(id) <- false
-                end
-                else refresh id;
+                w.(id) <- Routes.weight routes id lens;
+                dirty.(id) <- false;
                 incr refreshed
               end;
               let len = w.(id) in
               if len < 0.0 then
                 invalid_arg "Mst.prim_lazy: negative edge length";
-              (* a refresh never touches the heap, so [s] is current *)
               if s < 0 then begin
                 insert ws u len;
                 Array.unsafe_set best_edge u id
@@ -335,23 +376,4 @@ module Prim = struct
       if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
       !refreshed
     end
-
-  let no_routes = { Routes.off = [| 0 |]; edge = [| 0 |] }
-
-  let lazy_into ws csr ~w ~dirty ~refresh ~edges =
-    ignore
-      (lazy_run ws csr ~w ~dirty ~refresh ~routes:no_routes ~lens:[||] ~edges);
-    (* A key is the exact length of the popped vertex's best edge, and
-       no edge is refreshed twice, so summing [w] over the picks in
-       pick order adds the keys in pop order: Mst.prim_lazy's weight. *)
-    let weight = ref 0.0 in
-    for i = 0 to csr.Csr.n - 2 do
-      weight := !weight +. w.(edges.(i))
-    done;
-    !weight
-
-  let lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges =
-    if Array.length lens = 0 then
-      invalid_arg "Flat.Prim.lazy_routes_into: empty length array";
-    lazy_run ws csr ~w ~dirty ~refresh:ignore ~routes ~lens ~edges
 end

@@ -132,8 +132,7 @@ module Prim : sig
       [dirty.(id) <- false].  Same picks in [edges], same refreshes;
       returns the number of refreshes instead of the tree weight.  The
       overlay engine uses it whenever its lengths are bound, so the Prim
-      loop calls no closure.  Raises [Invalid_argument] on an empty
-      [lens]. *)
+      loop calls no closure. *)
   val lazy_routes_into :
     ws ->
     Csr.t ->

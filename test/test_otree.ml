@@ -99,8 +99,8 @@ let test_random_trees () =
   done
 
 (* pair lists that are not trees: duplicated and reversed duplicates
-   with distinct routes put ties into the sort, and negative or large
-   slots exercise every digit width of the key *)
+   with distinct routes put ties into the sort, and wide slots and
+   edge ids exercise the digit widths of the key *)
 let test_degenerate_pair_lists () =
   let rng = Rng.create 77 in
   let r edges = { Route.src = 0; dst = 1; edges } in
@@ -111,15 +111,26 @@ let test_degenerate_pair_lists () =
       ( "duplicate pairs",
         [| (2, 1); (1, 2); (0, 3); (1, 2); (3, 0) |],
         [| r [| 1 |]; r [| 2; 3 |]; r [||]; r [| 4 |]; r [| 1; 23 |] |] );
-      ( "negative and wide slots",
-        [| (-3, 7); (max_int, min_int); (10, 9) |],
-        [| r [| 0 |]; r [| 123456789 |]; r [| 9; 10; 11 |] |] );
+      ( "wide slots and edge ids",
+        [| (7, 0); (max_int, 1_000_000_000); (10, 9) |],
+        [| r [| 0 |]; r [| 123456789; max_int |]; r [| 9; 10; 11 |] |] );
     ]
   in
   List.iter
     (fun (what, pairs, routes) ->
       ignore (check_against_oracle ~what ~pairs ~routes))
     fixed;
+  (* slots and edge ids are never negative; the key refuses them *)
+  List.iter
+    (fun (what, pairs, routes) ->
+      let tree = Otree.build ~session_id:0 ~pairs ~routes in
+      Alcotest.check_raises what
+        (Invalid_argument "Otree: negative slot or edge id") (fun () ->
+          ignore (Otree.key tree)))
+    [
+      ("negative slot", [| (-3, 7) |], [| r [| 0 |] |]);
+      ("negative edge id", [| (0, 1) |], [| r [| 4; -2 |] |]);
+    ];
   for case = 1 to 200 do
     let n = Rng.int rng 12 in
     let slots = 1 + Rng.int rng 4 in
