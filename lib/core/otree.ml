@@ -7,8 +7,8 @@ type t = {
 }
 
 (* The sign of [compare_pairs] equals that of polymorphic [compare] on
-   int pairs, and [Array.sort]'s moves depend only on that sign, so
-   [build] orders pairs, ties included, as a polymorphic sort would. *)
+   int pairs, and the sorts' moves depend only on that sign, so [build]
+   orders pairs, ties included, as a polymorphic [Array.sort] would. *)
 let compare_pairs ((a1 : int), (b1 : int)) (a2, b2) =
   if a1 <> a2 then compare a1 a2 else compare b1 b2
 
@@ -50,8 +50,22 @@ let build ~session_id ~pairs ~routes =
   let normalized =
     Array.map (fun ((a, b) as p) -> if a < b then p else (b, a)) pairs
   in
+  let cmp i j = compare_pairs normalized.(i) normalized.(j) in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare_pairs normalized.(i) normalized.(j)) order;
+  (* The merge sort makes about half the comparisons of [Array.sort]'s
+     heap sort (99-pair tree: 6.5 vs 9.8 us per build, EXPERIMENTS.md).
+     The two agree unless pairs tie, which no tree has; tied pairs are
+     re-sorted from the identity with [Array.sort], whose tie order
+     otree.mli documents. *)
+  Array.stable_sort cmp order;
+  let tied = ref false in
+  for i = 1 to n - 1 do
+    if cmp order.(i - 1) order.(i) = 0 then tied := true
+  done;
+  if !tied then begin
+    Array.iteri (fun i _ -> order.(i) <- i) order;
+    Array.sort cmp order
+  end;
   let pairs = Array.map (fun i -> normalized.(i)) order in
   let routes = Array.map (fun i -> routes.(i)) order in
   { session_id; pairs; routes; usage = usage_of_routes routes; key_cache = "" }
