@@ -110,6 +110,16 @@ let c_lazy_skips =
 let c_recomputes =
   Obs.Counter.make ~doc:"MST calls that ran Prim" "overlay.mst_recomputes"
 
+let c_tree_builds =
+  Obs.Counter.make
+    ~doc:"Otree values constructed (IP memo misses, record and arbitrary builds)"
+    "overlay.tree_builds"
+
+(* every [Otree.t] this module constructs goes through here *)
+let build_tree t ~pairs ~routes =
+  Obs.Counter.incr c_tree_builds;
+  Otree.build ~session_id:t.session.Session.id ~pairs ~routes
+
 let build_complete k =
   let g = Graph.create ~n:k in
   let pairs = ref [] in
@@ -514,7 +524,7 @@ let mst_from_weights_and_routes t weights routes =
   let oedges = mst_oedges t weights in
   let pairs = Array.map (fun id -> t.pair_of_oedge.(id)) oedges in
   let tree_routes = Array.map (fun id -> routes id) oedges in
-  Otree.build ~session_id:t.session.Session.id ~pairs ~routes:tree_routes
+  build_tree t ~pairs ~routes:tree_routes
 
 let min_spanning_tree t ~length =
   t.ops <- t.ops + 1;
@@ -583,10 +593,7 @@ let min_spanning_tree t ~length =
                 let tree_routes =
                   Array.map (fun id -> eng.oroutes.(id)) oedges
                 in
-                let tree =
-                  Otree.build ~session_id:t.session.Session.id ~pairs
-                    ~routes:tree_routes
-                in
+                let tree = build_tree t ~pairs ~routes:tree_routes in
                 if Hashtbl.length eng.memo_tbl >= memo_cap then
                   Hashtbl.reset eng.memo_tbl;
                 Hashtbl.add eng.memo_tbl oedges tree;
@@ -621,8 +628,7 @@ let min_spanning_tree t ~length =
           let tree_routes =
             Array.map (fun id -> eng.oroutes.(id)) mst.Mst.edges
           in
-          Otree.build ~session_id:t.session.Session.id ~pairs
-            ~routes:tree_routes
+          build_tree t ~pairs ~routes:tree_routes
         end
       in
       if eng.incremental then begin
@@ -672,7 +678,7 @@ let tree_of_pairs t ~pairs ~length =
   match t.mode with
   | Ip ->
     let routes = Array.map (fun (a, b) -> fixed_route t a b) pairs in
-    Otree.build ~session_id:t.session.Session.id ~pairs ~routes
+    build_tree t ~pairs ~routes
   | Arbitrary ->
     let ws = Option.get t.dyn_ws in
     let snapshot =
@@ -681,7 +687,7 @@ let tree_of_pairs t ~pairs ~length =
     let routes =
       Array.map (fun (a, b) -> Dynamic_routing.route snapshot ms.(a) ms.(b)) pairs
     in
-    Otree.build ~session_id:t.session.Session.id ~pairs ~routes
+    build_tree t ~pairs ~routes
 
 let max_route_hops t =
   match t.ip with

@@ -327,6 +327,35 @@ let test_solution_repeat_tree_accumulates () =
   checki "still one tree" 1 (Solution.n_trees sol 0);
   checkf "rate includes key-matched add" 4.5 (Solution.session_rate sol 0)
 
+(* --- overlay.tree_builds ------------------------------------------------ *)
+
+(* One count per [Otree.t] the overlay constructs: the flat IP path
+   counts its memo misses only, the record, arbitrary and
+   [tree_of_pairs] paths every tree they build. *)
+let test_tree_builds_counter () =
+  let c = Obs.Counter.make "overlay.tree_builds" in
+  let builds f =
+    let before = Obs.Counter.value c in
+    f ();
+    Obs.Counter.value c - before
+  in
+  let _, g, session = lockstep_instance 7 in
+  let length _ = 1.0 in
+  let mst o () = ignore (Overlay.min_spanning_tree o ~length) in
+  let flat = Overlay.create g Overlay.Ip session in
+  checki "flat ip: first tree is a memo miss" 1 (builds (mst flat));
+  checki "flat ip: the same tree again is a memo hit" 0 (builds (mst flat));
+  let record = Overlay.create g Overlay.Ip session in
+  Overlay.set_flat record false;
+  checki "record ip: one build per call" 2
+    (builds (fun () -> mst record (); mst record ()));
+  let arbitrary = Overlay.create g Overlay.Arbitrary session in
+  checki "arbitrary: one build per call" 2
+    (builds (fun () -> mst arbitrary (); mst arbitrary ()));
+  let pairs = (Overlay.min_spanning_tree flat ~length).Otree.pairs in
+  checki "tree_of_pairs: one build" 1
+    (builds (fun () -> ignore (Overlay.tree_of_pairs flat ~pairs ~length)))
+
 (* --- Obs.Alloc --------------------------------------------------------- *)
 
 let test_alloc_measure () =
@@ -371,6 +400,8 @@ let suite =
       test_lockstep_arbitrary;
     Alcotest.test_case "solution accumulates repeated trees" `Quick
       test_solution_repeat_tree_accumulates;
+    Alcotest.test_case "overlay.tree_builds counts constructed trees" `Quick
+      test_tree_builds_counter;
     Alcotest.test_case "Obs.Alloc.measure calibrates out its overhead" `Quick
       test_alloc_measure;
   ]
