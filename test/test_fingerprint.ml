@@ -1,15 +1,27 @@
-(* Cross-commit solver fingerprint: the pinned Poisson churn trace
-   replayed through the engine on the CI instance (Waxman, 40 routers,
-   seed 1, ratio 0.90), once with MaxFlow and once with MCF.  Per event
-   the pin records the objective's bits, the warm flag, the rung
-   attempts and the solver-work counter deltas, so any change that
-   moves a single iteration of either FPTAS shows up as a line diff
-   against test/data/poisson_small.fingerprint.
+(* Cross-commit solver fingerprints: pinned churn traces replayed
+   through the engine, event by event.  Per event a pin records the
+   objective's bits, the warm flag, the rung attempts and the
+   solver-work counter deltas, so any change that moves a single
+   iteration of either FPTAS shows up as a line diff against the pin.
+
+   Two pins:
+   - test/data/poisson_small.fingerprint: the Poisson churn trace on
+     the CI instance (Waxman, 40 routers, seed 1, ratio 0.90, full
+     overlays of at most 7 members), once with MaxFlow and once with
+     MCF;
+   - test/data/big_session_smoke.fingerprint: churnbench's big_session
+     workload at its smoke size (Waxman, 120 routers, seed 4, one
+     30-member standing session, k_nearest:10, MaxFlow at ratio 0.80),
+     driven by a short trace of joins, leaves, demand changes and
+     capacity changes, so sparsified overlays and trees of many pairs
+     are pinned too.
 
    Regeneration (after an intentional change to solver arithmetic or
-   tree ordering — say why in the commit):
+   tree ordering — say why in the commit), one pin at a time:
      OVERLAY_FINGERPRINT_REGEN=$PWD/test/data/poisson_small.fingerprint \
-       dune exec test/test_main.exe -- test fingerprint *)
+       dune exec test/test_main.exe -- test fingerprint 0
+     OVERLAY_FINGERPRINT_REGEN=$PWD/test/data/big_session_smoke.fingerprint \
+       dune exec test/test_main.exe -- test fingerprint 1 *)
 
 let regen_env = "OVERLAY_FINGERPRINT_REGEN"
 
@@ -46,29 +58,63 @@ let c_iterations = Obs.Counter.make "maxflow.iterations"
 let c_phases = Obs.Counter.make "mcf.phases"
 let c_mst_ops = Obs.Counter.make "overlay.mst_ops"
 
-let solvers =
-  [
-    ("maxflow", Engine.Maxflow, Max_flow.ratio_to_epsilon 0.90);
-    ( "mcf",
-      Engine.Mcf
-        {
-          variant = Max_concurrent_flow.Paper;
-          scaling = Max_concurrent_flow.Maxflow_weighted;
-        },
-      Max_concurrent_flow.ratio_to_epsilon 0.90 );
-  ]
+let maxflow ratio = ("maxflow", Engine.Maxflow, Max_flow.ratio_to_epsilon ratio)
+
+let mcf ratio =
+  ( "mcf",
+    Engine.Mcf
+      {
+        variant = Max_concurrent_flow.Paper;
+        scaling = Max_concurrent_flow.Maxflow_weighted;
+      },
+    Max_concurrent_flow.ratio_to_epsilon ratio )
+
+type pin = {
+  trace : string;
+  fingerprint : string;
+  seed : int;  (** Waxman topology seed *)
+  nodes : int;
+  sparsify : Sparsify.t;
+  solvers : (string * Engine.solver * float) list;
+}
 
 (* the instance [overlay_cli churn --seed 1 --nodes 40 --ratio 0.90]
-   builds, replayed event by event *)
-let fingerprint_lines trace =
+   builds *)
+let poisson_small =
+  {
+    trace = "poisson_small.trace";
+    fingerprint = "poisson_small.fingerprint";
+    seed = 1;
+    nodes = 40;
+    sparsify = Sparsify.full;
+    solvers = [ maxflow 0.90; mcf 0.90 ];
+  }
+
+(* the instance [overlay_cli serve --seed 4 --nodes 120 --ratio 0.80
+   --sparsify k_nearest:10] builds *)
+let big_session_smoke =
+  {
+    trace = "big_session_smoke.trace";
+    fingerprint = "big_session_smoke.fingerprint";
+    seed = 4;
+    nodes = 120;
+    sparsify = Result.get_ok (Sparsify.of_string "k_nearest:10");
+    solvers = [ maxflow 0.80 ];
+  }
+
+(* the pin's instance, replayed event by event *)
+let fingerprint_lines pin trace =
   List.concat_map
     (fun (name, solver, epsilon) ->
-      let rng = Rng.create 1 in
+      let rng = Rng.create pin.seed in
       let graph =
-        (Waxman.generate rng { Waxman.default_params with n = 40 })
+        (Waxman.generate rng { Waxman.default_params with n = pin.nodes })
           .Topology.graph
       in
-      let config = { Engine.default_config with Engine.solver; epsilon } in
+      let config =
+        { Engine.default_config with
+          Engine.solver; epsilon; sparsify = pin.sparsify }
+      in
       let t = Engine.create ~config graph [||] in
       List.mapi
         (fun i te ->
@@ -85,12 +131,10 @@ let fingerprint_lines trace =
             (Obs.Counter.value c_phases - ph0)
             (Obs.Counter.value c_mst_ops - mst0))
         trace)
-    solvers
+    pin.solvers
 
-let test_poisson_small_pin () =
-  let lines =
-    fingerprint_lines (read_trace (data_file "poisson_small.trace"))
-  in
+let check_pin pin () =
+  let lines = fingerprint_lines pin (read_trace (data_file pin.trace)) in
   match Sys.getenv_opt regen_env with
   | Some path ->
     let oc = open_out path in
@@ -99,7 +143,7 @@ let test_poisson_small_pin () =
     Printf.printf "regenerated %d fingerprint lines in %s\n"
       (List.length lines) path
   | None ->
-    let pinned = read_lines (data_file "poisson_small.fingerprint") in
+    let pinned = read_lines (data_file pin.fingerprint) in
     Alcotest.(check int) "fingerprint line count" (List.length pinned)
       (List.length lines);
     List.iter2
@@ -109,5 +153,8 @@ let test_poisson_small_pin () =
 let suite =
   [
     Alcotest.test_case "poisson_small replay matches the pinned fingerprint"
-      `Quick test_poisson_small_pin;
+      `Quick (check_pin poisson_small);
+    Alcotest.test_case
+      "big_session smoke replay matches the pinned fingerprint" `Quick
+      (check_pin big_session_smoke);
   ]
