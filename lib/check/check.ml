@@ -110,36 +110,106 @@ let pp_verdict fmt v =
 
 (* --- structural certificate -------------------------------------------- *)
 
-(* Minimal union-find over member slots; local on purpose — the kernel
-   re-derives connectivity itself rather than delegating to the same
-   helpers the solvers use. *)
-let spanning_detail pairs ~n =
-  if Array.length pairs <> n - 1 then
-    Some (Printf.sprintf "%d overlay edges where %d were required"
-            (Array.length pairs) (n - 1))
+(* One workspace per [certify] call, reused across its trees.
+
+   The recount is stamp-versioned: [count.(e)] is physical edge [e]'s
+   multiplicity in the current tree when [count_stamp.(e) = stamp], and
+   0 otherwise; [listed_stamp.(e) = stamp] marks an edge the current
+   tree's usage table lists.  Bumping [stamp] empties both for the next
+   tree in O(1).  [touched.(0 .. n_touched-1)] are the current tree's
+   recounted edges in first-seen order.  Route edge ids outside the
+   graph are never used as an index: they are recounted in [outside],
+   which stays empty on any well-formed tree.  [parent] is the
+   union-find over member slots, sized for the largest session. *)
+type outside_edge = { id : int; mutable n : int; mutable listed : bool }
+
+type ws = {
+  count : int array;
+  count_stamp : int array;
+  listed_stamp : int array;
+  touched : int array;
+  mutable n_touched : int;
+  mutable stamp : int;
+  mutable outside : outside_edge list;
+  parent : int array;
+}
+
+let workspace ~n_edges ~max_members =
+  {
+    count = Array.make n_edges 0;
+    count_stamp = Array.make n_edges 0;
+    listed_stamp = Array.make n_edges 0;
+    touched = Array.make n_edges 0;
+    n_touched = 0;
+    stamp = 0;
+    outside = [];
+    parent = Array.make (max max_members 1) 0;
+  }
+
+(* Root of [x] with path halving: every node on the way is re-pointed
+   at its grandparent.  Local on purpose — the kernel re-derives
+   connectivity itself rather than delegating to the same helpers the
+   solvers use. *)
+let rec find parent x =
+  let p = parent.(x) in
+  if p = x then x
   else begin
-    let parent = Array.init n (fun i -> i) in
-    let rec find x = if parent.(x) = x then x else find parent.(x) in
-    let bad = ref None in
-    Array.iter
-      (fun (a, b) ->
-        if !bad = None then
-          if a < 0 || b < 0 || a >= n || b >= n then
-            bad := Some (Printf.sprintf "member slot out of range in (%d,%d)" a b)
-          else if a = b then
-            bad := Some (Printf.sprintf "self-loop (%d,%d)" a b)
-          else begin
-            let ra = find a and rb = find b in
-            if ra = rb then
-              bad := Some (Printf.sprintf "(%d,%d) closes a cycle" a b)
-            else parent.(ra) <- rb
-          end)
-      pairs;
+    let gp = parent.(p) in
+    parent.(x) <- gp;
+    find parent gp
+  end
+
+(* [None] when [pairs] is a spanning tree over slots [0 .. n-1], else
+   why not; [parent] needs at least [n] cells *)
+let spanning_detail parent pairs ~n =
+  let n_pairs = Array.length pairs in
+  if n_pairs <> n - 1 then
+    Some (Printf.sprintf "%d overlay edges where %d were required" n_pairs
+            (n - 1))
+  else begin
+    for i = 0 to n - 1 do
+      parent.(i) <- i
+    done;
+    let bad = ref None and j = ref 0 in
+    while !bad = None && !j < n_pairs do
+      let a, b = pairs.(!j) in
+      if a < 0 || b < 0 || a >= n || b >= n then
+        bad := Some (Printf.sprintf "member slot out of range in (%d,%d)" a b)
+      else if a = b then bad := Some (Printf.sprintf "self-loop (%d,%d)" a b)
+      else begin
+        let ra = find parent a and rb = find parent b in
+        if ra = rb then
+          bad := Some (Printf.sprintf "(%d,%d) closes a cycle" a b)
+        else parent.(ra) <- rb
+      end;
+      incr j
+    done;
     !bad
     (* n-1 acyclic edges over n vertices are necessarily connected *)
   end
 
-let check_tree ~violations ~loads g slot session (tree : Otree.t) rate =
+let recount_outside ws id =
+  match List.find_opt (fun o -> o.id = id) ws.outside with
+  | Some o -> o.n <- o.n + 1
+  | None -> ws.outside <- { id; n = 1; listed = false } :: ws.outside
+
+(* adds one traversal of every edge of [edges] to the recount *)
+let recount_route ws edges =
+  let m = Array.length ws.count in
+  for i = 0 to Array.length edges - 1 do
+    let id = edges.(i) in
+    if id < 0 || id >= m then recount_outside ws id
+    else if ws.count_stamp.(id) = ws.stamp then
+      ws.count.(id) <- ws.count.(id) + 1
+    else begin
+      ws.count_stamp.(id) <- ws.stamp;
+      ws.count.(id) <- 1;
+      ws.touched.(ws.n_touched) <- id;
+      ws.n_touched <- ws.n_touched + 1
+    end
+  done
+
+let check_tree ws ~violations ~loads g slot session (tree : Otree.t) rate =
   if rate < 0.0 then
     violations := Negative_rate { slot; rate } :: !violations;
   if tree.Otree.session_id <> session.Session.id then
@@ -150,15 +220,22 @@ let check_tree ~violations ~loads g slot session (tree : Otree.t) rate =
       :: !violations;
   let n = Session.size session in
   let members = session.Session.members in
-  (match spanning_detail tree.Otree.pairs ~n with
+  let pairs = tree.Otree.pairs and routes = tree.Otree.routes in
+  (match spanning_detail ws.parent pairs ~n with
   | Some detail ->
     violations := Not_spanning { slot; n_members = n; detail } :: !violations
   | None -> ());
-  (* recount physical multiplicities by re-walking every route *)
-  let recomputed = Hashtbl.create 32 in
-  Array.iteri
-    (fun j ((a, b) as pair) ->
-      let route = tree.Otree.routes.(j) in
+  ws.stamp <- ws.stamp + 1;
+  ws.n_touched <- 0;
+  ws.outside <- [];
+  (* recount physical multiplicities by re-walking every route; a pair
+     without a route is a broken realization *)
+  for j = 0 to Array.length pairs - 1 do
+    let ((a, b) as pair) = pairs.(j) in
+    if j >= Array.length routes then
+      violations := Broken_route { slot; pair } :: !violations
+    else begin
+      let route = routes.(j) in
       if a >= 0 && b >= 0 && a < n && b < n then begin
         let es = members.(a) and ed = members.(b) in
         let src = route.Route.src and dst = route.Route.dst in
@@ -170,44 +247,67 @@ let check_tree ~violations ~loads g slot session (tree : Otree.t) rate =
       end;
       if not (Route.is_valid g route) then
         violations := Broken_route { slot; pair } :: !violations;
-      Route.iter_edges route (fun id ->
-          Hashtbl.replace recomputed id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt recomputed id))))
-    tree.Otree.pairs;
+      recount_route ws route.Route.edges
+    end
+  done;
   (* the tree's own usage table must agree with the recount *)
-  let seen = Hashtbl.create 32 in
-  Otree.iter_usage tree (fun id claimed ->
-      Hashtbl.replace seen id ();
-      let actual = Option.value ~default:0 (Hashtbl.find_opt recomputed id) in
-      if actual <> claimed then
-        violations :=
-          Usage_mismatch { slot; edge = id; claimed; recomputed = actual }
-          :: !violations);
-  Hashtbl.iter
-    (fun id actual ->
-      if not (Hashtbl.mem seen id) then
-        violations :=
-          Usage_mismatch { slot; edge = id; claimed = 0; recomputed = actual }
-          :: !violations)
-    recomputed;
-  (* loads accumulate from the recount, not the table *)
-  Hashtbl.iter
-    (fun id count ->
-      if id >= 0 && id < Array.length loads then
-        loads.(id) <- loads.(id) +. (float_of_int count *. rate))
-    recomputed
+  let m = Array.length ws.count in
+  let usage = tree.Otree.usage in
+  for u = 0 to Array.length usage - 1 do
+    let id, claimed = usage.(u) in
+    let actual =
+      if id >= 0 && id < m then begin
+        ws.listed_stamp.(id) <- ws.stamp;
+        if ws.count_stamp.(id) = ws.stamp then ws.count.(id) else 0
+      end
+      else
+        match List.find_opt (fun o -> o.id = id) ws.outside with
+        | Some o ->
+          o.listed <- true;
+          o.n
+        | None -> 0
+    in
+    if actual <> claimed then
+      violations :=
+        Usage_mismatch { slot; edge = id; claimed; recomputed = actual }
+        :: !violations
+  done;
+  if ws.outside <> [] then
+    List.iter
+      (fun o ->
+        if not o.listed then
+          violations :=
+            Usage_mismatch { slot; edge = o.id; claimed = 0; recomputed = o.n }
+            :: !violations)
+      ws.outside;
+  (* loads accumulate from the recount, not the table: one
+     [count *. rate] per edge and tree *)
+  for i = 0 to ws.n_touched - 1 do
+    let id = ws.touched.(i) in
+    let count = ws.count.(id) in
+    if ws.listed_stamp.(id) <> ws.stamp then
+      violations :=
+        Usage_mismatch { slot; edge = id; claimed = 0; recomputed = count }
+        :: !violations;
+    loads.(id) <- loads.(id) +. (float_of_int count *. rate)
+  done
 
 let certify ?(tol = default_tol) g solution =
   let sessions = Solution.sessions solution in
   let violations = ref [] in
   let loads = Array.make (Graph.n_edges g) 0.0 in
+  let ws =
+    workspace ~n_edges:(Graph.n_edges g)
+      ~max_members:(Array.fold_left (fun acc s -> max acc (Session.size s)) 0
+                      sessions)
+  in
   let n_trees = ref 0 in
   Array.iteri
     (fun slot session ->
       List.iter
         (fun (tree, rate) ->
           incr n_trees;
-          check_tree ~violations ~loads g slot session tree rate)
+          check_tree ws ~violations ~loads g slot session tree rate)
         (Solution.trees solution slot))
     sessions;
   let worst = ref 0.0 in

@@ -99,7 +99,22 @@ val violation_name : violation -> string
     spanning trees, route integrity, multiplicity recount, and
     feasibility of the recomputed loads within [tol]
     (default {!default_tol}).  No duality check — use the
-    solver-specific entry points for that. *)
+    solver-specific entry points for that.
+
+    {b Cost.}  One workspace per call: four [int] arrays over the
+    physical edges and a union-find over the largest session's member
+    slots.  Each tree then costs [O(n + h)] time for [n] overlay edges
+    and [h] route edges: the union-find uses path halving, and the
+    recount writes into the workspace arrays, versioned by a per-tree
+    stamp so nothing is cleared between trees.  A tree adds
+    [count * rate] to each physical edge's load once, in the order
+    {!Solution.trees} lists the trees.  On well-formed trees the words
+    allocated per tree are a small constant, independent of route
+    length; only violations allocate beyond that.  Route edge ids
+    outside the graph are reported ([Broken_route] and
+    [Usage_mismatch]) and never used as an index, and a pair without a
+    route is a [Broken_route]: [certify] returns a verdict for any
+    solution and does not raise. *)
 val certify : ?tol:float -> Graph.t -> Solution.t -> verdict
 
 (** [certify_max_flow graph overlays result] runs {!certify} and then

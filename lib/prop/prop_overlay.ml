@@ -161,7 +161,7 @@ let with_pool c f =
     Fun.protect ~finally:(fun () -> Par.shutdown pool) (fun () -> f pool)
   end
 
-let solve_case c =
+let solve_case ?(inspect = fun _ _ -> ()) c =
   let g, sessions = instance c in
   let fresh () = Array.map (Overlay.create g c.mode) sessions in
   with_pool c (fun par ->
@@ -169,6 +169,7 @@ let solve_case c =
       | Maxflow ->
         let overlays = fresh () in
         let r = Max_flow.solve ~par g overlays ~epsilon:c.epsilon in
+        inspect g r.Max_flow.solution;
         Check.certify_max_flow g overlays r
       | Mcf ->
         let overlays = fresh () in
@@ -180,6 +181,7 @@ let solve_case c =
         let r =
           Max_concurrent_flow.solve ~par g overlays ~epsilon:c.epsilon ~scaling
         in
+        inspect g r.Max_concurrent_flow.solution;
         Check.certify_mcf g overlays ~scaling r
       | Rounding ->
         let r =
@@ -193,12 +195,15 @@ let solve_case c =
             ~fractional:r.Max_concurrent_flow.solution
             ~trees_per_session:c.trees_per_session
         in
+        inspect g rounded.Random_rounding.solution;
         Check.certify g rounded.Random_rounding.solution
       | Online ->
         let r = Online.solve g (fresh ()) ~sigma:20.0 in
+        inspect g r.Online.solution;
         Check.certify g r.Online.solution
       | Single_tree ->
         let r = Baseline.single_tree g (fresh ()) in
+        inspect g r.Baseline.solution;
         Check.certify g r.Baseline.solution
       | Refinement ->
         let r =
@@ -209,6 +214,7 @@ let solve_case c =
               sigma = 20.0;
             }
         in
+        inspect g r.Refinement.solution;
         Check.certify g r.Refinement.solution)
 
 (* --- flat/record bit-identity ---------------------------------------- *)

@@ -61,8 +61,10 @@ val instance : case -> Graph.t * Session.t array
     {!Check.certify_mcf} for [Mcf] (scaling policy chosen by the
     instance seed's parity), and the structural {!Check.certify} for
     the four tree-based heuristics.  Any pool created for [jobs > 1] is
-    shut down before returning. *)
-val solve_case : case -> Check.verdict
+    shut down before returning.  [inspect] (default: nothing) is called
+    with the graph and the solution just before certification. *)
+val solve_case :
+  ?inspect:(Graph.t -> Solution.t -> unit) -> case -> Check.verdict
 
 (** [flat_equivalence c] runs [c.algo] twice on the same instance — the
     cache-flat kernel ([~flat:true], the default engine) against the

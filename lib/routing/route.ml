@@ -21,17 +21,24 @@ let mem t edge_id = Array.exists (fun id -> id = edge_id) t.edges
 let iter_edges t f = Array.iter f t.edges
 
 let is_valid g t =
-  if t.src = t.dst then Array.length t.edges = 0
+  let edges = t.edges in
+  let n = Array.length edges in
+  if t.src = t.dst then n = 0
   else begin
-    let rec walk at i =
-      if i = Array.length t.edges then at = t.dst
+    let m = Graph.n_edges g in
+    let at = ref t.src and ok = ref true and i = ref 0 in
+    while !ok && !i < n do
+      let id = edges.(!i) in
+      if id < 0 || id >= m then ok := false
       else begin
-        match Graph.other g t.edges.(i) at with
-        | next -> walk next (i + 1)
-        | exception Invalid_argument _ -> false
-      end
-    in
-    walk t.src 0
+        let e = Graph.edge g id in
+        if e.Graph.u = !at then at := e.Graph.v
+        else if e.Graph.v = !at then at := e.Graph.u
+        else ok := false
+      end;
+      incr i
+    done;
+    !ok && !at = t.dst
   end
 
 let bottleneck t ~capacity =

@@ -29,7 +29,8 @@ val mem : t -> int -> bool
 val iter_edges : t -> (int -> unit) -> unit
 
 (** [is_valid g t] checks the edges form a contiguous path from [src] to
-    [dst] in [g]. *)
+    [dst] in [g].  An edge id outside [0 .. n_edges g - 1] makes the
+    route invalid; [is_valid] never raises.  O(hops), no allocation. *)
 val is_valid : Graph.t -> t -> bool
 
 (** [bottleneck t ~capacity] is the minimum capacity along the route

@@ -25,6 +25,189 @@ let assert_names ~what expected v =
         (List.mem name (names_of v)))
     expected
 
+(* --- reference oracle ---------------------------------------------------- *)
+
+(* The structural certificate as it was before the array recount, kept
+   as an oracle: [Hashtbl] recounts, a union-find without path
+   compression, and a route walk with a closure and an exception
+   handler.  One change: a pair without a route is reported as
+   [Broken_route], where the original raised [Invalid_argument]. *)
+module Reference = struct
+  open Check
+
+  let route_is_valid g (t : Route.t) =
+    if t.Route.src = t.Route.dst then Array.length t.Route.edges = 0
+    else begin
+      let rec walk at i =
+        if i = Array.length t.Route.edges then at = t.Route.dst
+        else begin
+          match Graph.other g t.Route.edges.(i) at with
+          | next -> walk next (i + 1)
+          | exception Invalid_argument _ -> false
+        end
+      in
+      walk t.Route.src 0
+    end
+
+  let spanning_detail pairs ~n =
+    if Array.length pairs <> n - 1 then
+      Some (Printf.sprintf "%d overlay edges where %d were required"
+              (Array.length pairs) (n - 1))
+    else begin
+      let parent = Array.init n (fun i -> i) in
+      let rec find x = if parent.(x) = x then x else find parent.(x) in
+      let bad = ref None in
+      Array.iter
+        (fun (a, b) ->
+          if !bad = None then
+            if a < 0 || b < 0 || a >= n || b >= n then
+              bad := Some (Printf.sprintf "member slot out of range in (%d,%d)" a b)
+            else if a = b then
+              bad := Some (Printf.sprintf "self-loop (%d,%d)" a b)
+            else begin
+              let ra = find a and rb = find b in
+              if ra = rb then
+                bad := Some (Printf.sprintf "(%d,%d) closes a cycle" a b)
+              else parent.(ra) <- rb
+            end)
+        pairs;
+      !bad
+    end
+
+  let check_tree ~violations ~loads g slot session (tree : Otree.t) rate =
+    if rate < 0.0 then
+      violations := Negative_rate { slot; rate } :: !violations;
+    if tree.Otree.session_id <> session.Session.id then
+      violations :=
+        Wrong_session
+          { slot; tree_session_id = tree.Otree.session_id;
+            expected = session.Session.id }
+        :: !violations;
+    let n = Session.size session in
+    let members = session.Session.members in
+    (match spanning_detail tree.Otree.pairs ~n with
+    | Some detail ->
+      violations := Not_spanning { slot; n_members = n; detail } :: !violations
+    | None -> ());
+    let recomputed = Hashtbl.create 32 in
+    Array.iteri
+      (fun j ((a, b) as pair) ->
+        if j >= Array.length tree.Otree.routes then
+          violations := Broken_route { slot; pair } :: !violations
+        else begin
+          let route = tree.Otree.routes.(j) in
+          if a >= 0 && b >= 0 && a < n && b < n then begin
+            let es = members.(a) and ed = members.(b) in
+            let src = route.Route.src and dst = route.Route.dst in
+            if not ((src = es && dst = ed) || (src = ed && dst = es)) then
+              violations :=
+                Route_endpoints
+                  { slot; pair; src; dst; expected_src = es; expected_dst = ed }
+                :: !violations
+          end;
+          if not (route_is_valid g route) then
+            violations := Broken_route { slot; pair } :: !violations;
+          Route.iter_edges route (fun id ->
+              Hashtbl.replace recomputed id
+                (1 + Option.value ~default:0 (Hashtbl.find_opt recomputed id)))
+        end)
+      tree.Otree.pairs;
+    let seen = Hashtbl.create 32 in
+    Otree.iter_usage tree (fun id claimed ->
+        Hashtbl.replace seen id ();
+        let actual = Option.value ~default:0 (Hashtbl.find_opt recomputed id) in
+        if actual <> claimed then
+          violations :=
+            Usage_mismatch { slot; edge = id; claimed; recomputed = actual }
+            :: !violations);
+    Hashtbl.iter
+      (fun id actual ->
+        if not (Hashtbl.mem seen id) then
+          violations :=
+            Usage_mismatch { slot; edge = id; claimed = 0; recomputed = actual }
+            :: !violations)
+      recomputed;
+    Hashtbl.iter
+      (fun id count ->
+        if id >= 0 && id < Array.length loads then
+          loads.(id) <- loads.(id) +. (float_of_int count *. rate))
+      recomputed
+
+  let certify ?(tol = default_tol) g solution =
+    let sessions = Solution.sessions solution in
+    let violations = ref [] in
+    let loads = Array.make (Graph.n_edges g) 0.0 in
+    let n_trees = ref 0 in
+    Array.iteri
+      (fun slot session ->
+        List.iter
+          (fun (tree, rate) ->
+            incr n_trees;
+            check_tree ~violations ~loads g slot session tree rate)
+          (Solution.trees solution slot))
+      sessions;
+    let worst = ref 0.0 in
+    Graph.iter_edges g (fun e ->
+        let load = loads.(e.Graph.id) in
+        if e.Graph.capacity > 0.0 then begin
+          worst := Float.max !worst (load /. e.Graph.capacity);
+          if load > e.Graph.capacity *. (1.0 +. tol) then
+            violations :=
+              Overload { edge = e.Graph.id; load; capacity = e.Graph.capacity }
+              :: !violations
+        end
+        else if load > 0.0 then begin
+          worst := infinity;
+          violations :=
+            Overload { edge = e.Graph.id; load; capacity = e.Graph.capacity }
+            :: !violations
+        end);
+    {
+      violations = List.rev !violations;
+      checked_sessions = Array.length sessions;
+      checked_trees = !n_trees;
+      max_congestion = !worst;
+      primal = None;
+      dual_bound = None;
+    }
+end
+
+(* [Error] describing the first difference between [Check.certify] and
+   the oracle: the violation multisets, the counts and the bits of
+   [max_congestion] must all agree *)
+let disagreement g solution =
+  let v = Check.certify g solution and r = Reference.certify g solution in
+  let sorted l = List.sort compare l in
+  let show l =
+    String.concat "; "
+      (List.map (Format.asprintf "%a" Check.pp_violation) (sorted l))
+  in
+  if compare (sorted v.Check.violations) (sorted r.Check.violations) <> 0 then
+    Some
+      (Printf.sprintf "violations differ:\n  certify:   %s\n  reference: %s"
+         (show v.Check.violations) (show r.Check.violations))
+  else if
+    not
+      (Int64.equal
+         (Int64.bits_of_float v.Check.max_congestion)
+         (Int64.bits_of_float r.Check.max_congestion))
+  then
+    Some
+      (Printf.sprintf "max_congestion %h <> reference %h" v.Check.max_congestion
+         r.Check.max_congestion)
+  else if
+    v.Check.checked_trees <> r.Check.checked_trees
+    || v.Check.checked_sessions <> r.Check.checked_sessions
+  then Some "checked tree or session counts differ"
+  else None
+
+(* [Check.certify], after demanding that the oracle agrees *)
+let certify_both g solution =
+  (match disagreement g solution with
+  | Some msg -> Alcotest.failf "Check.certify vs reference: %s" msg
+  | None -> ());
+  Check.certify g solution
+
 (* --- the randomized certification sweep -------------------------------- *)
 
 let master_seed = Prop.seed_from_env ~default:2026
@@ -55,8 +238,15 @@ let property_for algo () =
                 ~gen:(Prop_overlay.gen ~algo ~family ~mode ~jobs)
                 ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
                 (fun case ->
-                  let v = Prop_overlay.solve_case case in
-                  if Check.ok v then Ok () else Error (verdict_to_string v)))
+                  let differs = ref None in
+                  let v =
+                    Prop_overlay.solve_case case ~inspect:(fun g solution ->
+                        differs := disagreement g solution)
+                  in
+                  match !differs with
+                  | Some msg -> Error ("Check.certify vs reference: " ^ msg)
+                  | None ->
+                    if Check.ok v then Ok () else Error (verdict_to_string v)))
             [ 1; 2 ])
         [ Overlay.Ip; Overlay.Arbitrary ])
     Prop_overlay.all_families
@@ -232,6 +422,7 @@ let rebuild_solution sessions solution ~slot ~f =
 
 let test_accepts_honest () =
   let g, _, overlays, r = solved_instance () in
+  ignore (certify_both g r.Max_flow.solution);
   let v = Check.certify_max_flow g overlays r in
   checkb
     (Printf.sprintf "honest run certifies (%s)" (verdict_to_string v))
@@ -243,7 +434,7 @@ let test_rejects_inflated_rate () =
     rebuild_solution sessions r.Max_flow.solution ~slot:0
       ~f:(fun tree rate -> (tree, rate *. 1000.0))
   in
-  assert_names ~what:"inflated rate" [ "overload" ] (Check.certify g inflated)
+  assert_names ~what:"inflated rate" [ "overload" ] (certify_both g inflated)
 
 let test_rejects_non_spanning () =
   let g, sessions, _, r = solved_instance () in
@@ -259,7 +450,7 @@ let test_rejects_non_spanning () =
         (tree', rate))
   in
   assert_names ~what:"non-spanning tree" [ "not_spanning" ]
-    (Check.certify g corrupted)
+    (certify_both g corrupted)
 
 let test_rejects_wrong_session () =
   let g, sessions, _, r = solved_instance () in
@@ -275,7 +466,7 @@ let test_rejects_wrong_session () =
     (fun (tree, rate) -> Solution.add corrupted tree rate)
     (Solution.trees r.Max_flow.solution 1);
   assert_names ~what:"misattributed tree" [ "route_endpoints" ]
-    (Check.certify g corrupted)
+    (certify_both g corrupted)
 
 let test_rejects_broken_route () =
   let g, sessions, _, r = solved_instance () in
@@ -291,7 +482,7 @@ let test_rejects_broken_route () =
           rate ))
   in
   assert_names ~what:"broken route" [ "broken_route" ]
-    (Check.certify g corrupted)
+    (certify_both g corrupted)
 
 let test_rejects_usage_tampering () =
   let g, sessions, _, r = solved_instance () in
@@ -303,13 +494,58 @@ let test_rejects_usage_tampering () =
         ({ tree with Otree.usage }, rate))
   in
   assert_names ~what:"tampered usage table" [ "usage_mismatch" ]
-    (Check.certify g corrupted)
+    (certify_both g corrupted)
+
+let test_rejects_missing_routes () =
+  let g, sessions, _, r = solved_instance () in
+  (* keep the first route only: every other pair has no realization *)
+  let corrupted =
+    rebuild_solution sessions r.Max_flow.solution ~slot:0 ~f:(fun tree rate ->
+        ({ tree with Otree.routes = Array.sub tree.Otree.routes 0 1 }, rate))
+  in
+  assert_names ~what:"pairs without routes" [ "broken_route" ]
+    (certify_both g corrupted)
+
+(* a route edge id outside the graph is a broken route and a usage
+   mismatch, and is never used as an index *)
+let test_rejects_edge_id_outside_graph () =
+  let g, sessions, _, r = solved_instance () in
+  List.iter
+    (fun bad ->
+      let corrupted =
+        rebuild_solution sessions r.Max_flow.solution ~slot:0
+          ~f:(fun tree rate ->
+            let routes = Array.copy tree.Otree.routes in
+            let rt = routes.(0) in
+            let edges = Array.copy rt.Route.edges in
+            edges.(0) <- bad;
+            routes.(0) <- { rt with Route.edges };
+            ({ tree with Otree.routes }, rate))
+      in
+      assert_names
+        ~what:(Printf.sprintf "route edge id %d" bad)
+        [ "broken_route"; "usage_mismatch" ]
+        (certify_both g corrupted))
+    [ -1; Graph.n_edges g ]
+
+let test_rejects_usage_row_outside_graph () =
+  let g, sessions, _, r = solved_instance () in
+  let corrupted =
+    rebuild_solution sessions r.Max_flow.solution ~slot:0 ~f:(fun tree rate ->
+        ( { tree with
+            Otree.usage =
+              Array.append tree.Otree.usage [| (Graph.n_edges g, 1) |] },
+          rate ))
+  in
+  assert_names ~what:"usage row outside the graph" [ "usage_mismatch" ]
+    (certify_both g corrupted)
 
 let test_rejects_weak_duality_breach () =
   let g, _, overlays, r = solved_instance () in
   (* x3 pushes the primal past the dual bound: the run is (1-2eps)
      optimal, so tripling clears the upper bound with margin *)
   Solution.scale r.Max_flow.solution 3.0;
+  ignore (certify_both g r.Max_flow.solution);
   assert_names ~what:"scaled-up solution" [ "weak_duality" ]
     (Check.certify_max_flow g overlays r)
 
@@ -317,6 +553,7 @@ let test_rejects_duality_gap () =
   let g, _, overlays, r = solved_instance () in
   (* x0.5 stays feasible but lands below the (1-2eps)=0.7 factor *)
   Solution.scale r.Max_flow.solution 0.5;
+  ignore (certify_both g r.Max_flow.solution);
   assert_names ~what:"scaled-down solution" [ "duality_gap" ]
     (Check.certify_max_flow g overlays r)
 
@@ -383,6 +620,65 @@ let test_violation_names_stable () =
         true
         (String.length (Format.asprintf "%a" Check.pp_violation v) > 0))
     all
+
+(* --- allocation ------------------------------------------------------------ *)
+
+(* [n_sessions] sessions of [k] members spaced [spacing] apart on a
+   path graph of [len] routers, each with [k] trees: the stars centred
+   on each member, every overlay edge routed along the path *)
+let line_solution ~len ~n_sessions ~k ~spacing =
+  let g = Graph.create ~n:len in
+  for v = 0 to len - 2 do
+    ignore (Graph.add_edge g v (v + 1) ~capacity:1e9)
+  done;
+  let members = Array.init k (fun i -> i * spacing) in
+  let sessions =
+    Array.init n_sessions (fun id -> Session.create ~id ~members ~demand:1.0)
+  in
+  (* the path's edges from member [a] to member [b], in walk order *)
+  let route a b =
+    let hops = abs (b - a) * spacing in
+    Route.make ~src:members.(a) ~dst:members.(b)
+      (Array.init hops (fun h ->
+           if a < b then (a * spacing) + h else (a * spacing) - 1 - h))
+  in
+  let sol = Solution.create sessions in
+  Array.iter
+    (fun s ->
+      for c = 0 to k - 1 do
+        let leaves = List.filter (fun i -> i <> c) (List.init k Fun.id) in
+        let pairs = Array.of_list (List.map (fun i -> (c, i)) leaves) in
+        let routes = Array.of_list (List.map (route c) leaves) in
+        Solution.add sol
+          (Otree.build ~session_id:s.Session.id ~pairs ~routes)
+          1.0
+      done)
+    sessions;
+  (g, sol)
+
+(* Words per [Check.certify] call: a workspace sized by the graph and
+   the largest session, plus a constant per tree.  Longer routes cost
+   no words, and each extra tree costs the same few words. *)
+let test_certify_alloc_per_tree () =
+  let k = 12 and len = 1200 in
+  let words ~n_sessions ~spacing =
+    let g, sol = line_solution ~len ~n_sessions ~k ~spacing in
+    let v = Check.certify g sol in
+    checkb "line solution certifies" true (Check.ok v);
+    checki "one tree per star" (n_sessions * k) v.Check.checked_trees;
+    Obs.Alloc.measure ~warmup:3 ~iters:50 (fun () ->
+        ignore (Sys.opaque_identity (Check.certify g sol)))
+  in
+  let short = words ~n_sessions:2 ~spacing:1
+  and long = words ~n_sessions:2 ~spacing:100
+  and more = words ~n_sessions:4 ~spacing:1 in
+  let per_tree = (more -. short) /. float_of_int (2 * k) in
+  if long <> short then
+    Alcotest.failf
+      "route length changes certify's allocation: %.1f -> %.1f words" short
+      long;
+  if per_tree > 12.0 then
+    Alcotest.failf "certify allocates %.2f words per tree" per_tree
 
 (* --- Prop engine self-tests -------------------------------------------- *)
 
@@ -518,6 +814,12 @@ let suite =
         test_rejects_broken_route;
       Alcotest.test_case "tampered usage -> usage_mismatch" `Quick
         test_rejects_usage_tampering;
+      Alcotest.test_case "pairs without routes -> broken_route" `Quick
+        test_rejects_missing_routes;
+      Alcotest.test_case "edge id outside the graph -> broken_route" `Quick
+        test_rejects_edge_id_outside_graph;
+      Alcotest.test_case "usage row outside the graph -> usage_mismatch"
+        `Quick test_rejects_usage_row_outside_graph;
       Alcotest.test_case "scaled-up solution -> weak_duality" `Quick
         test_rejects_weak_duality_breach;
       Alcotest.test_case "scaled-down solution -> duality_gap" `Quick
@@ -526,6 +828,8 @@ let suite =
         test_mcf_honest_and_scaling_violations;
       Alcotest.test_case "violation names are stable" `Quick
         test_violation_names_stable;
+      Alcotest.test_case "certify allocates a constant per tree" `Quick
+        test_certify_alloc_per_tree;
       Alcotest.test_case "prop: case-0 seed replays the master" `Quick
         test_case_seed_replay;
       Alcotest.test_case "prop: shrinking converges to the boundary" `Quick
