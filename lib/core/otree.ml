@@ -70,6 +70,61 @@ let build ~session_id ~pairs ~routes =
   let routes = Array.map (fun i -> routes.(i)) order in
   { session_id; pairs; routes; usage = usage_of_routes routes; key_cache = "" }
 
+(* --- linear-time construction from canonical pairs ---------------------- *)
+
+(* Between calls every count is 0 and [edges] is empty. *)
+type scratch = { counts : int array; edges : Bitset.t }
+
+let scratch ~n_edges =
+  { counts = Array.make n_edges 0; edges = Bitset.create n_edges }
+
+let build_sorted s ~session_id ~pairs ~routes =
+  let n = Array.length pairs in
+  if n <> Array.length routes then
+    invalid_arg "Otree.build_sorted: pairs/routes length mismatch";
+  for i = 0 to n - 1 do
+    let a, b = pairs.(i) in
+    let ordered =
+      a < b
+      && (i = 0
+         ||
+         let a0, b0 = pairs.(i - 1) in
+         a0 < a || (a0 = a && b0 < b))
+    in
+    if not ordered then
+      invalid_arg "Otree.build_sorted: pairs not in canonical order"
+  done;
+  (* count every route edge; [edges] collects the distinct ids *)
+  let counts = s.counts in
+  let m = Array.length counts in
+  let distinct = ref 0 in
+  for j = 0 to n - 1 do
+    let edges = routes.(j).Route.edges in
+    for i = 0 to Array.length edges - 1 do
+      let id = edges.(i) in
+      if id < 0 || id >= m then begin
+        Array.fill counts 0 m 0;
+        Bitset.clear s.edges;
+        invalid_arg "Otree.build_sorted: route edge id outside the scratch"
+      end;
+      let c = counts.(id) in
+      if c = 0 then begin
+        Bitset.add s.edges id;
+        incr distinct
+      end;
+      counts.(id) <- c + 1
+    done
+  done;
+  (* drained smallest first, the ids come out in [usage] order; each
+     count is zeroed as it is read *)
+  let usage = Array.make !distinct (0, 0) in
+  for u = 0 to !distinct - 1 do
+    let id = Bitset.pop_min s.edges in
+    usage.(u) <- (id, counts.(id));
+    counts.(id) <- 0
+  done;
+  { session_id; pairs; routes; usage; key_cache = "" }
+
 let n_e t edge_id =
   let lo = ref 0 and hi = ref (Array.length t.usage - 1) in
   let found = ref 0 in

@@ -27,6 +27,37 @@ type t = {
     and [routes] disagree in length. *)
 val build : session_id:int -> pairs:(int * int) array -> routes:Route.t array -> t
 
+(** Reusable workspace for {!build_sorted}: a count per physical edge
+    id and a {!Bitset} of the ids counted so far.  Between calls every
+    count is zero and the set is empty, also after [build_sorted]
+    raised.  A scratch belongs to one caller and must not be used by
+    two domains at once: {!Overlay} gives every overlay value its own,
+    including the copies [Overlay.with_session] makes, since [Par]
+    sweeps evaluate overlays concurrently. *)
+type scratch
+
+(** [scratch ~n_edges] serves trees whose route edge ids lie in
+    [0 .. n_edges - 1]. *)
+val scratch : n_edges:int -> scratch
+
+(** [build_sorted s ~session_id ~pairs ~routes] is
+    [build ~session_id ~pairs ~routes] for pairs already in canonical
+    order: each pair has [fst < snd], and the pairs are strictly
+    ascending, lexicographically.  It checks that order in O(n) and
+    raises [Invalid_argument] if it does not hold, if [pairs] and
+    [routes] differ in length, or if a route edge id lies outside the
+    scratch.
+
+    [usage] comes from counting the route edges into [s] and draining
+    the distinct ids smallest first: O(n + h + w) time for [n] pairs,
+    [h] route edges and [w] scratch words between the smallest and the
+    largest edge id, with no sort.  The tree keeps [pairs] and [routes]
+    themselves, not copies, so the caller must not change them
+    afterwards.  The call allocates the tree record and its usage table
+    only. *)
+val build_sorted :
+  scratch -> session_id:int -> pairs:(int * int) array -> routes:Route.t array -> t
+
 (** [n_e t edge_id] is the multiplicity of a physical edge in the tree
     (0 when unused); O(log usage). *)
 val n_e : t -> int -> int

@@ -33,6 +33,12 @@ type ip_engine = {
      and a hit turns a change-of-winner iteration back into a lookup
      instead of an [Otree.build].  Reset wholesale past [memo_cap]. *)
   memo_tbl : (int array, Otree.t) Hashtbl.t;
+  (* Construction scratch for memo misses, per overlay value (copies get
+     their own: [Par] sweeps evaluate overlays concurrently): overlay
+     edge ids drained in ascending order, and the route-edge counts of
+     [Otree.build_sorted]. *)
+  oedge_order : Bitset.t;
+  tree_scratch : Otree.scratch;
   (* Flat dual-length binding: when the solver's [length] closure is
      backed by an edge-indexed array, binding that array here lets the
      weight refresh read it directly ([Flat.Routes.weight], bit-identical
@@ -83,7 +89,8 @@ let cross_check_flag =
   Obs.Debug_flags.register ~env:"OVERLAY_CROSS_CHECK"
     ~doc:
       "re-derive all overlay edge weights on every incremental MST call and \
-       fail on any divergence from the cache (disables the lazy paths)"
+       fail on any divergence from the cache (disables the lazy paths); \
+       rebuild every new IP tree with Otree.build and fail on any difference"
     "overlay.cross_check"
 
 let cross_check () = Obs.Debug_flags.enabled cross_check_flag
@@ -222,6 +229,8 @@ let create ?(sparsify = Sparsify.full) graph mode session =
           memo_oedges = Array.make (Array.length pair_of_oedge) (-1);
           memo_tree = None;
           memo_tbl = Hashtbl.create 64;
+          oedge_order = Bitset.create (Array.length pair_of_oedge);
+          tree_scratch = Otree.scratch ~n_edges:(Graph.n_edges graph);
           bound_lens = [||];
           all_dirty = true;
           incremental = false;
@@ -284,6 +293,8 @@ let with_session t session =
           memo_oedges = Array.make (Array.length eng.memo_oedges) (-1);
           memo_tree = None;
           memo_tbl = Hashtbl.create 64;
+          oedge_order = Bitset.create (Array.length eng.in_prev_mst);
+          tree_scratch = Otree.scratch ~n_edges:(Graph.n_edges t.graph);
           bound_lens = [||];
           all_dirty = true;
           incremental = false;
@@ -494,6 +505,56 @@ let rec same_prefix (a : int array) (b : int array) i n =
 
 let memo_cap = 512
 
+(* A new IP tree from Prim's overlay edge ids, in linear time.
+   [pair_of_oedge] is lexicographic by id, so the ids drained smallest
+   first from [oedge_order] give the canonical pair order; the pair
+   tuples and routes are the overlay's own, shared, not copied.  In
+   cross-check mode the tree is compared with [Otree.build] of the same
+   Prim output. *)
+let build_ip_tree t eng oedges =
+  Obs.Counter.incr c_tree_builds;
+  let n = Array.length oedges in
+  for i = 0 to n - 1 do
+    Bitset.add eng.oedge_order oedges.(i)
+  done;
+  let pairs, routes =
+    if n = 0 then ([||], [||])
+    else begin
+      let first = Bitset.pop_min eng.oedge_order in
+      let pairs = Array.make n t.pair_of_oedge.(first)
+      and routes = Array.make n eng.oroutes.(first) in
+      for i = 1 to n - 1 do
+        let id = Bitset.pop_min eng.oedge_order in
+        pairs.(i) <- t.pair_of_oedge.(id);
+        routes.(i) <- eng.oroutes.(id)
+      done;
+      (pairs, routes)
+    end
+  in
+  let tree =
+    Otree.build_sorted eng.tree_scratch ~session_id:t.session.Session.id
+      ~pairs ~routes
+  in
+  if cross_check () then begin
+    let reference =
+      Otree.build ~session_id:t.session.Session.id
+        ~pairs:(Array.map (fun id -> t.pair_of_oedge.(id)) oedges)
+        ~routes:(Array.map (fun id -> eng.oroutes.(id)) oedges)
+    in
+    if
+      not
+        (reference.Otree.pairs = tree.Otree.pairs
+        && Array.for_all2 ( == ) reference.Otree.routes tree.Otree.routes
+        && reference.Otree.usage = tree.Otree.usage)
+    then
+      failwith
+        (Printf.sprintf
+           "Overlay cross-check: Otree.build_sorted differs from Otree.build \
+            on a %d-pair tree of session %d"
+           n t.session.Session.id)
+  end;
+  tree
+
 (* The lazy paths apply when the engine is on and every stale weight
    stems from an increase.  Cross-check mode disables them so each call
    verifies the full cache. *)
@@ -589,11 +650,7 @@ let min_spanning_tree t ~length =
               | tree -> tree (* seen before: no rebuild *)
               | exception Not_found ->
                 let oedges = Array.sub t.tree_buf 0 nt in
-                let pairs = Array.map (fun id -> t.pair_of_oedge.(id)) oedges in
-                let tree_routes =
-                  Array.map (fun id -> eng.oroutes.(id)) oedges
-                in
-                let tree = build_tree t ~pairs ~routes:tree_routes in
+                let tree = build_ip_tree t eng oedges in
                 if Hashtbl.length eng.memo_tbl >= memo_cap then
                   Hashtbl.reset eng.memo_tbl;
                 Hashtbl.add eng.memo_tbl oedges tree;

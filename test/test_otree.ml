@@ -3,9 +3,13 @@
    multiplicity counts, Printf key), kept here so the production
    [Otree.build] / [Otree.key] can be checked field by field and byte
    by byte on random trees, degenerate pair lists, and the record
-   copies callers make.  Allocation gates pin the key cache: a read
-   key is never rebuilt, so [Solution.add] of a known tree costs the
-   same for every tree size. *)
+   copies callers make.  [Otree.build_sorted], the overlay's
+   linear-time constructor, is checked against [Otree.build] on the
+   trees the flat IP path builds, and on its own contract.  Allocation
+   gates pin the key cache (a read key is never rebuilt, so
+   [Solution.add] of a known tree costs the same for every tree size)
+   and the construction (a memo miss allocates the tree and the memo's
+   own entry, nothing else). *)
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -200,6 +204,99 @@ let test_key_stable_under_copies () =
     (Otree.key late_usage);
   checks "original unchanged by the copies" expected (Otree.key tree)
 
+(* --- the flat IP path's construction -------------------------------------- *)
+
+let same_tree ~what (a : Otree.t) (b : Otree.t) =
+  checkb (what ^ ": pairs") true (a.Otree.pairs = b.Otree.pairs);
+  checkb (what ^ ": routes (physically)") true
+    (Array.length a.Otree.routes = Array.length b.Otree.routes
+    && Array.for_all2 ( == ) a.Otree.routes b.Otree.routes);
+  checkb (what ^ ": usage") true (a.Otree.usage = b.Otree.usage);
+  checks (what ^ ": key") (Otree.key a) (Otree.key b)
+
+(* Random overlays of 3-100 members, full or k_nearest, under random
+   lengths.  The record path builds its tree with [Otree.build] from
+   [Mst.prim]'s output, which is Flat.Prim's, pick for pick; the
+   [with_session] twin shares the flat overlay's routes, so the two
+   trees must agree down to the physical route values. *)
+let test_flat_ip_builds_match_build () =
+  let rng = Rng.create 41 in
+  let specs =
+    [| Sparsify.full; Result.get_ok (Sparsify.of_string "k_nearest:10") |]
+  in
+  for case = 1 to 12 do
+    let k = 3 + Rng.int rng 98 in
+    let nodes = k + 20 + Rng.int rng 80 in
+    let topo =
+      Waxman.generate (Rng.create (1000 + case))
+        { Waxman.default_params with Waxman.n = nodes }
+    in
+    let g = topo.Topology.graph in
+    let session =
+      Session.random rng ~id:case ~topology_size:nodes ~size:k ~demand:1.0
+    in
+    let sparsify = specs.(case mod 2) in
+    let flat = Overlay.create ~sparsify g Overlay.Ip session in
+    let record = Overlay.with_session flat session in
+    Overlay.set_flat record false;
+    for draw = 1 to 4 do
+      let lens =
+        Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
+      in
+      let length e = lens.(e) in
+      let what =
+        Printf.sprintf "case %d (%d members, %s) draw %d" case k
+          (Sparsify.to_string sparsify) draw
+      in
+      same_tree ~what
+        (Overlay.min_spanning_tree record ~length)
+        (Overlay.min_spanning_tree flat ~length)
+    done
+  done
+
+(* [build_sorted] on canonical pairs equals [build]; a scratch survives
+   a refused call clean *)
+let test_build_sorted_contract () =
+  let rng = Rng.create 29 in
+  let s = Otree.scratch ~n_edges:60 in
+  let canonical pairs =
+    let p = Array.map (fun (a, b) -> if a < b then (a, b) else (b, a)) pairs in
+    Array.sort compare p;
+    p
+  in
+  for case = 1 to 200 do
+    let k = 1 + Rng.int rng 20 in
+    let pairs = canonical (random_tree_pairs rng k) in
+    let routes =
+      Array.map (fun (a, b) -> random_route rng ~src:a ~dst:b ~pool:60) pairs
+    in
+    let what = Printf.sprintf "case %d (k=%d)" case k in
+    same_tree ~what
+      (Otree.build ~session_id:3 ~pairs ~routes)
+      (Otree.build_sorted s ~session_id:3 ~pairs ~routes)
+  done;
+  let r edges = { Route.src = 0; dst = 1; edges } in
+  List.iter
+    (fun (what, pairs, routes) ->
+      match Otree.build_sorted s ~session_id:0 ~pairs ~routes with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [
+      ("reversed pair", [| (1, 0) |], [| r [| 1 |] |]);
+      ("self pair", [| (2, 2) |], [| r [| 1 |] |]);
+      ("descending pairs", [| (0, 2); (0, 1) |], [| r [| 1 |]; r [| 2 |] |]);
+      ("repeated pair", [| (0, 1); (0, 1) |], [| r [| 1 |]; r [| 2 |] |]);
+      ("length mismatch", [| (0, 1) |], [||]);
+      ("edge id past the scratch", [| (0, 1); (1, 2) |],
+       [| r [| 4; 5; 4 |]; r [| 60 |] |]);
+      ("negative edge id", [| (0, 1) |], [| r [| 3; -1 |] |]);
+    ];
+  (* the refused calls left no count behind *)
+  let pairs = [| (0, 1); (1, 2) |] and routes = [| r [| 4; 5 |]; r [| 5 |] |] in
+  checkb "scratch clean after refusals" true
+    ((Otree.build_sorted s ~session_id:0 ~pairs ~routes).Otree.usage
+    = [| (4, 1); (5, 2) |])
+
 (* --- allocation gates ---------------------------------------------------- *)
 
 let random_tree rng ~k ~session_id =
@@ -263,6 +360,81 @@ let test_solution_add_constant_alloc () =
     Alcotest.failf "Solution.add allocation depends on tree size: %s"
       (String.concat ", " (List.map (Printf.sprintf "%.1f") per_add))
 
+(* A memo miss on the flat IP path allocates the returned tree (record,
+   pairs, routes, usage table and rows) and the memo's new entry (its
+   key, a copy of Prim's output, and one table binding), nothing else.
+   A run of misses on a fresh overlay is compared with the same run
+   repeated, when every tree is a memo hit: both refresh the same
+   weights and fill the same memo slot, so the difference is the
+   builds and the entries.  Cross-check mode rebuilds every new tree a
+   second time on purpose, so it is off for the measurement. *)
+let test_memo_miss_allocates_the_tree () =
+  let was_cross_check = Overlay.cross_check_enabled () in
+  Overlay.set_cross_check false;
+  Fun.protect ~finally:(fun () -> Overlay.set_cross_check was_cross_check)
+  @@ fun () ->
+  let topo =
+    Waxman.generate (Rng.create 3) { Waxman.default_params with Waxman.n = 60 }
+  in
+  let g = topo.Topology.graph in
+  let rng = Rng.create 13 in
+  List.iter
+    (fun k ->
+      let session =
+        Session.random rng ~id:0 ~topology_size:60 ~size:k ~demand:1.0
+      in
+      let length _ = 1.0 in
+      (* up to 24 lengths arrays whose trees are pairwise distinct *)
+      let probe = Overlay.create g Overlay.Ip session in
+      let seen = Hashtbl.create 32 in
+      let picked =
+        List.filter_map
+          (fun _ ->
+            let lens =
+              Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
+            in
+            Overlay.bind_lengths probe lens;
+            let tree = Overlay.min_spanning_tree probe ~length in
+            if Hashtbl.length seen >= 24 || Hashtbl.mem seen (Otree.key tree)
+            then None
+            else begin
+              Hashtbl.add seen (Otree.key tree) ();
+              Some (lens, tree)
+            end)
+          (List.init 60 Fun.id)
+      in
+      let draws = Array.of_list (List.map fst picked) in
+      checkb "several distinct trees" true (Array.length draws >= 2);
+      let expected =
+        List.fold_left
+          (fun acc (_, (t : Otree.t)) ->
+            let n = Array.length t.Otree.pairs
+            and d = Array.length t.Otree.usage in
+            let tree = 6 + (n + 1) + (n + 1) + (d + 1) + (3 * d)
+            and entry = (n + 1) + 4 in
+            acc + tree + entry)
+          0 picked
+      in
+      let o = Overlay.create g Overlay.Ip session in
+      let run () =
+        let w0 = Obs.Alloc.minor_words () in
+        Array.iter
+          (fun lens ->
+            Overlay.bind_lengths o lens;
+            ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+          draws;
+        Obs.Alloc.minor_words () -. w0
+      in
+      let misses = run () in
+      let hits = run () in
+      let builds = misses -. hits in
+      if builds <> float_of_int expected then
+        Alcotest.failf
+          "%d-member overlay: %d memo misses allocate %.0f words more than \
+           hits; the trees and memo entries take %d"
+          k (Array.length draws) builds expected)
+    [ 3; 7; 30 ]
+
 let suite =
   [
     Alcotest.test_case "build and key match the oracle on random trees"
@@ -277,4 +449,10 @@ let suite =
       test_cached_key_allocates_nothing;
     Alcotest.test_case "Solution.add of a known tree: constant allocation"
       `Quick test_solution_add_constant_alloc;
+    Alcotest.test_case "flat IP builds equal Otree.build of Prim's output"
+      `Quick test_flat_ip_builds_match_build;
+    Alcotest.test_case "build_sorted: equal to build, refuses non-canonical"
+      `Quick test_build_sorted_contract;
+    Alcotest.test_case "a memo miss allocates the tree and its memo entry"
+      `Quick test_memo_miss_allocates_the_tree;
   ]

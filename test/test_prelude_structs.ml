@@ -201,8 +201,48 @@ let test_tableau_surface () =
   in
   checkb "rendered" true (String.length s > 0)
 
+(* --- Bitset ---------------------------------------------------------------- *)
+
+(* random id sets drain in ascending order; ids at word edges and the
+   last id included; a refill below the last drained word is seen *)
+let test_bitset_drains_ascending () =
+  let rng = Rng.create 8 in
+  List.iter
+    (fun n ->
+      let set = Bitset.create n in
+      for _ = 1 to 20 do
+        let ids =
+          List.sort_uniq compare
+            (List.init (Rng.int rng (min n 70)) (fun _ -> Rng.int rng n))
+        in
+        let shuffled = Array.of_list ids in
+        Rng.shuffle rng shuffled;
+        Array.iter (Bitset.add set) shuffled;
+        let drained = List.map (fun _ -> Bitset.pop_min set) ids in
+        Alcotest.(check (list int)) "ascending" ids drained;
+        Alcotest.(check int) "then empty" (-1) (Bitset.pop_min set)
+      done)
+    [ 1; 31; 32; 33; 64; 1000 ];
+  let set = Bitset.create 100 in
+  List.iter (Bitset.add set) [ 0; 31; 32; 63; 64; 99 ];
+  Alcotest.(check int) "first" 0 (Bitset.pop_min set);
+  Alcotest.(check int) "word end" 31 (Bitset.pop_min set);
+  Alcotest.(check int) "word start" 32 (Bitset.pop_min set);
+  Bitset.add set 1;
+  Alcotest.(check int) "refill below the cursor" 1 (Bitset.pop_min set);
+  Bitset.clear set;
+  Alcotest.(check int) "cleared" (-1) (Bitset.pop_min set);
+  List.iter
+    (fun i ->
+      match Bitset.add set i with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "id %d accepted by a set over [0, 100)" i)
+    [ -1; 100; 127 ]
+
 let suite =
   [
+    Alcotest.test_case "bitset drains ascending" `Quick
+      test_bitset_drains_ascending;
     Alcotest.test_case "uf basic" `Quick test_uf_basic;
     Alcotest.test_case "uf transitive" `Quick test_uf_transitive;
     Alcotest.test_case "uf groups" `Quick test_uf_groups;
