@@ -31,7 +31,7 @@ type ip_engine = {
      sequence (the scratch [tree_buf] probes it without copying): the
      FPTAS winner oscillates among a small set of trees as duals climb,
      and a hit turns a change-of-winner iteration back into a lookup
-     instead of an [Otree.build].  Reset wholesale past [memo_cap]. *)
+     instead of a tree build.  Reset wholesale past [memo_cap]. *)
   memo_tbl : (int array, Otree.t) Hashtbl.t;
   (* Construction scratch for memo misses, per overlay value (copies get
      their own: [Par] sweeps evaluate overlays concurrently): overlay
@@ -293,7 +293,7 @@ let with_session t session =
           memo_oedges = Array.make (Array.length eng.memo_oedges) (-1);
           memo_tree = None;
           memo_tbl = Hashtbl.create 64;
-          oedge_order = Bitset.create (Array.length eng.in_prev_mst);
+          oedge_order = Bitset.create (Array.length t.pair_of_oedge);
           tree_scratch = Otree.scratch ~n_edges:(Graph.n_edges t.graph);
           bound_lens = [||];
           all_dirty = true;
