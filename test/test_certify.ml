@@ -494,7 +494,16 @@ let test_rejects_usage_tampering () =
         ({ tree with Otree.usage }, rate))
   in
   assert_names ~what:"tampered usage table" [ "usage_mismatch" ]
-    (certify_both g corrupted)
+    (certify_both g corrupted);
+  (* a recounted edge the table does not list *)
+  let dropped =
+    rebuild_solution sessions r.Max_flow.solution ~slot:0 ~f:(fun tree rate ->
+        let usage = tree.Otree.usage in
+        ( { tree with Otree.usage = Array.sub usage 1 (Array.length usage - 1) },
+          rate ))
+  in
+  assert_names ~what:"usage row dropped" [ "usage_mismatch" ]
+    (certify_both g dropped)
 
 let test_rejects_missing_routes () =
   let g, sessions, _, r = solved_instance () in
