@@ -53,8 +53,8 @@ val scratch : n_edges:int -> scratch
     [h] route edges and [w] scratch words between the smallest and the
     largest edge id, with no sort.  The tree keeps [pairs] and [routes]
     themselves, not copies, so the caller must not change them
-    afterwards.  The call allocates the tree record and its usage table
-    only. *)
+    afterwards.  The call allocates only the tree record and its usage
+    table with its rows. *)
 val build_sorted :
   scratch -> session_id:int -> pairs:(int * int) array -> routes:Route.t array -> t
 

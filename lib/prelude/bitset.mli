@@ -4,7 +4,7 @@
     comparison sort: add them in any order, then {!pop_min} returns
     them ascending.  A drain costs one step per id plus one per 32-id
     word between the smallest and the largest id, because the set
-    remembers the lowest word that can hold a bit.  No operation
+    remembers the lowest word that can hold a bit.  Only {!create}
     allocates. *)
 
 type t
