@@ -35,6 +35,9 @@ let c_iterations =
 let c_rescales =
   Obs.Counter.make ~doc:"MaxFlow dual-length renormalizations" "maxflow.rescales"
 
+(* [(w.(a), a)] precedes [(w.(b), b)] lexicographically *)
+let lex_less (w : float array) a b = w.(a) < w.(b) || (w.(a) = w.(b) && a < b)
+
 let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
     ?(par = Par.serial) ?(sparsify = Sparsify.full) ?warm_start graph overlays
     ~epsilon =
@@ -53,18 +56,14 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
       if Overlay.graph o != graph then
         invalid_arg "Max_flow.solve: overlay built on a different graph")
     overlays;
-  (* Where the pool goes depends on the routing mode.  IP mode: the
-     per-session MST evaluations of the winner sweep fan out across
-     workers.  Arbitrary mode: a sweep over few sessions is the wrong
-     grain — each MST is itself k' source Dijkstras, so the pool is
-     handed to the overlays (Dynamic_routing parallelizes the sources)
-     and the sweep stays sequential to keep the pool undivided. *)
+  (* The pool serves arbitrary mode only: each MST there is k' source
+     Dijkstras, which the overlays parallelize (Dynamic_routing).  The
+     IP winner sweep below is serial. *)
   let arbitrary =
     match Overlay.mode overlays.(0) with
     | Overlay.Arbitrary -> true
     | Overlay.Ip -> false
   in
-  let sweep_par = if arbitrary then Par.serial else par in
   if arbitrary then Array.iter (fun o -> Overlay.set_par o par) overlays;
   let sessions = Array.map Overlay.session overlays in
   let smax = float_of_int (Session.max_size sessions - 1) in
@@ -145,47 +144,28 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
       if arbitrary then Array.iter Overlay.clear_par overlays)
     (fun () ->
       let stop = ref false in
-      (* Lazy winner selection: dual lengths only grow between rescales,
-         so each session's normalized MST weight is non-decreasing and
-         its last computed value is a valid lower bound.  The sweep is
-         structured as champion + candidates so the set of sessions
-         evaluated in an iteration is a pure function of the bounds —
-         independent of worker count and chunking:
-
-         1. the champion [i0] — argmin of [(low_w i, i)] — is evaluated
-            on the orchestrating domain, yielding its exact weight [w0];
-         2. every other session [i] is a candidate unless its bound
-            already loses to the champion, [low_w i > w0 || (low_w i >=
-            w0 && i > i0)] — a skipped session [j] has exact weight
-            [>= low_w j], which loses to [(w0, i0)] and a fortiori to
-            the final winner, so skipping is sound;
-         3. candidates are evaluated (in ascending order, chunked over
-            the pool), then the winner is the lexicographic argmin over
-            champion and candidates, reduced in index order.
-
-         The winner is the same argmin of [(w_i, i)] the eager loop
-         computes, every weight is the same IEEE value, and the trace
-         event sequence (champion first, candidates ascending — workers
-         replay their buffers in worker = index order) is identical at
-         every [-j] including the serial path.  Bounds reset on rescale
-         (all lengths shrink). *)
+      (* Best-first winner sweep.  Dual lengths only grow between
+         rescales, so each session's normalized MST weight is
+         non-decreasing and its last computed value [low_w] is a lower
+         bound on the current one (after [eval i], [low_w.(i)] is exact).
+         Sessions are visited in ascending [(low_w i, i)] order, and the
+         sweep stops at the first session whose bound already loses
+         lexicographically to the best exact [(weight, index)] found so
+         far: every later session's bound loses too, and no weight is
+         below its bound.  The winner is therefore the argmin of
+         [(w_i, i)] over all sessions, which [~incremental:false]
+         computes by evaluating every session.  [order] persists across
+         iterations and is re-sorted by insertion: only the sessions just
+         evaluated have moved.  Bounds reset on rescale (all lengths
+         shrink). *)
       let low_w = Array.make k neg_infinity in
-      let w_of = Array.make k nan in
+      let order = Array.init k Fun.id in
       let trees = Array.make k None in
-      let cand = Array.make k 0 in
-      let nworkers = Par.jobs sweep_par in
-      let bufs =
-        if nworkers > 1 && Obs.Sink.enabled obs then
-          Array.init nworkers (fun _ -> Obs.Event_buffer.create ())
-        else [||]
-      in
       let eval i =
         let tree = Overlay.min_spanning_tree overlays.(i) ~length in
         (* [weight_arr] is the closure fold in array form: same operand
            order, bit-identical weight, no per-edge call *)
-        let w = Otree.weight_arr tree lens *. norm.(i) in
-        low_w.(i) <- w;
-        w_of.(i) <- w;
+        low_w.(i) <- Otree.weight_arr tree lens *. norm.(i);
         match trees.(i) with
         | Some prev when prev == tree -> ()
         | _ -> trees.(i) <- Some tree
@@ -207,61 +187,34 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
         done;
         let w_min = ref infinity in
         for i = 0 to k - 1 do
-          if w_of.(i) < !w_min then w_min := w_of.(i)
+          if low_w.(i) < !w_min then w_min := low_w.(i)
         done;
         if Float.is_finite !w_min && !w_min > 0.0 then
           ln_base := -.w.room -. log !w_min);
       while not !stop do
-        let i0 = ref 0 in
-        for i = 1 to k - 1 do
-          if low_w.(i) < low_w.(!i0) then i0 := i
+        for p = 1 to k - 1 do
+          let i = order.(p) in
+          let q = ref (p - 1) in
+          while !q >= 0 && lex_less low_w i order.(!q) do
+            order.(!q + 1) <- order.(!q);
+            decr q
+          done;
+          order.(!q + 1) <- i
         done;
-        let i0 = !i0 in
-        eval i0;
-        let w0 = w_of.(i0) in
-        let n_cand = ref 0 in
-        for i = 0 to k - 1 do
-          if i <> i0 then begin
-            let skip =
-              incremental && (low_w.(i) > w0 || (low_w.(i) >= w0 && i > i0))
-            in
-            if not skip then begin
-              cand.(!n_cand) <- i;
-              incr n_cand
-            end
+        let best = ref order.(0) in
+        eval !best;
+        let p = ref 1 in
+        while !p < k do
+          let i = order.(!p) in
+          if incremental && lex_less low_w !best i then p := k
+          else begin
+            eval i;
+            if lex_less low_w i !best then best := i;
+            incr p
           end
-        done;
-        let n_cand = !n_cand in
-        if n_cand > 0 then begin
-          Par.parallel_for sweep_par ~n:n_cand (fun ~worker ~lo ~hi ->
-              if Array.length bufs > 0 then begin
-                let bsink = Obs.Event_buffer.sink bufs.(worker) in
-                for c = lo to hi - 1 do
-                  Overlay.set_sink overlays.(cand.(c)) bsink
-                done
-              end;
-              for c = lo to hi - 1 do
-                eval cand.(c)
-              done);
-          if Array.length bufs > 0 then begin
-            Array.iter
-              (fun b ->
-                Obs.Event_buffer.replay b obs;
-                Obs.Event_buffer.clear b)
-              bufs;
-            for c = 0 to n_cand - 1 do
-              Overlay.set_sink overlays.(cand.(c)) obs
-            done
-          end
-        end;
-        let best = ref i0 in
-        for c = 0 to n_cand - 1 do
-          let i = cand.(c) in
-          if w_of.(i) < w_of.(!best) || (w_of.(i) = w_of.(!best) && i < !best)
-          then best := i
         done;
         let winner = !best in
-        let w = w_of.(winner) in
+        let w = low_w.(winner) in
         let tree =
           match trees.(winner) with Some t -> t | None -> assert false
         in

@@ -84,9 +84,16 @@ type warm_start = {
     [incremental] (default [true]) drives the overlays' incremental
     length engine — dual-length updates are pushed through the
     edge->route incidence index so each iteration only re-weighs the
-    overlay edges its winning tree touched; [~incremental:false] forces
-    the from-scratch recompute path (same output bit for bit, used by
-    the bench to measure the engine).
+    overlay edges its winning tree touched, and each iteration's winner
+    sweep visits sessions best-first by their last weight, stopping at
+    the first one that can no longer win.  [~incremental:false] forces
+    the from-scratch recompute path and evaluates every session in every
+    iteration (used by the bench and the tests to measure the engine).
+    Given the same trees, both pick the same winner.  They are
+    weight-exact, not tree-exact: where Prim has ties, the monotone skip
+    ({!Overlay.notify_length_increase}) keeps the previous tree while a
+    fresh Prim may pick another of equal weight, and from there the two
+    runs can follow different (equally valid) trajectories.
 
     [flat] (default [true]) runs the iteration on the cache-flat kernel:
     the dual-length array is bound to the overlays
@@ -109,14 +116,11 @@ type warm_start = {
     bit-identical to an uninstrumented run.  Raises [Invalid_argument]
     for [epsilon] outside (0, 0.5).
 
-    [par] (default [Par.serial]) runs the hot fan-out of each iteration
-    on a domain pool.  In IP mode the per-session MST evaluations of
-    the winner sweep are chunked across workers (champion + candidates,
-    index-ordered reduction — see DESIGN.md §6); in arbitrary mode the
-    pool is handed to the overlays instead, parallelizing each
-    snapshot's source Dijkstras.  Output — solution, iteration count,
-    and the [obs] event sequence — is bit-identical at every worker
-    count, including [Par.serial].
+    [par] (default [Par.serial]) is handed to the overlays in arbitrary
+    mode, parallelizing each routing snapshot's source Dijkstras; output
+    — solution, iteration count, and the [obs] event sequence — is
+    bit-identical at every worker count.  IP mode ignores it: the winner
+    sweep is serial.
 
     [sparsify] (default [Sparsify.full]) is a convenience: any overlay
     whose recorded spec differs is rebuilt via {!Overlay.resparsify}
