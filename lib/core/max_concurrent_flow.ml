@@ -50,12 +50,13 @@ type state = {
   m : int;
   lens : float array;
   caps : float array;          (* edge id -> capacity, read without a closure *)
+  notify : Overlay.notify_index;  (* the run's overlays, for [route] *)
   mutable ln_base : float;
   mutable s_cache : float;     (* sum_e c_e lens_e *)
   ln_delta : float;
 }
 
-let make_state graph ~epsilon =
+let make_state graph overlays ~epsilon =
   let m = Graph.n_edges graph in
   let ln_delta = -.(1.0 /. epsilon) *. log (float_of_int m /. (1.0 -. epsilon)) in
   (* d_e = exp(ln_base) * lens.(e); initial d_e = delta / c_e *)
@@ -71,7 +72,9 @@ let make_state graph ~epsilon =
       0.0
   in
   let caps = Array.init m (fun id -> Graph.capacity graph id) in
-  { graph; epsilon; m; lens; caps; ln_base = ln_delta; s_cache; ln_delta }
+  let notify = Overlay.notify_index overlays in
+  { graph; epsilon; m; lens; caps; notify; ln_base = ln_delta; s_cache;
+    ln_delta }
 
 let refresh_dual st =
   st.s_cache <-
@@ -99,12 +102,12 @@ let renorm obs st overlays =
 let route obs st overlays solution tree c =
   Solution.add solution tree c;
   (* batched dual update: one pass over the tree's physical edges
-     writing the length array, then one notify sweep per overlay
-     through the flat incidence index.  Every usage edge here has
-     positive capacity (a zero-capacity edge would have zeroed the
-     bottleneck and prevented the routing), so the sweep marks exactly
-     the edges the per-edge interleaving marked; after >= before
-     always, so the monotone fast path applies. *)
+     writing the length array, then one notify pass through the run's
+     merged incidence index.  Every usage edge here has positive
+     capacity (a zero-capacity edge would have zeroed the bottleneck
+     and prevented the routing), so the pass marks exactly the edges
+     the per-edge interleaving marked; after >= before always, so the
+     monotone fast path applies. *)
   let usage = tree.Otree.usage in
   let needs_renorm = ref false in
   for u = 0 to Array.length usage - 1 do
@@ -120,9 +123,7 @@ let route obs st overlays solution tree c =
       if after > renorm_threshold then needs_renorm := true
     end
   done;
-  for s = 0 to Array.length overlays - 1 do
-    Overlay.notify_increase_usage overlays.(s) usage
-  done;
+  Overlay.notify_usage st.notify usage;
   if !needs_renorm then renorm obs st overlays
 
 (* ln of the tree's real length (weight in lens units times base). *)
@@ -348,7 +349,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(flat = true)
       let s = Float.max (lambda /. kf) 1e-12 in
       Array.map (fun session -> session.Session.demand *. s) sessions
   in
-  let st = make_state graph ~epsilon in
+  let st = make_state graph overlays ~epsilon in
   (* Warm start: inherit the previous run's dual shape (renormalized so
      the largest finite entry is 1 — only ratios matter) and aim
      [ln_base] so the dual objective opens at [exp (-room)] instead of

@@ -135,6 +135,7 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
   if incremental then Array.iter Overlay.begin_incremental overlays;
+  let notify = Overlay.notify_index overlays in
   Fun.protect
     ~finally:(fun () ->
       if incremental then Array.iter Overlay.end_incremental overlays;
@@ -232,8 +233,8 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
             else begin
               Solution.add solution tree c;
               (* batched dual update: one pass over the winning tree's
-                 physical edges writing [lens], then one notify sweep
-                 through each overlay's flat incidence index.  Identical
+                 physical edges writing [lens], then one notify pass
+                 through the solve's merged incidence index.  Identical
                  to the per-edge interleaving — the overlays read [lens]
                  only at the next MST call, and dirty sets are unions
                  (growth > 1 always: the monotone fast path applies). *)
@@ -247,9 +248,7 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
                 lens.(id) <- lens.(id) *. growth;
                 if lens.(id) > renorm_threshold then needs_renorm := true
               done;
-              for s = 0 to k - 1 do
-                Overlay.notify_increase_usage overlays.(s) usage
-              done;
+              Overlay.notify_usage notify usage;
               if !needs_renorm then begin
                 let scale = 1.0 /. renorm_threshold in
                 for id = 0 to m - 1 do

@@ -409,23 +409,57 @@ let notify_length_update t edge =
       eng.skip_valid <- false
     end
 
-(* Batched form of [notify_length_increase] over a winning tree's usage
-   table [(edge, multiplicity) array]: one sweep through the flat
-   incidence index.  Dirty sets are unions, so the marking order is
-   irrelevant — the result is identical to notifying edge by edge. *)
-let notify_increase_usage t usage =
-  match t.ip with
-  | None -> ()
-  | Some eng ->
-    if eng.incremental && not eng.all_dirty then begin
-      let off = eng.finc.Flat.Inc.off and oedge = eng.finc.Flat.Inc.oedge in
-      for u = 0 to Array.length usage - 1 do
-        let edge, _ = usage.(u) in
-        for i = off.(edge) to off.(edge + 1) - 1 do
-          eng.dirty.(oedge.(i)) <- true
+(* One index over many overlays' flat incidences: physical edge [e]'s
+   entries are [dirty_of.(i)] (the owning overlay's [dirty] array) and
+   [oedge.(i)] for [i] in [off.(e) .. off.(e+1)-1]. *)
+type notify_index = {
+  off : int array;
+  dirty_of : bool array array;
+  oedge : int array;
+}
+
+let notify_index ts =
+  let engs = List.filter_map (fun t -> t.ip) (Array.to_list ts) in
+  (* an incidence covers the edges its graph had at [create] *)
+  let edges eng = Array.length eng.finc.Flat.Inc.off - 1 in
+  let m = Array.fold_left (fun acc t -> max acc (Graph.n_edges t.graph)) 0 ts in
+  let off = Array.make (m + 1) 0 in
+  List.iter
+    (fun eng ->
+      let o = eng.finc.Flat.Inc.off in
+      for e = 0 to edges eng - 1 do
+        off.(e + 1) <- off.(e + 1) + o.(e + 1) - o.(e)
+      done)
+    engs;
+  for e = 0 to m - 1 do
+    off.(e + 1) <- off.(e + 1) + off.(e)
+  done;
+  let dirty_of = Array.make off.(m) [||] and oedge = Array.make off.(m) 0 in
+  let next = Array.sub off 0 m in
+  List.iter
+    (fun eng ->
+      let o = eng.finc.Flat.Inc.off and oe = eng.finc.Flat.Inc.oedge in
+      for e = 0 to edges eng - 1 do
+        for i = o.(e) to o.(e + 1) - 1 do
+          dirty_of.(next.(e)) <- eng.dirty;
+          oedge.(next.(e)) <- oe.(i);
+          next.(e) <- next.(e) + 1
         done
-      done
-    end
+      done)
+    engs;
+  { off; dirty_of; oedge }
+
+(* Marks every overlay, whatever its state: dirty sets are unions, and
+   an overlay that is [all_dirty] or not incremental clears every flag
+   at its next refresh, so the extra marks change nothing. *)
+let notify_usage idx usage =
+  let off = idx.off and dirty_of = idx.dirty_of and oedge = idx.oedge in
+  for u = 0 to Array.length usage - 1 do
+    let edge, _ = usage.(u) in
+    for i = off.(edge) to off.(edge + 1) - 1 do
+      dirty_of.(i).(oedge.(i)) <- true
+    done
+  done
 
 let notify_rescale t =
   match t.ip with

@@ -198,12 +198,23 @@ val notify_length_update : t -> int -> unit
     {!notify_length_update}. *)
 val notify_length_increase : t -> int -> unit
 
-(** [notify_increase_usage t usage] is the batched form of
-    {!notify_length_increase} over a winning tree's usage table
-    [(edge, multiplicity) array] — one sweep through the flat incidence
-    index marking every dependent overlay edge stale.  Equivalent to
-    notifying each edge individually (dirty sets are unions). *)
-val notify_increase_usage : t -> (int * int) array -> unit
+(** One notify pass for many overlays: every physical edge maps to the
+    overlay edges, across all the given [Ip] overlays, whose fixed
+    route traverses it.  Built from the overlays' incidence indexes;
+    [Arbitrary] overlays contribute nothing. *)
+type notify_index
+
+(** [notify_index ts] builds the index over [ts] (all on one graph).
+    The solvers build one per run. *)
+val notify_index : t array -> notify_index
+
+(** [notify_usage idx usage] is {!notify_length_increase} of every edge
+    of a winning tree's usage table [(edge, multiplicity) array] on
+    every overlay of [idx], in one sweep.  Equivalent to notifying each
+    overlay edge by edge: dirty sets are unions, and an overlay whose
+    engine is off or whose cache is wholly invalid refreshes every
+    weight at its next MST call anyway.  Allocates nothing. *)
+val notify_usage : notify_index -> (int * int) array -> unit
 
 (** [notify_rescale t] invalidates the whole cache; used after a global
     multiplicative renormalization of the length function (scaling a

@@ -262,6 +262,7 @@ let run_lockstep mode seed =
   Overlay.begin_incremental flat;
   Overlay.begin_incremental legacy;
   Overlay.bind_lengths flat lens;
+  let notify = Overlay.notify_index [| flat; legacy |] in
   Fun.protect
     ~finally:(fun () ->
       Overlay.unbind_lengths flat;
@@ -280,8 +281,7 @@ let run_lockstep mode seed =
           (fun (id, c) ->
             lens.(id) <- lens.(id) *. (1.0 +. (0.1 *. float_of_int c)))
           usage;
-        Overlay.notify_increase_usage flat usage;
-        Overlay.notify_increase_usage legacy usage;
+        Overlay.notify_usage notify usage;
         (* occasional rescale, plus an off-tree bump through the
            single-edge notification *)
         if step mod 13 = 0 then begin
