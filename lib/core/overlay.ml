@@ -478,30 +478,58 @@ let count_weight_ops t n =
   t.weight_ops <- t.weight_ops + n;
   Obs.Counter.add c_weight_ops n
 
-(* One overlay edge's weight.  With a bound length array the flat route
-   walk is used ([Flat.Routes.weight] sums the same edges left-to-right
-   as the [Route.weight] fold — bit-identical); otherwise the caller's
-   closure is consulted per traversal, exactly as the record path always
-   did. *)
+(* One overlay edge's weight, for the record path's lazy Prim.  With a
+   bound length array the flat route walk is used ([Flat.Routes.weight]
+   sums the same edges left-to-right as the [Route.weight] fold —
+   bit-identical); otherwise the caller's closure is consulted per
+   traversal, exactly as the record path always did. *)
 let oe_weight eng ~length oe =
   if Array.length eng.bound_lens > 0 then
     Flat.Routes.weight eng.froutes oe eng.bound_lens
   else Route.weight eng.oroutes.(oe) ~length
 
+(* The refresh loops sum a bound route in place, over the same edges in
+   the same left-to-right order as [Flat.Routes.weight]: a float returned
+   across the module boundary is boxed, one allocation per overlay
+   edge. *)
 let refresh_all t eng ~length =
   let n = Array.length eng.cached_w in
-  for oe = 0 to n - 1 do
-    eng.cached_w.(oe) <- oe_weight eng ~length oe;
-    eng.dirty.(oe) <- false
-  done;
+  let lens = eng.bound_lens in
+  if Array.length lens > 0 then begin
+    let off = eng.froutes.Flat.Routes.off
+    and edge = eng.froutes.Flat.Routes.edge in
+    for oe = 0 to n - 1 do
+      let acc = ref 0.0 in
+      for i = off.(oe) to off.(oe + 1) - 1 do
+        acc := !acc +. lens.(edge.(i))
+      done;
+      eng.cached_w.(oe) <- !acc;
+      eng.dirty.(oe) <- false
+    done
+  end
+  else
+    for oe = 0 to n - 1 do
+      eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
+      eng.dirty.(oe) <- false
+    done;
   eng.all_dirty <- false;
   count_weight_ops t n
 
 let refresh_dirty t eng ~length =
   let n = Array.length eng.cached_w in
+  let lens = eng.bound_lens in
+  let off = eng.froutes.Flat.Routes.off
+  and edge = eng.froutes.Flat.Routes.edge in
   for oe = 0 to n - 1 do
     if eng.dirty.(oe) then begin
-      eng.cached_w.(oe) <- oe_weight eng ~length oe;
+      (if Array.length lens > 0 then begin
+         let acc = ref 0.0 in
+         for i = off.(oe) to off.(oe + 1) - 1 do
+           acc := !acc +. lens.(edge.(i))
+         done;
+         eng.cached_w.(oe) <- !acc
+       end
+       else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length);
       eng.dirty.(oe) <- false;
       count_weight_ops t 1
     end
@@ -606,7 +634,7 @@ let prev_tree_clean eng =
 
 let mst_oedges t weights =
   if t.use_flat then begin
-    ignore (Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf);
+    Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf;
     Array.sub t.tree_buf 0 (Array.length t.tree_buf)
   end
   else begin
@@ -659,9 +687,8 @@ let min_spanning_tree t ~length =
                      ~lens:eng.bound_lens ~edges:t.tree_buf
              else begin
                t.cur_length <- length;
-               ignore
-                 (Flat.Prim.lazy_into t.prim_ws t.ocsr ~w:eng.cached_w
-                    ~dirty:eng.dirty ~refresh:t.refresh_oe ~edges:t.tree_buf)
+               Flat.Prim.lazy_into t.prim_ws t.ocsr ~w:eng.cached_w
+                 ~dirty:eng.dirty ~refresh:t.refresh_oe ~edges:t.tree_buf
              end);
             (* flush the batched registry tally: both lazy calls count
                their refreshes into [t.weight_ops] (see [install_refresh]) *)
@@ -670,7 +697,7 @@ let min_spanning_tree t ~length =
           end
           else begin
             let weights = ip_weights t eng ~length in
-            ignore (Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf)
+            Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf
           end;
           let same =
             match eng.memo_tree with

@@ -113,6 +113,7 @@ module Prim = struct
     prios : float array; (* heap slot -> priority *)
     slots : int array;   (* vertex -> heap slot, or [absent] / [popped] *)
     mutable size : int;
+    last : float array;  (* one cell: the weight of the last tree built *)
   }
 
   (* [slots] sentinels: a vertex not yet queued, and one already taken
@@ -128,7 +129,10 @@ module Prim = struct
       prios = Array.make n 0.0;
       slots = Array.make n absent;
       size = 0;
+      last = [| 0.0 |];
     }
+
+  let weight ws = ws.last.(0)
 
   (* Hole-based sifts: the moving entry is held aside and written once,
      at its final slot.  Each step makes the comparison the swap-based
@@ -221,7 +225,7 @@ module Prim = struct
   let into ws csr ~w ~edges =
     Obs.Counter.incr c_prim;
     let n = csr.Csr.n in
-    if n = 0 then 0.0
+    if n = 0 then ws.last.(0) <- 0.0
     else begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
@@ -263,13 +267,13 @@ module Prim = struct
         done
       done;
       if !picked <> n then failwith "Mst.prim: graph is disconnected";
-      !weight
+      ws.last.(0) <- !weight
     end
 
   let lazy_into ws csr ~w ~dirty ~refresh ~edges =
     Obs.Counter.incr c_prim_lazy;
     let n = csr.Csr.n in
-    if n = 0 then 0.0
+    if n = 0 then ws.last.(0) <- 0.0
     else begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
@@ -318,7 +322,7 @@ module Prim = struct
         done
       done;
       if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
-      !weight
+      ws.last.(0) <- !weight
     end
 
   (* [lazy_into]'s loop with the refresh written out, so no closure is

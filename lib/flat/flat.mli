@@ -102,12 +102,17 @@ module Prim : sig
 
   (** [into ws csr ~w ~edges] runs Prim from vertex 0 over [csr] with
       edge lengths [w], writing the chosen edge ids into [edges] (in
-      pick order, [csr.n - 1] of them) and returning the tree weight.
-      Bit-identical trajectory to
+      pick order, [csr.n - 1] of them) and the tree weight into [ws]
+      (read it with {!weight}: a float returned across a module
+      boundary is boxed).  Bit-identical trajectory to
       [Mst.prim g ~length:(fun id -> w.(id))].  Allocates nothing.
       Raises [Invalid_argument] on a negative length and [Failure] when
       the graph is disconnected. *)
-  val into : ws -> Csr.t -> w:float array -> edges:int array -> float
+  val into : ws -> Csr.t -> w:float array -> edges:int array -> unit
+
+  (** [weight ws] is the weight of the tree the last {!into} or
+      {!lazy_into} on [ws] built. *)
+  val weight : ws -> float
 
   (** [lazy_into ws csr ~w ~dirty ~refresh ~edges] is [into] with stale
       lower bounds: [w.(id)] may be stale (marked by [dirty.(id)]) as
@@ -124,7 +129,7 @@ module Prim : sig
     dirty:bool array ->
     refresh:(int -> unit) ->
     edges:int array ->
-    float
+    unit
 
   (** [lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges] is
       [lazy_into] with the refresh done in place: a promising dirty edge

@@ -110,12 +110,14 @@ let test_prim_into_matches () =
     let csr = Flat.Csr.of_graph g in
     let ws = Flat.Prim.ws ~n in
     let edges = Array.make (n - 1) (-1) in
-    let weight = Flat.Prim.into ws csr ~w ~edges in
+    Flat.Prim.into ws csr ~w ~edges;
+    let weight = Flat.Prim.weight ws in
     checkf "prim weight" mst.Mst.weight weight;
     checkb "prim edge picks (in order)" true (mst.Mst.edges = edges);
     (* the workspace is reusable: a second run must be identical *)
     let edges2 = Array.make (n - 1) (-1) in
-    let weight2 = Flat.Prim.into ws csr ~w ~edges:edges2 in
+    Flat.Prim.into ws csr ~w ~edges:edges2;
+    let weight2 = Flat.Prim.weight ws in
     checkf "prim weight (reused ws)" weight weight2;
     checkb "prim edges (reused ws)" true (edges = edges2)
   done
@@ -130,7 +132,7 @@ let test_prim_into_errors () =
   (match Flat.Prim.into ws csr ~w:[| 1.0; 1.0 |] ~edges with
   | exception Failure msg ->
     checks "disconnection message" "Mst.prim: graph is disconnected" msg
-  | _ -> Alcotest.fail "disconnected graph accepted");
+  | () -> Alcotest.fail "disconnected graph accepted");
   let g2 = random_graph (Rng.create 7) ~n:5 ~extra:3 in
   let csr2 = Flat.Csr.of_graph g2 in
   let ws2 = Flat.Prim.ws ~n:5 in
@@ -139,7 +141,7 @@ let test_prim_into_errors () =
   match Flat.Prim.into ws2 csr2 ~w ~edges:(Array.make 4 (-1)) with
   | exception Invalid_argument msg ->
     checks "negative-length message" "Mst.prim: negative edge length" msg
-  | _ -> Alcotest.fail "negative length accepted"
+  | () -> Alcotest.fail "negative length accepted"
 
 (* Lazy Prim, mirrored against Mst.prim_lazy driven the way the overlay
    engine drives it: a cache array holding stale lower bounds on dirty
@@ -171,15 +173,13 @@ let test_prim_lazy_matches () =
     let csr = Flat.Csr.of_graph g in
     let ws = Flat.Prim.ws ~n in
     let edges = Array.make (n - 1) (-1) in
-    let weight =
-      Flat.Prim.lazy_into ws csr ~w:cache_flat ~dirty:dirty_flat
-        ~refresh:(fun id ->
-          incr flat_refreshes;
-          cache_flat.(id) <- exact.(id);
-          dirty_flat.(id) <- false)
-        ~edges
-    in
-    checkf "lazy weight" mst.Mst.weight weight;
+    Flat.Prim.lazy_into ws csr ~w:cache_flat ~dirty:dirty_flat
+      ~refresh:(fun id ->
+        incr flat_refreshes;
+        cache_flat.(id) <- exact.(id);
+        dirty_flat.(id) <- false)
+      ~edges;
+    checkf "lazy weight" mst.Mst.weight (Flat.Prim.weight ws);
     checkb "lazy edge picks" true (mst.Mst.edges = edges);
     (* laziness is real: clean instances refresh nothing *)
     if not (Array.exists Fun.id dirty) then
@@ -210,13 +210,12 @@ let test_prim_lazy_routes_matches () =
     let w_closure = Array.copy cache and dirty_closure = Array.copy dirty in
     let calls = ref 0 in
     let edges_closure = Array.make (n - 1) (-1) in
-    ignore
-      (Flat.Prim.lazy_into ws csr ~w:w_closure ~dirty:dirty_closure
-         ~refresh:(fun id ->
-           incr calls;
-           w_closure.(id) <- Flat.Routes.weight routes id lens;
-           dirty_closure.(id) <- false)
-         ~edges:edges_closure);
+    Flat.Prim.lazy_into ws csr ~w:w_closure ~dirty:dirty_closure
+      ~refresh:(fun id ->
+        incr calls;
+        w_closure.(id) <- Flat.Routes.weight routes id lens;
+        dirty_closure.(id) <- false)
+      ~edges:edges_closure;
     let w_inline = Array.copy cache and dirty_inline = Array.copy dirty in
     let edges_inline = Array.make (n - 1) (-1) in
     let refreshed =

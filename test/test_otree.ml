@@ -435,6 +435,52 @@ let test_memo_miss_allocates_the_tree () =
           k (Array.length draws) builds expected)
     [ 3; 7; 30 ]
 
+(* The weight refresh of every overlay edge (the first MST call of a
+   solve, every call after a rescale, every call with the engine off)
+   allocates nothing once lengths are bound, and neither does refreshing
+   the dirty ones after a generic update: on a 30-member full overlay
+   (435 overlay edges), a memo-hit MST call on each of these paths
+   allocates 0 words.  Cross-check mode re-derives every weight through
+   a closure on purpose, so it is off for the measurement. *)
+let test_refresh_allocates_nothing () =
+  let was_cross_check = Overlay.cross_check_enabled () in
+  Overlay.set_cross_check false;
+  Fun.protect ~finally:(fun () -> Overlay.set_cross_check was_cross_check)
+  @@ fun () ->
+  let rng = Rng.create 3 in
+  let topo =
+    Waxman.generate rng { Waxman.default_params with Waxman.n = 100 }
+  in
+  let g = topo.Topology.graph in
+  let session =
+    Session.random rng ~id:0 ~topology_size:100 ~size:30 ~demand:1.0
+  in
+  let o = Overlay.create g Overlay.Ip session in
+  Alcotest.(check int) "overlay edges" 435 (Overlay.n_overlay_edges o);
+  let lens =
+    Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
+  in
+  let length id = lens.(id) in
+  let covered = Overlay.covered_edges o in
+  Overlay.bind_lengths o lens;
+  Fun.protect ~finally:(fun () -> Overlay.unbind_lengths o) @@ fun () ->
+  let measure path before =
+    ignore (Overlay.min_spanning_tree o ~length);
+    let words =
+      Obs.Alloc.measure ~warmup:3 ~iters:200 (fun () ->
+          before ();
+          ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+    in
+    if words <> 0.0 then
+      Alcotest.failf "a memo-hit MST call %s allocates %.1f words" path words
+  in
+  measure "with the engine off" ignore;
+  Overlay.begin_incremental o;
+  Fun.protect ~finally:(fun () -> Overlay.end_incremental o) @@ fun () ->
+  measure "after notify_rescale" (fun () -> Overlay.notify_rescale o);
+  measure "after notify_length_update" (fun () ->
+      Overlay.notify_length_update o covered.(0))
+
 let suite =
   [
     Alcotest.test_case "build and key match the oracle on random trees"
@@ -455,4 +501,6 @@ let suite =
       `Quick test_build_sorted_contract;
     Alcotest.test_case "a memo miss allocates the tree and its memo entry"
       `Quick test_memo_miss_allocates_the_tree;
+    Alcotest.test_case "the weight refresh allocates nothing" `Quick
+      test_refresh_allocates_nothing;
   ]
