@@ -8,10 +8,12 @@ type mode = Ip | Arbitrary
    are announced through [notify_length_update]; the incidence index
    maps the changed physical edge to the overlay edges whose cached
    weight it invalidates.  Dirty weights are refreshed lazily at the
-   next [min_spanning_tree] call with [Route.weight] itself, so cached
-   weights are bit-identical to a from-scratch recomputation (same fold,
-   same operand order) and the Prim tie-breaking — hence the tree
-   sequence of the FPTAS solvers — cannot drift. *)
+   next [min_spanning_tree] call with [Route.weight]'s fold (same edges,
+   same operand order), so cached weights are bit-identical to a
+   from-scratch recomputation and a Prim run over them returns the tree
+   a fresh overlay would.  The monotone skip below is weight-exact, not
+   tree-exact: it returns the previous tree, which has the minimum
+   weight, where a fresh Prim may break a tie differently. *)
 type ip_engine = {
   table : Ip_routing.t;
   oroutes : Route.t array;     (* overlay edge id -> fixed route (slot a < b) *)
@@ -50,9 +52,11 @@ type ip_engine = {
   (* Monotone fast path: when every stale weight comes from a length
      {e increase} (the only update the Garg-Koenemann solvers perform
      between rescales), an increase on an overlay edge outside the
-     current MST cannot change the MST (cycle property), so the refresh
-     and the Prim run are skipped entirely until some MST edge goes
-     dirty.  [skip_valid] drops to false on a generic (possibly
+     current MST leaves that tree minimum (cycle property), so the
+     refresh and the Prim run are skipped entirely until some MST edge
+     goes dirty.  The tree returned is then the previous one, which is
+     not always the one a fresh Prim would pick among equal-weight
+     trees.  [skip_valid] drops to false on a generic (possibly
      decreasing) update. *)
   mutable skip_valid : bool;
   mutable prev_tree : Otree.t option;  (* tree of the last Prim run *)

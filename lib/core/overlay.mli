@@ -21,9 +21,11 @@
     {!begin_incremental} and then announce every length change through
     {!notify_length_update} (or {!notify_rescale} after a global
     renormalization), so an MST call only re-walks the routes actually
-    invalidated.  Refreshes use [Route.weight] itself, so cached weights
-    stay bit-identical to a from-scratch recomputation and the solver's
-    tree sequence is unchanged.  A debug cross-check mode
+    invalidated.  Refreshes use [Route.weight]'s fold, so cached weights
+    stay bit-identical to a from-scratch recomputation.  The monotone
+    skip of {!notify_length_increase} keeps a tree of minimum weight but
+    not always the one a fresh Prim would pick among equal-weight trees.
+    A debug cross-check mode
     ({!set_cross_check}, or environment variable [OVERLAY_CROSS_CHECK=1])
     verifies that invariant on every MST call. *)
 
@@ -111,8 +113,7 @@ val clear_sink : t -> unit
 
 (** [set_par t par] hands the context a parallel pool: in [Arbitrary]
     mode, each snapshot's per-member source Dijkstras run on it (see
-    [Dynamic_routing.routes_ws]).  [Ip]-mode contexts ignore it — there
-    the parallelism lives one level up, in the solvers' session sweep.
+    [Dynamic_routing.routes_ws]).  [Ip]-mode contexts ignore it.
     Solvers set this for the duration of a run and {!clear_par} it on
     the way out, mirroring {!set_sink}. *)
 val set_par : t -> Par.t -> unit
@@ -192,8 +193,11 @@ val notify_length_update : t -> int -> unit
     Garg–Könemann solvers only ever grow dual lengths between rescales,
     and under increase-only staleness the engine can skip both the
     refresh and the Prim run entirely while no overlay edge of the
-    previously returned tree is stale (cycle property: increasing the
-    weight of a non-tree edge never changes the MST).  Using this for a
+    previously returned tree is stale, and return that tree (cycle
+    property: increasing the weight of a non-tree edge leaves the tree
+    minimum).  The skip is weight-exact, not tree-exact: where weights
+    tie, a fresh Prim may return a different tree of the same weight.
+    Using this for a
     decrease silently corrupts the returned trees — when in doubt, call
     {!notify_length_update}. *)
 val notify_length_increase : t -> int -> unit

@@ -203,6 +203,124 @@ let test_solver_output_invariant () =
   in
   checkb "same trees and rates" true (trees a = trees b)
 
+(* The monotone skip is weight-exact, not tree-exact.  With every length
+   1.0, doubling a covered edge that lies on no route of the current
+   tree leaves that tree minimum, and the skip returns it; a fresh Prim
+   breaks the ties of the new weights its own way and may return another
+   tree of the same weight (seed 275 does, at weight 8, and seed 379, at
+   weight 11).  So the weights are compared, not the keys. *)
+let test_monotone_skip_weight_exact () =
+  let was = Overlay.cross_check_enabled () in
+  Overlay.set_cross_check false;
+  Fun.protect ~finally:(fun () -> Overlay.set_cross_check was) @@ fun () ->
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo =
+        Waxman.generate rng { Waxman.default_params with Waxman.n = 30 }
+      in
+      let g = topo.Topology.graph in
+      let session =
+        Session.random rng ~id:0 ~topology_size:(Topology.n_nodes topo)
+          ~size:7 ~demand:10.0
+      in
+      let m = Graph.n_edges g in
+      let lens = Array.make m 1.0 in
+      let length id = lens.(id) in
+      let probe = Overlay.create g Overlay.Ip session in
+      let on_tree = Array.make m false in
+      Array.iter
+        (fun (e, _) -> on_tree.(e) <- true)
+        (Overlay.min_spanning_tree probe ~length).Otree.usage;
+      Array.iter
+        (fun e ->
+          if not on_tree.(e) then begin
+            let inc = Overlay.create g Overlay.Ip session in
+            Overlay.begin_incremental inc;
+            let before = Overlay.min_spanning_tree inc ~length in
+            lens.(e) <- 2.0;
+            Overlay.notify_length_increase inc e;
+            let skipped = Overlay.min_spanning_tree inc ~length in
+            let fresh =
+              Overlay.min_spanning_tree (Overlay.create g Overlay.Ip session)
+                ~length
+            in
+            lens.(e) <- 1.0;
+            checkb
+              (Printf.sprintf "seed %d edge %d: the skip keeps the tree" seed e)
+              true (skipped == before);
+            checkf
+              (Printf.sprintf "seed %d edge %d: a fresh overlay's weight" seed e)
+              (Otree.weight fresh ~length) (Otree.weight skipped ~length)
+          end)
+        (Overlay.covered_edges probe))
+    [ 275; 379 ]
+
+(* The best-first winner sweep with more than one session: 6 sessions of
+   3-6 members, each instance solved cold and warm-started from random
+   positive lengths.  The sweep stops at the first session whose bound
+   loses, so it must pick the same winners as evaluating every session
+   (~incremental:false) with at most 60% of its MST calls. *)
+let test_sweep_many_sessions () =
+  List.iter
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo =
+        Waxman.generate rng { Waxman.default_params with Waxman.n = 60 }
+      in
+      let g = topo.Topology.graph in
+      let sessions =
+        Array.init 6 (fun id ->
+            Session.random rng ~id ~topology_size:(Topology.n_nodes topo)
+              ~size:(3 + Rng.int rng 4) ~demand:10.0)
+      in
+      let warm =
+        {
+          Max_flow.prev_lens =
+            Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0);
+          prev_ln_base = 0.0;
+          room = 3.0;
+        }
+      in
+      List.iter
+        (fun (label, warm_start) ->
+          let solve ~incremental =
+            let overlays =
+              Array.map (fun s -> Overlay.create g Overlay.Ip s) sessions
+            in
+            Max_flow.solve ~incremental ?warm_start g overlays ~epsilon:0.05
+          in
+          let a = solve ~incremental:true and b = solve ~incremental:false in
+          let what = Printf.sprintf "seed %d %s" seed label in
+          Alcotest.(check int) (what ^ ": iterations") b.Max_flow.iterations
+            a.Max_flow.iterations;
+          Alcotest.(check int64) (what ^ ": objective bits")
+            (Int64.bits_of_float
+               (Solution.overall_throughput b.Max_flow.solution))
+            (Int64.bits_of_float
+               (Solution.overall_throughput a.Max_flow.solution));
+          for slot = 0 to Array.length sessions - 1 do
+            let trees r =
+              Solution.trees r.Max_flow.solution slot
+              |> List.map (fun (t, rate) -> (Otree.key t, rate))
+              |> List.sort compare
+            in
+            checkb
+              (Printf.sprintf "%s: session %d trees and rates" what slot)
+              true
+              (trees a = trees b)
+          done;
+          let ratio =
+            float_of_int a.Max_flow.mst_operations
+            /. float_of_int b.Max_flow.mst_operations
+          in
+          if ratio > 0.6 then
+            Alcotest.failf "%s: %d MST calls, %.0f%% of the eager %d" what
+              a.Max_flow.mst_operations (100.0 *. ratio)
+              b.Max_flow.mst_operations)
+        [ ("cold", None); ("warm", Some warm) ])
+    [ 1; 2; 3; 4; 5 ]
+
 let suite =
   [
     Alcotest.test_case "ip incremental = scratch (property)" `Quick
@@ -217,4 +335,8 @@ let suite =
       test_cross_check_catches_missed_notification;
     Alcotest.test_case "solver output independent of engine" `Quick
       test_solver_output_invariant;
+    Alcotest.test_case "monotone skip keeps a tree of equal weight" `Quick
+      test_monotone_skip_weight_exact;
+    Alcotest.test_case "best-first sweep over 6 sessions = every session"
+      `Quick test_sweep_many_sessions;
   ]
