@@ -492,49 +492,38 @@ let oe_weight eng ~length oe =
     Flat.Routes.weight eng.froutes oe eng.bound_lens
   else Route.weight eng.oroutes.(oe) ~length
 
-(* The refresh loops sum a bound route in place, over the same edges in
-   the same left-to-right order as [Flat.Routes.weight]: a float returned
-   across the module boundary is boxed, one allocation per overlay
-   edge. *)
-let refresh_all t eng ~length =
-  let n = Array.length eng.cached_w in
+(* Stores overlay edge [oe]'s weight into the cache.  A bound route is
+   summed here, over the same edges in the same left-to-right order as
+   [Flat.Routes.weight] (bit-identical): that function's float result
+   would be boxed on its way across the module boundary, once per
+   refreshed edge. *)
+let refresh_one eng ~length oe =
   let lens = eng.bound_lens in
   if Array.length lens > 0 then begin
     let off = eng.froutes.Flat.Routes.off
     and edge = eng.froutes.Flat.Routes.edge in
-    for oe = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for i = off.(oe) to off.(oe + 1) - 1 do
-        acc := !acc +. lens.(edge.(i))
-      done;
-      eng.cached_w.(oe) <- !acc;
-      eng.dirty.(oe) <- false
-    done
-  end
-  else
-    for oe = 0 to n - 1 do
-      eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
-      eng.dirty.(oe) <- false
+    let acc = ref 0.0 in
+    for i = off.(oe) to off.(oe + 1) - 1 do
+      acc := !acc +. lens.(edge.(i))
     done;
+    eng.cached_w.(oe) <- !acc
+  end
+  else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
+  eng.dirty.(oe) <- false
+
+let refresh_all t eng ~length =
+  let n = Array.length eng.cached_w in
+  for oe = 0 to n - 1 do
+    refresh_one eng ~length oe
+  done;
   eng.all_dirty <- false;
   count_weight_ops t n
 
 let refresh_dirty t eng ~length =
   let n = Array.length eng.cached_w in
-  let lens = eng.bound_lens in
-  let off = eng.froutes.Flat.Routes.off
-  and edge = eng.froutes.Flat.Routes.edge in
   for oe = 0 to n - 1 do
     if eng.dirty.(oe) then begin
-      (if Array.length lens > 0 then begin
-         let acc = ref 0.0 in
-         for i = off.(oe) to off.(oe + 1) - 1 do
-           acc := !acc +. lens.(edge.(i))
-         done;
-         eng.cached_w.(oe) <- !acc
-       end
-       else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length);
-      eng.dirty.(oe) <- false;
+      refresh_one eng ~length oe;
       count_weight_ops t 1
     end
   done
