@@ -36,7 +36,7 @@ type ip_engine = {
      instead of a tree build.  Reset wholesale past [memo_cap]. *)
   memo_tbl : (int array, Otree.t) Hashtbl.t;
   (* Construction scratch for memo misses, per overlay value (copies get
-     their own: [Par] sweeps evaluate overlays concurrently): overlay
+     their own: [Par] regions evaluate overlays concurrently): overlay
      edge ids drained in ascending order, and the route-edge counts of
      [Otree.build_sorted]. *)
   oedge_order : Bitset.t;
@@ -314,7 +314,8 @@ let with_session t session =
       session;
       ip;
       (* scratch is per-instance: copies may be evaluated concurrently
-         with the original in a winner sweep *)
+         with the original (MCF preprocessing solves sessions on a
+         pool) *)
       prim_ws = Flat.Prim.ws ~n:k;
       tree_buf = Array.make (max (k - 1) 0) (-1);
       cur_length = (fun _ -> 0.0);

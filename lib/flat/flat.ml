@@ -113,7 +113,6 @@ module Prim = struct
     prios : float array; (* heap slot -> priority *)
     slots : int array;   (* vertex -> heap slot, or [absent] / [popped] *)
     mutable size : int;
-    last : float array;  (* one cell: the weight of the last tree built *)
   }
 
   (* [slots] sentinels: a vertex not yet queued, and one already taken
@@ -129,10 +128,7 @@ module Prim = struct
       prios = Array.make n 0.0;
       slots = Array.make n absent;
       size = 0;
-      last = [| 0.0 |];
     }
-
-  let weight ws = ws.last.(0)
 
   (* Hole-based sifts: the moving entry is held aside and written once,
      at its final slot.  Each step makes the comparison the swap-based
@@ -225,26 +221,22 @@ module Prim = struct
   let into ws csr ~w ~edges =
     Obs.Counter.incr c_prim;
     let n = csr.Csr.n in
-    if n = 0 then ws.last.(0) <- 0.0
-    else begin
+    if n > 0 then begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
       let best_edge = ws.best_edge in
       let prios = ws.prios and slots = ws.slots in
-      let weight = ref 0.0 in
       let picked = ref 0 in
       let n_edges = ref 0 in
       insert ws 0 0.0;
       while ws.size > 0 do
         let v = Array.unsafe_get ws.keys 0 in
-        let key = Array.unsafe_get prios 0 in
         remove_min ws;
         incr picked;
         let be = Array.unsafe_get best_edge v in
         if be >= 0 then begin
           edges.(!n_edges) <- be;
-          incr n_edges;
-          weight := !weight +. key
+          incr n_edges
         end;
         for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
           let u = Array.unsafe_get dst i in
@@ -266,33 +258,28 @@ module Prim = struct
           end
         done
       done;
-      if !picked <> n then failwith "Mst.prim: graph is disconnected";
-      ws.last.(0) <- !weight
+      if !picked <> n then failwith "Mst.prim: graph is disconnected"
     end
 
   let lazy_into ws csr ~w ~dirty ~refresh ~edges =
     Obs.Counter.incr c_prim_lazy;
     let n = csr.Csr.n in
-    if n = 0 then ws.last.(0) <- 0.0
-    else begin
+    if n > 0 then begin
       reset ws n;
       let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
       let best_edge = ws.best_edge in
       let prios = ws.prios and slots = ws.slots in
-      let weight = ref 0.0 in
       let picked = ref 0 in
       let n_edges = ref 0 in
       insert ws 0 0.0;
       while ws.size > 0 do
         let v = Array.unsafe_get ws.keys 0 in
-        let key = Array.unsafe_get prios 0 in
         remove_min ws;
         incr picked;
         let be = Array.unsafe_get best_edge v in
         if be >= 0 then begin
           edges.(!n_edges) <- be;
-          incr n_edges;
-          weight := !weight +. key
+          incr n_edges
         end;
         for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
           let u = Array.unsafe_get dst i in
@@ -321,8 +308,7 @@ module Prim = struct
           end
         done
       done;
-      if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
-      ws.last.(0) <- !weight
+      if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected"
     end
 
   (* [lazy_into]'s loop with the refresh written out, so no closure is

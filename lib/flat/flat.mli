@@ -31,9 +31,11 @@
 
     {b Allocation contract.}  Construction ([Csr.of_graph],
     [Routes.of_routes], [Inc.of_incidence], [Prim.ws]) allocates; the
-    per-iteration operations ([Routes.weight], [Prim.into],
-    [Prim.lazy_into], [Prim.lazy_routes_into]) allocate {e nothing} —
-    no closures, no boxed floats, no intermediate lists.  [bench/main.ml]'s
+    per-iteration operations ([Prim.into], [Prim.lazy_into],
+    [Prim.lazy_routes_into]) allocate {e nothing} — no closures, no
+    boxed floats, no intermediate lists.  [Routes.weight] returns a
+    float, which is boxed wherever a call from another module is not
+    inlined (always, under [-opaque]).  [bench/main.ml]'s
     [flat_steady_state_words] gate measures this at < 8 minor words per
     steady-state solver iteration.
 
@@ -102,17 +104,12 @@ module Prim : sig
 
   (** [into ws csr ~w ~edges] runs Prim from vertex 0 over [csr] with
       edge lengths [w], writing the chosen edge ids into [edges] (in
-      pick order, [csr.n - 1] of them) and the tree weight into [ws]
-      (read it with {!weight}: a float returned across a module
-      boundary is boxed).  Bit-identical trajectory to
-      [Mst.prim g ~length:(fun id -> w.(id))].  Allocates nothing.
-      Raises [Invalid_argument] on a negative length and [Failure] when
-      the graph is disconnected. *)
+      pick order, [csr.n - 1] of them).  Bit-identical trajectory to
+      [Mst.prim g ~length:(fun id -> w.(id))].  Allocates nothing (it
+      returns no tree weight: a float returned across a module
+      boundary is boxed).  Raises [Invalid_argument] on a negative
+      length and [Failure] when the graph is disconnected. *)
   val into : ws -> Csr.t -> w:float array -> edges:int array -> unit
-
-  (** [weight ws] is the weight of the tree the last {!into} or
-      {!lazy_into} on [ws] built. *)
-  val weight : ws -> float
 
   (** [lazy_into ws csr ~w ~dirty ~refresh ~edges] is [into] with stale
       lower bounds: [w.(id)] may be stale (marked by [dirty.(id)]) as
@@ -135,7 +132,7 @@ module Prim : sig
       [lazy_into] with the refresh done in place: a promising dirty edge
       [id] gets [w.(id) <- Routes.weight routes id lens] and
       [dirty.(id) <- false].  Same picks in [edges], same refreshes;
-      returns the number of refreshes instead of the tree weight.  The
+      returns the number of refreshes.  The
       overlay engine uses it whenever its lengths are bound, so the Prim
       loop calls no closure. *)
   val lazy_routes_into :
