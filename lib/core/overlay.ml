@@ -175,6 +175,25 @@ let sparsify_pairs spec graph session =
   in
   Sparsify.select spec ~k ~salt:session.Session.id ~row
 
+(* Stores overlay edge [oe]'s weight into the cache.  A bound route is
+   summed here, over the same edges in the same left-to-right order as
+   [Flat.Routes.weight] (bit-identical): that function's float result
+   would be boxed on its way across the module boundary, once per
+   refreshed edge. *)
+let refresh_one eng ~length oe =
+  let lens = eng.bound_lens in
+  if Array.length lens > 0 then begin
+    let off = eng.froutes.Flat.Routes.off
+    and edge = eng.froutes.Flat.Routes.edge in
+    let acc = ref 0.0 in
+    for i = off.(oe) to off.(oe + 1) - 1 do
+      acc := !acc +. lens.(edge.(i))
+    done;
+    eng.cached_w.(oe) <- !acc
+  end
+  else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
+  eng.dirty.(oe) <- false
+
 (* [refresh_oe] must close over both [t] (op counters) and the engine,
    so it is installed right after the record is built.  Only the flat
    path with unbound lengths calls it: bound lengths are refreshed
@@ -185,9 +204,7 @@ let install_refresh t =
   | Some eng ->
     t.refresh_oe <-
       (fun oe ->
-        eng.cached_w.(oe) <-
-          Route.weight eng.oroutes.(oe) ~length:t.cur_length;
-        eng.dirty.(oe) <- false;
+        refresh_one eng ~length:t.cur_length oe;
         (* registry tally is batched: the flat MST path flushes
            [t.weight_ops - ops_before] into [c_weight_ops] in one
            atomic add per call instead of one per refresh *)
@@ -483,35 +500,6 @@ let count_weight_ops t n =
   t.weight_ops <- t.weight_ops + n;
   Obs.Counter.add c_weight_ops n
 
-(* One overlay edge's weight, for the record path's lazy Prim.  With a
-   bound length array the flat route walk is used ([Flat.Routes.weight]
-   sums the same edges left-to-right as the [Route.weight] fold —
-   bit-identical); otherwise the caller's closure is consulted per
-   traversal, exactly as the record path always did. *)
-let oe_weight eng ~length oe =
-  if Array.length eng.bound_lens > 0 then
-    Flat.Routes.weight eng.froutes oe eng.bound_lens
-  else Route.weight eng.oroutes.(oe) ~length
-
-(* Stores overlay edge [oe]'s weight into the cache.  A bound route is
-   summed here, over the same edges in the same left-to-right order as
-   [Flat.Routes.weight] (bit-identical): that function's float result
-   would be boxed on its way across the module boundary, once per
-   refreshed edge. *)
-let refresh_one eng ~length oe =
-  let lens = eng.bound_lens in
-  if Array.length lens > 0 then begin
-    let off = eng.froutes.Flat.Routes.off
-    and edge = eng.froutes.Flat.Routes.edge in
-    let acc = ref 0.0 in
-    for i = off.(oe) to off.(oe + 1) - 1 do
-      acc := !acc +. lens.(edge.(i))
-    done;
-    eng.cached_w.(oe) <- !acc
-  end
-  else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
-  eng.dirty.(oe) <- false
-
 let refresh_all t eng ~length =
   let n = Array.length eng.cached_w in
   for oe = 0 to n - 1 do
@@ -725,8 +713,7 @@ let min_spanning_tree t ~length =
                 ~lower:(fun oe -> eng.cached_w.(oe))
                 ~exact:(fun oe ->
                   if eng.dirty.(oe) then begin
-                    eng.cached_w.(oe) <- oe_weight eng ~length oe;
-                    eng.dirty.(oe) <- false;
+                    refresh_one eng ~length oe;
                     count_weight_ops t 1
                   end;
                   eng.cached_w.(oe))
