@@ -42,9 +42,8 @@ let setup_a = Setup.make_a ~seed:4 Setup.default_a
 (* ---------------------------------------------------------------- *)
 
 (* Every BENCH_*.json describes the instance it measured with the same
-   fields, derived from the setup values themselves — the flat bench
-   used to hard-code the "Setup A: ..." label, which BENCH_scale.json
-   could not reuse. *)
+   fields, derived from the setup values themselves, so BENCH_scale.json
+   and the Setup A benches share one label format. *)
 let mode_label = function Overlay.Ip -> "IP" | Overlay.Arbitrary -> "arbitrary"
 
 let workload_label ?(name = "Setup A") (setup : Setup.t) ~mode =
@@ -565,13 +564,14 @@ let run_bechamel () =
   Tableau.print t
 
 (* ------------------------------------------------------------- *)
-(* Incremental overlay-length engine: MST micro-bench + JSON      *)
+(* Overlay MST engine: engine on vs from-scratch weighing         *)
 (* ------------------------------------------------------------- *)
 
 (* Drives [min_spanning_tree] under a solver-like update schedule —
    every run grows a handful of covered-edge lengths (with the engine
-   notified) and recomputes the tree.  [incremental] selects cached
-   (engine on) vs scratch (engine off) weighing. *)
+   notified) and recomputes the tree.  [incremental] selects the engine
+   (weight cache over the bound length array, lazy Prim) vs the off
+   state (every weight re-walked through the closure, eager Prim). *)
 let mst_workload ~incremental =
   let g = setup_a.Setup.topology.Topology.graph in
   let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
@@ -580,7 +580,10 @@ let mst_workload ~incremental =
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
   let length i = lens.(i) in
-  if incremental then Overlay.begin_incremental o;
+  if incremental then begin
+    Overlay.begin_incremental o;
+    Overlay.bind_lengths o lens
+  end;
   let step = ref 0 in
   fun () ->
     incr step;
@@ -597,11 +600,10 @@ let mst_workload ~incremental =
     end;
     ignore (Overlay.min_spanning_tree o ~length)
 
-(* Exact solver-output equality: same per-session rates and the same
-   (tree, rate) multiset. *)
+(* Exact solver-output equality: same iteration count, the same
+   objective bits and the same per-session (tree, rate) lists. *)
 let same_solver_output a b =
-  let sols = (a.Max_flow.solution, b.Max_flow.solution) in
-  let sa, sb = sols in
+  let sa = a.Max_flow.solution and sb = b.Max_flow.solution in
   let k = Array.length (Solution.sessions sa) in
   let tree_list s i =
     Solution.trees s i
@@ -609,25 +611,68 @@ let same_solver_output a b =
     |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
   in
   a.Max_flow.iterations = b.Max_flow.iterations
-  && Solution.rates sa = Solution.rates sb
+  && Int64.equal
+       (Int64.bits_of_float (Solution.overall_throughput sa))
+       (Int64.bits_of_float (Solution.overall_throughput sb))
   &&
   let rec loop i =
     i >= k || (tree_list sa i = tree_list sb i && loop (i + 1))
   in
   loop 0
 
-let run_mst_bench () =
-  section "Incremental overlay-length engine: cached vs scratch MST";
+(* Steady-state allocation: length increases confined to covered edges
+   {e outside} the winning tree keep that tree minimal (cut property),
+   so every measured iteration is a steady-state one — same winner,
+   Otree memo hit — and the contract is that it allocates nothing. *)
+let steady_state_words () =
+  let g = setup_a.Setup.topology.Topology.graph in
+  let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
+  let m = Graph.n_edges g in
+  let lens = Array.make m 1.0 in
+  let length i = lens.(i) in
+  Overlay.begin_incremental o;
+  Overlay.bind_lengths o lens;
+  let t0 = Overlay.min_spanning_tree o ~length in
+  let off_tree =
+    Array.of_list
+      (List.filter
+         (fun e -> Otree.n_e t0 e = 0)
+         (Array.to_list (Overlay.covered_edges o)))
+  in
+  let no = Array.length off_tree in
+  if no = 0 then 0.0
+  else begin
+    let step = ref 0 in
+    Obs.Alloc.measure ~warmup:64 ~iters:2048 (fun () ->
+        incr step;
+        for j = 0 to 4 do
+          let e = off_tree.(((!step * 7) + (j * 13)) mod no) in
+          lens.(e) <- lens.(e) *. 1.000001;
+          Overlay.notify_length_increase o e
+        done;
+        ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+  end
+
+(* The micro-benchmark is printed (and recorded in the full run) but
+   not gated: wall-clock ratios flake on a shared host.  The gates are
+   counts, which are deterministic: the same Setup A MaxFlow run with
+   the engine on and with [~incremental:false] must give identical
+   output, and the engine must spend at most a third of the scratch
+   run's weight ops and no more MST calls per iteration.  The
+   steady-state allocation gate stays. *)
+let run_mst_bench ~smoke =
+  section "Overlay MST engine: engine on vs from-scratch weighing";
   let open Bechamel in
   let open Toolkit in
   let tests =
     [
-      Test.make ~name:"mst-ip-cached" (Staged.stage (mst_workload ~incremental:true));
+      Test.make ~name:"mst-ip-engine" (Staged.stage (mst_workload ~incremental:true));
       Test.make ~name:"mst-ip-scratch" (Staged.stage (mst_workload ~incremental:false));
     ]
   in
   let grouped = Test.make_grouped ~name:"mst" tests in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let quota = if smoke then 0.25 else 0.5 in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
@@ -648,11 +693,10 @@ let run_mst_bench () =
         [ name; Printf.sprintf "%.2f" (ns /. 1e3); Printf.sprintf "%.0f" (1e9 /. ns) ])
     timings;
   Tableau.print t;
-  (* Acceptance run: MaxFlow on Setup A at ratio 0.95 (IP), engine on vs
-     off — the tree sequence and rates must be identical and the engine
-     must spend >= 3x fewer per-overlay-edge weight recomputations. *)
+  let steady_words = steady_state_words () in
   let g = setup_a.Setup.topology.Topology.graph in
-  let epsilon = Max_flow.ratio_to_epsilon 0.95 in
+  let ratio = if smoke then 0.92 else 0.95 in
+  let epsilon = Max_flow.ratio_to_epsilon ratio in
   (* weight-op counts come from the Obs registry: snapshot the always-on
      overlay.weight_ops counter around each run instead of summing the
      per-overlay ad-hoc counters. *)
@@ -665,56 +709,72 @@ let run_mst_bench () =
   in
   let inc, inc_ops, inc_dt = solve ~incremental:true in
   let scr, scr_ops, scr_dt = solve ~incremental:false in
-  let per_iter ops r =
-    float_of_int ops /. float_of_int (max 1 r.Max_flow.iterations)
-  in
-  let inc_per_iter = per_iter inc_ops inc in
-  let scr_per_iter = per_iter scr_ops scr in
+  let per_iter n r = float_of_int n /. float_of_int (max 1 r.Max_flow.iterations) in
+  let inc_per_iter = per_iter inc_ops inc and scr_per_iter = per_iter scr_ops scr in
+  let inc_mst = per_iter inc.Max_flow.mst_operations inc
+  and scr_mst = per_iter scr.Max_flow.mst_operations scr in
   let reduction = scr_per_iter /. inc_per_iter in
   let equal_output = same_solver_output inc scr in
   Printf.printf
-    "MaxFlow Setup A (ratio 0.95, IP): %d iterations\n\
-    \  weight ops: engine %d (%.2f/iter, %.2fs)  scratch %d (%.2f/iter, %.2fs)\n\
-    \  reduction %.2fx  equal_output=%b\n"
-    inc.Max_flow.iterations inc_ops inc_per_iter inc_dt scr_ops scr_per_iter
-    scr_dt reduction equal_output;
-  let json =
-    Json_export.Object_
-      [
-        ( "setup",
-          Json_export.String
-            "Setup A: 100-node Waxman, sessions of 7 and 5, ratio 0.95, IP mode"
-        );
-        host_json;
-        ("ratio", Json_export.Number 0.95);
-        ("epsilon", Json_export.Number epsilon);
-        ("iterations", Json_export.Number (float_of_int inc.Max_flow.iterations));
-        ( "weight_ops",
-          Json_export.Object_
-            [
-              ("incremental", Json_export.Number (float_of_int inc_ops));
-              ("scratch", Json_export.Number (float_of_int scr_ops));
-              ("incremental_per_iteration", Json_export.Number inc_per_iter);
-              ("scratch_per_iteration", Json_export.Number scr_per_iter);
-              ("reduction", Json_export.Number reduction);
-            ] );
-        ("equal_output", Json_export.Bool equal_output);
-        ( "microbench",
-          Json_export.Array_
-            (List.map
-               (fun (name, ns) ->
-                 Json_export.Object_
-                   [
-                     ("name", Json_export.String name);
-                     ("us_per_iteration", Json_export.Number (ns /. 1e3));
-                     ("iterations_per_sec", Json_export.Number (1e9 /. ns));
-                   ])
-               timings) );
-      ]
-  in
-  Json_export.to_file "BENCH_mst.json" json;
-  Printf.printf "wrote BENCH_mst.json\n";
-  match trace_path with
+    "steady-state allocation: %.2f minor words/iter\n\
+     MaxFlow Setup A (ratio %.2f, IP): %d iterations\n\
+    \  weight ops/iter: engine %.2f  scratch %.2f  (reduction %.2fx)\n\
+    \  MST calls/iter:  engine %.2f  scratch %.2f\n\
+    \  wall clock: engine %.2fs  scratch %.2fs\n\
+    \  equal_output=%b\n"
+    steady_words ratio inc.Max_flow.iterations inc_per_iter scr_per_iter
+    reduction inc_mst scr_mst inc_dt scr_dt equal_output;
+  if not smoke then begin
+    let json =
+      Json_export.Object_
+        [
+          ( "setup",
+            Json_export.String (workload_label setup_a ~mode:Overlay.Ip) );
+          workload_json setup_a ~mode:Overlay.Ip;
+          host_json;
+          ("ratio", Json_export.Number ratio);
+          ("epsilon", Json_export.Number epsilon);
+          ("iterations", Json_export.Number (float_of_int inc.Max_flow.iterations));
+          ( "weight_ops",
+            Json_export.Object_
+              [
+                ("incremental", Json_export.Number (float_of_int inc_ops));
+                ("scratch", Json_export.Number (float_of_int scr_ops));
+                ("incremental_per_iteration", Json_export.Number inc_per_iter);
+                ("scratch_per_iteration", Json_export.Number scr_per_iter);
+                ("reduction", Json_export.Number reduction);
+              ] );
+          ( "mst_ops",
+            Json_export.Object_
+              [
+                ( "incremental",
+                  Json_export.Number (float_of_int inc.Max_flow.mst_operations) );
+                ( "scratch",
+                  Json_export.Number (float_of_int scr.Max_flow.mst_operations) );
+                ("incremental_per_iteration", Json_export.Number inc_mst);
+                ("scratch_per_iteration", Json_export.Number scr_mst);
+              ] );
+          ("equal_output", Json_export.Bool equal_output);
+          ("steady_state_minor_words_per_iter", Json_export.Number steady_words);
+          ("solver_incremental_s", Json_export.Number inc_dt);
+          ("solver_scratch_s", Json_export.Number scr_dt);
+          ( "microbench",
+            Json_export.Array_
+              (List.map
+                 (fun (name, ns) ->
+                   Json_export.Object_
+                     [
+                       ("name", Json_export.String name);
+                       ("us_per_iteration", Json_export.Number (ns /. 1e3));
+                       ("iterations_per_sec", Json_export.Number (1e9 /. ns));
+                     ])
+                 timings) );
+        ]
+    in
+    Json_export.to_file "BENCH_mst.json" json;
+    Printf.printf "wrote BENCH_mst.json\n"
+  end;
+  (match trace_path with
   | None -> ()
   | Some path ->
     let tr = Obs.Trace.create () in
@@ -723,7 +783,33 @@ let run_mst_bench () =
     Printf.printf "traced run: equal_output=%b\n" (same_solver_output inc traced);
     Obs_export.trace_to_file path tr;
     Printf.printf "wrote %s (%d events recorded, %d dropped)\n" path
-      (Obs.Trace.recorded tr) (Obs.Trace.dropped tr)
+      (Obs.Trace.recorded tr) (Obs.Trace.dropped tr));
+  let fail = ref false in
+  let check name ok =
+    if not ok then begin
+      Printf.printf "FAIL: %s\n" name;
+      fail := true
+    end
+  in
+  check "engine/scratch solver output identical" equal_output;
+  check
+    (Printf.sprintf "engine MST calls/iter <= scratch (%.2f vs %.2f)" inc_mst
+       scr_mst)
+    (inc_mst <= scr_mst);
+  (* The cross-check debug mode turns the lazy refresh off (every stale
+     weight is refreshed, 2.5x fewer than scratch instead of 3.3x) and
+     re-derives every weight through a closure fold, which allocates. *)
+  if not (Overlay.cross_check_enabled ()) then begin
+    check
+      (Printf.sprintf "engine weight ops/iter <= scratch / 3 (%.2f vs %.2f)"
+         inc_per_iter scr_per_iter)
+      (3.0 *. inc_per_iter <= scr_per_iter);
+    check
+      (Printf.sprintf "steady-state allocation ~0 (got %.2f words/iter)"
+         steady_words)
+      (steady_words < 8.0)
+  end;
+  if !fail then exit 1
 
 (* ------------------------------------------------------------- *)
 (* Telemetry: trace-enabled vs no-op sink overhead                *)
@@ -1109,235 +1195,6 @@ let run_par_bench () =
   | Some (_, _, speedup, _) ->
     Printf.printf "arbitrary -j2 speedup %.2fx >= 0.95x: ok\n" speedup
   | None -> ())
-
-(* ------------------------------------------------------------- *)
-(* Cache-flat kernel: flat engine vs record engine                *)
-(* ------------------------------------------------------------- *)
-
-(* Flat twin of [mst_workload]: same update schedule, but the dual
-   lengths live in an array bound to the overlay
-   ([Overlay.bind_lengths]) and the MST runs on the flat CSR Prim.
-   [~flat:false] pins the identical schedule to the record engine (the
-   incremental path [run_mst_bench] measures as mst-ip-cached). *)
-let flat_mst_workload ~flat =
-  let g = setup_a.Setup.topology.Topology.graph in
-  let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
-  Overlay.set_flat o flat;
-  let covered = Overlay.covered_edges o in
-  let nc = Array.length covered in
-  let m = Graph.n_edges g in
-  let lens = Array.make m 1.0 in
-  let length i = lens.(i) in
-  Overlay.begin_incremental o;
-  if flat then Overlay.bind_lengths o lens;
-  let step = ref 0 in
-  fun () ->
-    incr step;
-    for j = 0 to 4 do
-      let e = covered.(((!step * 7) + (j * 13)) mod nc) in
-      lens.(e) <- lens.(e) *. 1.01;
-      Overlay.notify_length_increase o e
-    done;
-    if !step mod 4096 = 0 then begin
-      Array.iteri (fun i v -> lens.(i) <- v *. 1e-30) lens;
-      Overlay.notify_rescale o
-    end;
-    ignore (Overlay.min_spanning_tree o ~length)
-
-(* Drive both engines through one shared schedule and demand the same
-   tree at every step — the micro-level equality behind the solver-level
-   [same_solver_output] check below. *)
-let flat_lockstep_equal ~steps =
-  let g = setup_a.Setup.topology.Topology.graph in
-  let mk flat =
-    let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
-    Overlay.set_flat o flat;
-    Overlay.begin_incremental o;
-    o
-  in
-  let fo = mk true and ro = mk false in
-  let covered = Overlay.covered_edges fo in
-  let nc = Array.length covered in
-  let m = Graph.n_edges g in
-  let lens = Array.make m 1.0 in
-  let length i = lens.(i) in
-  Overlay.bind_lengths fo lens;
-  let ok = ref true in
-  for step = 1 to steps do
-    for j = 0 to 4 do
-      let e = covered.(((step * 7) + (j * 13)) mod nc) in
-      lens.(e) <- lens.(e) *. 1.01;
-      Overlay.notify_length_increase fo e;
-      Overlay.notify_length_increase ro e
-    done;
-    if step mod 512 = 0 then begin
-      Array.iteri (fun i v -> lens.(i) <- v *. 1e-30) lens;
-      Overlay.notify_rescale fo;
-      Overlay.notify_rescale ro
-    end;
-    let tf = Overlay.min_spanning_tree fo ~length in
-    let tr = Overlay.min_spanning_tree ro ~length in
-    if Otree.key tf <> Otree.key tr then ok := false
-  done;
-  !ok
-
-(* Steady-state allocation: length increases confined to covered edges
-   {e outside} the winning tree keep that tree minimal (cut property),
-   so every measured iteration is a steady-state one — same winner,
-   Otree memo hit — and the contract is that it allocates nothing. *)
-let flat_steady_state_words () =
-  let g = setup_a.Setup.topology.Topology.graph in
-  let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
-  let m = Graph.n_edges g in
-  let lens = Array.make m 1.0 in
-  let length i = lens.(i) in
-  Overlay.begin_incremental o;
-  Overlay.bind_lengths o lens;
-  let t0 = Overlay.min_spanning_tree o ~length in
-  let off_tree =
-    Array.of_list
-      (List.filter
-         (fun e -> Otree.n_e t0 e = 0)
-         (Array.to_list (Overlay.covered_edges o)))
-  in
-  let no = Array.length off_tree in
-  if no = 0 then 0.0
-  else begin
-    let step = ref 0 in
-    Obs.Alloc.measure ~warmup:64 ~iters:2048 (fun () ->
-        incr step;
-        for j = 0 to 4 do
-          let e = off_tree.(((!step * 7) + (j * 13)) mod no) in
-          lens.(e) <- lens.(e) *. 1.000001;
-          Overlay.notify_length_increase o e
-        done;
-        ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
-  end
-
-let run_flat_bench ~smoke =
-  section "Cache-flat kernel: flat vs record engine";
-  if Overlay.cross_check_enabled () then
-    Printf.printf
-      "note: OVERLAY_CROSS_CHECK is on — every flat weight is re-derived \
-       through the record path, so timing assertions are skipped\n";
-  (* micro: the mst-ip workload on both engines *)
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    [
-      Test.make ~name:"mst-ip-flat" (Staged.stage (flat_mst_workload ~flat:true));
-      Test.make ~name:"mst-ip-record"
-        (Staged.stage (flat_mst_workload ~flat:false));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"flat" tests in
-  let quota = if smoke then 0.25 else 0.5 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let timings = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      match Analyze.OLS.estimates est with
-      | Some [ ns ] -> timings := (name, ns) :: !timings
-      | _ -> ())
-    results;
-  let timings = List.sort compare !timings in
-  let t =
-    Tableau.create ~title:"flat vs record MST micro-bench"
-      [ "kernel"; "us/iter"; "iter/s" ]
-  in
-  List.iter
-    (fun (name, ns) ->
-      Tableau.add_row t
-        [ name; Printf.sprintf "%.2f" (ns /. 1e3); Printf.sprintf "%.0f" (1e9 /. ns) ])
-    timings;
-  Tableau.print t;
-  let find name = List.assoc ("flat/" ^ name) timings in
-  let flat_ns = find "mst-ip-flat" and record_ns = find "mst-ip-record" in
-  let speedup = record_ns /. flat_ns in
-  (* allocation + equality *)
-  let steady_words = flat_steady_state_words () in
-  let lockstep = flat_lockstep_equal ~steps:(if smoke then 500 else 2000) in
-  let g = setup_a.Setup.topology.Topology.graph in
-  let ratio = if smoke then 0.92 else 0.95 in
-  let epsilon = Max_flow.ratio_to_epsilon ratio in
-  let solve ~flat =
-    let overlays = Setup.overlays setup_a Overlay.Ip in
-    elapsed (fun () -> Max_flow.solve ~flat g overlays ~epsilon)
-  in
-  ignore (solve ~flat:true) (* warmup *);
-  let flat_r, flat_dt = solve ~flat:true in
-  let rec_r, rec_dt = solve ~flat:false in
-  let equal_output = same_solver_output flat_r rec_r in
-  Printf.printf
-    "mst-ip workload: flat %.2f us/iter, record %.2f us/iter, speedup %.2fx\n\
-     steady-state allocation: %.2f minor words/iter\n\
-     MaxFlow Setup A (ratio %.2f, IP): flat %.2fs, record %.2fs, \
-     solver speedup %.2fx\n\
-     lockstep_equal=%b  equal_output=%b\n"
-    (flat_ns /. 1e3) (record_ns /. 1e3) speedup steady_words ratio flat_dt
-    rec_dt (rec_dt /. flat_dt) lockstep equal_output;
-  if not smoke then begin
-    let json =
-      Json_export.Object_
-        [
-          ( "setup",
-            Json_export.String (workload_label setup_a ~mode:Overlay.Ip) );
-          workload_json setup_a ~mode:Overlay.Ip;
-          host_json;
-          ("ratio", Json_export.Number ratio);
-          ("epsilon", Json_export.Number epsilon);
-          ( "iterations",
-            Json_export.Number (float_of_int flat_r.Max_flow.iterations) );
-          ( "microbench",
-            Json_export.Array_
-              (List.map
-                 (fun (name, ns) ->
-                   Json_export.Object_
-                     [
-                       ("name", Json_export.String name);
-                       ("us_per_iteration", Json_export.Number (ns /. 1e3));
-                       ("iterations_per_sec", Json_export.Number (1e9 /. ns));
-                     ])
-                 timings) );
-          ("speedup_flat_vs_record", Json_export.Number speedup);
-          ("steady_state_minor_words_per_iter", Json_export.Number steady_words);
-          ("solver_flat_s", Json_export.Number flat_dt);
-          ("solver_record_s", Json_export.Number rec_dt);
-          ("solver_speedup", Json_export.Number (rec_dt /. flat_dt));
-          ("lockstep_equal", Json_export.Bool lockstep);
-          ("equal_output", Json_export.Bool equal_output);
-        ]
-    in
-    Json_export.to_file "BENCH_flat.json" json;
-    Printf.printf "wrote BENCH_flat.json\n"
-  end;
-  (* hard gates: bit-identity always; performance unless the cross-check
-     debug mode is inflating the flat path by design *)
-  let fail = ref false in
-  let check name ok =
-    if not ok then begin
-      Printf.printf "FAIL: %s\n" name;
-      fail := true
-    end
-  in
-  check "flat/record lockstep trees identical" lockstep;
-  check "flat/record solver output identical" equal_output;
-  if not (Overlay.cross_check_enabled ()) then begin
-    check
-      (Printf.sprintf "flat >= 5x record on the mst-ip workload (got %.2fx)"
-         speedup)
-      (speedup >= 5.0);
-    check
-      (Printf.sprintf "steady-state allocation ~0 (got %.2f words/iter)"
-         steady_words)
-      (steady_words < 8.0)
-  end;
-  if !fail then exit 1
 
 (* ------------------------------------------------------------- *)
 (* Overlay sparsification: quality-vs-speed frontier at scale     *)
@@ -1926,7 +1783,6 @@ let run_daemon_bench ~smoke =
 let mst_only = Array.exists (fun a -> a = "--mst") Sys.argv
 let obs_only = Array.exists (fun a -> a = "--obs") Sys.argv
 let par_only = Array.exists (fun a -> a = "--par") Sys.argv
-let flat_only = Array.exists (fun a -> a = "--flat") Sys.argv
 let scale_only = Array.exists (fun a -> a = "--scale") Sys.argv
 let warm_only = Array.exists (fun a -> a = "--warm") Sys.argv
 let daemon_only = Array.exists (fun a -> a = "--daemon") Sys.argv
@@ -1935,10 +1791,6 @@ let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 let () =
   if daemon_only then begin
     run_daemon_bench ~smoke;
-    exit 0
-  end;
-  if flat_only then begin
-    run_flat_bench ~smoke;
     exit 0
   end;
   if scale_only then begin
@@ -1950,7 +1802,7 @@ let () =
     exit 0
   end;
   if mst_only then begin
-    run_mst_bench ();
+    run_mst_bench ~smoke;
     exit 0
   end;
   if obs_only then begin
@@ -1987,8 +1839,7 @@ let () =
         run_protocol_comparison ();
         run_robustness ();
         run_bechamel ();
-        run_mst_bench ();
-        run_flat_bench ~smoke;
+        run_mst_bench ~smoke;
         run_obs_bench ();
         run_daemon_bench ~smoke;
         run_par_bench ())
