@@ -580,10 +580,7 @@ let mst_workload ~incremental =
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
   let length i = lens.(i) in
-  if incremental then begin
-    Overlay.begin_incremental o;
-    Overlay.bind_lengths o lens
-  end;
+  if incremental then Overlay.begin_incremental o lens;
   let step = ref 0 in
   fun () ->
     incr step;
@@ -630,8 +627,7 @@ let steady_state_words () =
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
   let length i = lens.(i) in
-  Overlay.begin_incremental o;
-  Overlay.bind_lengths o lens;
+  Overlay.begin_incremental o lens;
   let t0 = Overlay.min_spanning_tree o ~length in
   let off_tree =
     Array.of_list

@@ -249,9 +249,9 @@ let run_fleischer obs st overlays working solution =
 
 (* --- common driver --------------------------------------------------- *)
 
-let solve ?(variant = Paper) ?(incremental = true) ?(flat = true)
-    ?(obs = Obs.Sink.null) ?(par = Par.serial) ?(sparsify = Sparsify.full)
-    ?warm_start ?warm_zetas graph overlays ~epsilon ~scaling =
+let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
+    ?(par = Par.serial) ?(sparsify = Sparsify.full) ?warm_start ?warm_zetas
+    graph overlays ~epsilon ~scaling =
   if epsilon <= 0.0 || epsilon >= 1.0 /. 3.0 then
     invalid_arg "Max_concurrent_flow.solve: epsilon out of (0, 1/3)";
   (* convenience rebuild, identity under the default (full) spec; the
@@ -307,8 +307,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(flat = true)
           Array.iteri
             (fun i o ->
               let rate, _ =
-                Max_flow.solve_single ~incremental ~flat ~obs ~par graph o
-                  ~epsilon
+                Max_flow.solve_single ~incremental ~obs ~par graph o ~epsilon
               in
               zetas.(i) <- rate)
             overlays
@@ -325,7 +324,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(flat = true)
               in
               for i = lo to hi - 1 do
                 let rate, _ =
-                  Max_flow.solve_single ~incremental ~flat ~obs:wobs graph
+                  Max_flow.solve_single ~incremental ~obs:wobs graph
                     overlays.(i) ~epsilon
                 in
                 zetas.(i) <- rate
@@ -386,22 +385,17 @@ let solve ?(variant = Paper) ?(incremental = true) ?(flat = true)
     done;
     refresh_dual st;
     st.ln_base <- -.w.room -. log st.s_cache);
-  (* flat engine for the main loop: [length] below is backed by
-     [st.lens], so the overlays may read the array directly *)
-  let saved_flat = Array.map Overlay.flat_enabled overlays in
-  if flat then Array.iter (fun o -> Overlay.bind_lengths o st.lens) overlays
-  else Array.iter (fun o -> Overlay.set_flat o false) overlays;
   let solution = Solution.create sessions in
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
   if arbitrary then Array.iter (fun o -> Overlay.set_par o par) overlays;
-  if incremental then Array.iter Overlay.begin_incremental overlays;
+  (* the engine reads [st.lens], which backs the main loop's [length] *)
+  if incremental then
+    Array.iter (fun o -> Overlay.begin_incremental o st.lens) overlays;
   let phases =
     Fun.protect
       ~finally:(fun () ->
         if incremental then Array.iter Overlay.end_incremental overlays;
-        Array.iter Overlay.unbind_lengths overlays;
-        Array.iteri (fun i o -> Overlay.set_flat o saved_flat.(i)) overlays;
         if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays;
         if arbitrary then Array.iter Overlay.clear_par overlays)
       (fun () ->

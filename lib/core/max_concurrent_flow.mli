@@ -88,15 +88,11 @@ type warm_start = {
     algorithm ([variant] defaults to [Paper]).  [result.phases] counts
     demand phases in [Paper] mode and alpha-steps in [Fleischer] mode.
     [incremental] (default [true]) drives the overlays' incremental
-    length engine in both the MaxFlow preprocessing and the main loop;
-    [~incremental:false] forces from-scratch weight recomputation (same
-    output bit for bit).
-
-    [flat] (default [true]) runs both the preprocessing and the main
-    loop on the cache-flat kernel — dual-length array bound to the
-    overlays, flat CSR Prim, batched dual updates with one notify sweep
-    per overlay.  [~flat:false] re-engages the historical record engine;
-    output is bit-identical either way (see {!Max_flow.solve}).
+    length engine, with the dual-length array bound, in both the
+    MaxFlow preprocessing and the main loop; dual updates are batched
+    with one notify pass per routing.  [~incremental:false] forces
+    from-scratch weight recomputation (same output bit for bit, up to
+    the monotone skip's tie-breaks; see {!Max_flow.solve}).
 
     [obs] (default [Obs.Sink.null]) receives the run's event trace:
     [Run_start] (run name ["mcf"], [a] = session count, [b] = epsilon);
@@ -142,7 +138,6 @@ type warm_start = {
 val solve :
   ?variant:variant ->
   ?incremental:bool ->
-  ?flat:bool ->
   ?obs:Obs.Sink.t ->
   ?par:Par.t ->
   ?sparsify:Sparsify.t ->

@@ -38,9 +38,8 @@ let c_rescales =
 (* [(w.(a), a)] precedes [(w.(b), b)] lexicographically *)
 let lex_less (w : float array) a b = w.(a) < w.(b) || (w.(a) = w.(b) && a < b)
 
-let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
-    ?(par = Par.serial) ?(sparsify = Sparsify.full) ?warm_start graph overlays
-    ~epsilon =
+let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?(par = Par.serial)
+    ?(sparsify = Sparsify.full) ?warm_start graph overlays ~epsilon =
   if epsilon <= 0.0 || epsilon >= 0.5 then
     invalid_arg "Max_flow.solve: epsilon out of (0, 0.5)";
   (* convenience rebuild: with the default (full) spec this is the
@@ -117,12 +116,6 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
       if caps.(e) > 0.0 then lens.(e) <- w.prev_lens.(e) *. inv
     done);
   let length id = lens.(id) in
-  (* flat engine: the [length] closure is backed by [lens], so the
-     overlays may read the array directly; [set_flat false] re-engages
-     the record paths end to end (the equivalence reference) *)
-  let saved_flat = Array.map Overlay.flat_enabled overlays in
-  if flat then Array.iter (fun o -> Overlay.bind_lengths o lens) overlays
-  else Array.iter (fun o -> Overlay.set_flat o false) overlays;
   let solution = Solution.create sessions in
   let iterations = ref 0 in
   (* per-session normalizers, precomputed like [caps] *)
@@ -134,13 +127,13 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
     ~b:epsilon;
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
-  if incremental then Array.iter Overlay.begin_incremental overlays;
+  (* the engine reads [lens], which backs the [length] closure *)
+  if incremental then
+    Array.iter (fun o -> Overlay.begin_incremental o lens) overlays;
   let notify = Overlay.notify_index overlays in
   Fun.protect
     ~finally:(fun () ->
       if incremental then Array.iter Overlay.end_incremental overlays;
-      Array.iter Overlay.unbind_lengths overlays;
-      Array.iteri (fun i o -> Overlay.set_flat o saved_flat.(i)) overlays;
       if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays;
       if arbitrary then Array.iter Overlay.clear_par overlays)
     (fun () ->
@@ -304,11 +297,11 @@ let solve ?(incremental = true) ?(flat = true) ?(obs = Obs.Sink.null)
     dual_ln_base = !ln_base;
   }
 
-let solve_single ?incremental ?flat ?obs ?par ?sparsify ?warm_start graph
-    overlay ~epsilon =
+let solve_single ?incremental ?obs ?par ?sparsify ?warm_start graph overlay
+    ~epsilon =
   let result =
-    solve ?incremental ?flat ?obs ?par ?sparsify ?warm_start graph
-      [| overlay |] ~epsilon
+    solve ?incremental ?obs ?par ?sparsify ?warm_start graph [| overlay |]
+      ~epsilon
   in
   (* the single session keeps its own id; rate lookup goes through the
      session array of the fresh solution, which has exactly one slot *)

@@ -86,24 +86,19 @@ type warm_start = {
     edge->route incidence index so each iteration only re-weighs the
     overlay edges its winning tree touched, and each iteration's winner
     sweep visits sessions best-first by their last weight, stopping at
-    the first one that can no longer win.  [~incremental:false] forces
-    the from-scratch recompute path and evaluates every session in every
-    iteration (used by the bench and the tests to measure the engine).
-    Given the same trees, both pick the same winner.  They are
+    the first one that can no longer win.  The dual-length array is
+    bound to the overlays ({!Overlay.begin_incremental}), dual updates
+    are batched (one pass writing the length array, one notify pass
+    through a merged incidence index), and weights / bottlenecks are
+    read with the array variants; steady-state iterations — winner tree
+    unchanged — allocate nothing.  [~incremental:false] forces the
+    from-scratch recompute path and evaluates every session in every
+    iteration: the reference the bench and the tests measure the engine
+    against.  Given the same trees, both pick the same winner.  They are
     weight-exact, not tree-exact: where Prim has ties, the monotone skip
     ({!Overlay.notify_length_increase}) keeps the previous tree while a
     fresh Prim may pick another of equal weight, and from there the two
     runs can follow different (equally valid) trajectories.
-
-    [flat] (default [true]) runs the iteration on the cache-flat kernel:
-    the dual-length array is bound to the overlays
-    ({!Overlay.bind_lengths}), MSTs run on the flat CSR Prim, dual
-    updates are batched (one pass writing the length array, one notify
-    sweep per overlay through the flat incidence index), and weights /
-    bottlenecks are read with the array variants.  Output is
-    bit-identical to [~flat:false] (the historical record engine, kept
-    as the equivalence reference); only allocation and speed differ.
-    Steady-state iterations — winner tree unchanged — allocate nothing.
 
     [obs] (default [Obs.Sink.null]) receives the run's event trace:
     [Run_start] (run name ["maxflow"], [a] = session count, [b] =
@@ -140,7 +135,6 @@ type warm_start = {
     obligation. *)
 val solve :
   ?incremental:bool ->
-  ?flat:bool ->
   ?obs:Obs.Sink.t ->
   ?par:Par.t ->
   ?sparsify:Sparsify.t ->
@@ -157,7 +151,6 @@ val solve :
     {!solve}. *)
 val solve_single :
   ?incremental:bool ->
-  ?flat:bool ->
   ?obs:Obs.Sink.t ->
   ?par:Par.t ->
   ?sparsify:Sparsify.t ->

@@ -1,18 +1,22 @@
 type mode = Ip | Arbitrary
 
-(* Incremental overlay-length engine (IP mode).
+(* Incremental overlay-length engine (IP mode).  Two states:
+   - off: every MST call folds the caller's [length] closure over every
+     route ([Route.weight]) and runs the eager [Flat.Prim.into];
+   - on (between [begin_incremental] and [end_incremental]): the
+     solver's length array is bound, weights are cached, and Prim runs
+     lazily over stale lower bounds ([Flat.Prim.lazy_routes_into]).
 
-   Invariant: for every overlay edge [oe] with [dirty.(oe) = false] and
-   [all_dirty = false], [cached_w.(oe) = Route.weight oroutes.(oe)
-   ~length] under the caller's current length function.  Length changes
-   are announced through [notify_length_update]; the incidence index
-   maps the changed physical edge to the overlay edges whose cached
-   weight it invalidates.  Dirty weights are refreshed lazily at the
-   next [min_spanning_tree] call with [Route.weight]'s fold (same edges,
-   same operand order), so cached weights are bit-identical to a
-   from-scratch recomputation and a Prim run over them returns the tree
-   a fresh overlay would.  The monotone skip below is weight-exact, not
-   tree-exact: it returns the previous tree, which has the minimum
+   Invariant while on: for every overlay edge [oe] with [dirty.(oe) =
+   false] and [all_dirty = false], [cached_w.(oe)] is the sum of
+   [lens] over route [oe], left to right.  Length changes are announced
+   through [notify_length_update]; the incidence index maps the changed
+   physical edge to the overlay edges whose cached weight it
+   invalidates.  Every refresh sums the same edges in the same operand
+   order as [Route.weight]'s fold, so cached weights are bit-identical
+   to a from-scratch recomputation and a Prim run over them returns the
+   tree a fresh overlay would.  The monotone skip below is weight-exact,
+   not tree-exact: it returns the previous tree, which has the minimum
    weight, where a fresh Prim may break a tie differently. *)
 type ip_engine = {
   table : Ip_routing.t;
@@ -35,20 +39,17 @@ type ip_engine = {
      and a hit turns a change-of-winner iteration back into a lookup
      instead of a tree build.  Reset wholesale past [memo_cap]. *)
   memo_tbl : (int array, Otree.t) Hashtbl.t;
-  (* Construction scratch for memo misses, per overlay value (copies get
-     their own: [Par] regions evaluate overlays concurrently): overlay
+  (* Construction scratch for memo misses, per overlay value: overlay
      edge ids drained in ascending order, and the route-edge counts of
      [Otree.build_sorted]. *)
   oedge_order : Bitset.t;
   tree_scratch : Otree.scratch;
-  (* Flat dual-length binding: when the solver's [length] closure is
-     backed by an edge-indexed array, binding that array here lets the
-     weight refresh read it directly ([Flat.Routes.weight], bit-identical
-     to the [Route.weight] fold) instead of calling the closure per
-     traversal.  [[||]] means unbound. *)
-  mutable bound_lens : float array;
+  (* The solver's dual lengths, bound by [begin_incremental]: the
+     [length] closure of every MST call reads this array, so the
+     refresh reads it directly.  [[||]] while the engine is off. *)
+  mutable lens : float array;
   mutable all_dirty : bool;
-  mutable incremental : bool;  (* engine active: caller promises notifications *)
+  mutable incremental : bool;  (* engine on: lengths bound, caller notifies *)
   (* Monotone fast path: when every stale weight comes from a length
      {e increase} (the only update the Garg-Koenemann solvers perform
      between rescales), an increase on an overlay edge outside the
@@ -75,9 +76,6 @@ type t = {
   ocsr : Flat.Csr.t;                   (* flat view of [overlay_graph] *)
   prim_ws : Flat.Prim.ws;              (* reusable Prim working set *)
   tree_buf : int array;                (* k-1 scratch: Prim output buffer *)
-  mutable use_flat : bool;             (* flat kernel engaged (default) *)
-  mutable cur_length : int -> float;   (* stashed [length] for [refresh_oe] *)
-  mutable refresh_oe : int -> unit;    (* preallocated lazy weight refresh *)
   mutable ops : int;
   mutable weight_ops : int;
   mutable sink : Obs.Sink.t;           (* trace destination; null by default *)
@@ -123,7 +121,9 @@ let c_recomputes =
 
 let c_tree_builds =
   Obs.Counter.make
-    ~doc:"Otree values constructed (IP memo misses, record and arbitrary builds)"
+    ~doc:
+      "Otree values constructed (IP memo misses, arbitrary and tree_of_pairs \
+       builds)"
     "overlay.tree_builds"
 
 (* every [Otree.t] this module constructs goes through here *)
@@ -175,14 +175,15 @@ let sparsify_pairs spec graph session =
   in
   Sparsify.select spec ~k ~salt:session.Session.id ~row
 
-(* Stores overlay edge [oe]'s weight into the cache.  A bound route is
-   summed here, over the same edges in the same left-to-right order as
-   [Flat.Routes.weight] (bit-identical): that function's float result
-   would be boxed on its way across the module boundary, once per
-   refreshed edge. *)
+(* Stores overlay edge [oe]'s weight into the cache.  With the engine
+   on, the route is summed over the bound array here, over the same
+   edges in the same left-to-right order as [Flat.Routes.weight]
+   (bit-identical): that function's float result would be boxed on its
+   way across the module boundary, once per refreshed edge.  With the
+   engine off, the closure is folded. *)
 let refresh_one eng ~length oe =
-  let lens = eng.bound_lens in
-  if Array.length lens > 0 then begin
+  if eng.incremental then begin
+    let lens = eng.lens in
     let off = eng.froutes.Flat.Routes.off
     and edge = eng.froutes.Flat.Routes.edge in
     let acc = ref 0.0 in
@@ -193,22 +194,6 @@ let refresh_one eng ~length oe =
   end
   else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
   eng.dirty.(oe) <- false
-
-(* [refresh_oe] must close over both [t] (op counters) and the engine,
-   so it is installed right after the record is built.  Only the flat
-   path with unbound lengths calls it: bound lengths are refreshed
-   inside [Flat.Prim.lazy_routes_into]. *)
-let install_refresh t =
-  match t.ip with
-  | None -> ()
-  | Some eng ->
-    t.refresh_oe <-
-      (fun oe ->
-        refresh_one eng ~length:t.cur_length oe;
-        (* registry tally is batched: the flat MST path flushes
-           [t.weight_ops - ops_before] into [c_weight_ops] in one
-           atomic add per call instead of one per refresh *)
-        t.weight_ops <- t.weight_ops + 1)
 
 let create ?(sparsify = Sparsify.full) graph mode session =
   let members = session.Session.members in
@@ -252,7 +237,7 @@ let create ?(sparsify = Sparsify.full) graph mode session =
           memo_tbl = Hashtbl.create 64;
           oedge_order = Bitset.create (Array.length pair_of_oedge);
           tree_scratch = Otree.scratch ~n_edges:(Graph.n_edges graph);
-          bound_lens = [||];
+          lens = [||];
           all_dirty = true;
           incremental = false;
           skip_valid = true;
@@ -266,30 +251,23 @@ let create ?(sparsify = Sparsify.full) graph mode session =
     | Arbitrary -> Some (Dynamic_routing.workspace graph)
   in
   let k = Array.length members in
-  let t =
-    {
-      session;
-      graph;
-      mode;
-      sparsify;
-      ip;
-      dyn_ws;
-      overlay_graph;
-      pair_of_oedge;
-      ocsr = Flat.Csr.of_graph overlay_graph;
-      prim_ws = Flat.Prim.ws ~n:k;
-      tree_buf = Array.make (max (k - 1) 0) (-1);
-      use_flat = true;
-      cur_length = (fun _ -> 0.0);
-      refresh_oe = ignore;
-      ops = 0;
-      weight_ops = 0;
-      sink = Obs.Sink.null;
-      par = Par.serial;
-    }
-  in
-  install_refresh t;
-  t
+  {
+    session;
+    graph;
+    mode;
+    sparsify;
+    ip;
+    dyn_ws;
+    overlay_graph;
+    pair_of_oedge;
+    ocsr = Flat.Csr.of_graph overlay_graph;
+    prim_ws = Flat.Prim.ws ~n:k;
+    tree_buf = Array.make (max (k - 1) 0) (-1);
+    ops = 0;
+    weight_ops = 0;
+    sink = Obs.Sink.null;
+    par = Par.serial;
+  }
 
 let same_int_array a b =
   Array.length a = Array.length b
@@ -316,7 +294,7 @@ let with_session t session =
           memo_tbl = Hashtbl.create 64;
           oedge_order = Bitset.create (Array.length t.pair_of_oedge);
           tree_scratch = Otree.scratch ~n_edges:(Graph.n_edges t.graph);
-          bound_lens = [||];
+          lens = [||];
           all_dirty = true;
           incremental = false;
           skip_valid = true;
@@ -325,26 +303,18 @@ let with_session t session =
         }
   in
   let k = Array.length t.session.Session.members in
-  let t' =
-    {
-      t with
-      session;
-      ip;
-      (* scratch is per-instance: copies may be evaluated concurrently
-         with the original (MCF preprocessing solves sessions on a
-         pool) *)
-      prim_ws = Flat.Prim.ws ~n:k;
-      tree_buf = Array.make (max (k - 1) 0) (-1);
-      cur_length = (fun _ -> 0.0);
-      refresh_oe = ignore;
-      ops = 0;
-      weight_ops = 0;
-      sink = Obs.Sink.null;
-      par = Par.serial;
-    }
-  in
-  install_refresh t';
-  t'
+  {
+    t with
+    session;
+    ip;
+    (* scratch is per-instance *)
+    prim_ws = Flat.Prim.ws ~n:k;
+    tree_buf = Array.make (max (k - 1) 0) (-1);
+    ops = 0;
+    weight_ops = 0;
+    sink = Obs.Sink.null;
+    par = Par.serial;
+  }
 
 let session t = t.session
 let mode t = t.mode
@@ -362,23 +332,6 @@ let clear_sink t = t.sink <- Obs.Sink.null
 let set_par t par = t.par <- par
 let clear_par t = t.par <- Par.serial
 
-(* --- flat kernel controls -------------------------------------------- *)
-
-let set_flat t enabled =
-  t.use_flat <- enabled;
-  if not enabled then
-    match t.ip with None -> () | Some eng -> eng.bound_lens <- [||]
-
-let flat_enabled t = t.use_flat
-
-let bind_lengths t lens =
-  match t.ip with
-  | None -> ()
-  | Some eng -> if t.use_flat then eng.bound_lens <- lens
-
-let unbind_lengths t =
-  match t.ip with None -> () | Some eng -> eng.bound_lens <- [||]
-
 let members t = t.session.Session.members
 
 let fixed_route t a b =
@@ -388,10 +341,11 @@ let fixed_route t a b =
 
 (* --- incremental engine control ------------------------------------- *)
 
-let begin_incremental t =
+let begin_incremental t lens =
   match t.ip with
   | None -> ()
   | Some eng ->
+    eng.lens <- lens;
     eng.incremental <- true;
     eng.all_dirty <- true;
     eng.skip_valid <- true;
@@ -400,10 +354,9 @@ let begin_incremental t =
 let end_incremental t =
   match t.ip with
   | None -> ()
-  | Some eng -> eng.incremental <- false
-
-let incremental_active t =
-  match t.ip with Some eng -> eng.incremental | None -> false
+  | Some eng ->
+    eng.incremental <- false;
+    eng.lens <- [||]
 
 (* Dirty marking walks the flat incidence CSR directly: same edges,
    same order as [Incidence.iter_incident], no closure allocation. *)
@@ -614,22 +567,34 @@ let prev_tree_clean eng =
   | Some _ ->
     oedges_clean eng.dirty eng.in_prev_mst 0 (Array.length eng.dirty)
 
-let mst_oedges t weights =
-  if t.use_flat then begin
-    Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf;
-    Array.sub t.tree_buf 0 (Array.length t.tree_buf)
-  end
+(* Prim's picks in [tree_buf] as an [Otree.t]: an unchanged edge
+   sequence returns the memoized tree physically, a sequence seen before
+   comes from the bounded table, anything else is built — so a call that
+   repeats a winner allocates nothing. *)
+let ip_tree t eng =
+  let nt = Array.length t.tree_buf in
+  let same =
+    match eng.memo_tree with
+    | None -> false
+    | Some _ -> same_prefix t.tree_buf eng.memo_oedges 0 nt
+  in
+  if same then Option.get eng.memo_tree
   else begin
-    let olength id = weights.(id) in
-    let mst = Mst.prim t.overlay_graph ~length:olength in
-    mst.Mst.edges
+    let tree =
+      match Hashtbl.find eng.memo_tbl t.tree_buf with
+      | tree -> tree (* seen before: no rebuild *)
+      | exception Not_found ->
+        let oedges = Array.sub t.tree_buf 0 nt in
+        let tree = build_ip_tree t eng oedges in
+        if Hashtbl.length eng.memo_tbl >= memo_cap then
+          Hashtbl.reset eng.memo_tbl;
+        Hashtbl.add eng.memo_tbl oedges tree;
+        tree
+    in
+    Array.blit t.tree_buf 0 eng.memo_oedges 0 nt;
+    eng.memo_tree <- Some tree;
+    tree
   end
-
-let mst_from_weights_and_routes t weights routes =
-  let oedges = mst_oedges t weights in
-  let pairs = Array.map (fun id -> t.pair_of_oedge.(id)) oedges in
-  let tree_routes = Array.map (fun id -> routes id) oedges in
-  build_tree t ~pairs ~routes:tree_routes
 
 let min_spanning_tree t ~length =
   t.ops <- t.ops + 1;
@@ -650,86 +615,22 @@ let min_spanning_tree t ~length =
          bound on the true weight, so Prim can consult it first and
          refresh an overlay edge only when it is actually competitive —
          edges whose stale weight already loses are never re-walked and
-         simply stay dirty.  [prim_lazy]'s trajectory is identical to
-         the eager run, so the tree sequence cannot drift.  Cross-check
+         simply stay dirty.  The lazy trajectory is identical to the
+         eager run, so the tree sequence cannot drift.  Cross-check
          mode keeps the eager path (it verifies the full cache). *)
       let ops_before = t.weight_ops in
-      let nt = Array.length t.tree_buf in
-      let tree =
-        if t.use_flat then begin
-          (* Flat kernel: Prim writes the winning overlay edges into
-             [tree_buf]; an unchanged edge sequence returns the memoized
-             [Otree.t] physically — the whole call allocates nothing. *)
-          if lazy_bounds then begin
-            (if Array.length eng.bound_lens > 0 then
-               t.weight_ops <-
-                 t.weight_ops
-                 + Flat.Prim.lazy_routes_into t.prim_ws t.ocsr
-                     ~w:eng.cached_w ~dirty:eng.dirty ~routes:eng.froutes
-                     ~lens:eng.bound_lens ~edges:t.tree_buf
-             else begin
-               t.cur_length <- length;
-               Flat.Prim.lazy_into t.prim_ws t.ocsr ~w:eng.cached_w
-                 ~dirty:eng.dirty ~refresh:t.refresh_oe ~edges:t.tree_buf
-             end);
-            (* flush the batched registry tally: both lazy calls count
-               their refreshes into [t.weight_ops] (see [install_refresh]) *)
-            let refreshed = t.weight_ops - ops_before in
-            if refreshed > 0 then Obs.Counter.add c_weight_ops refreshed
-          end
-          else begin
-            let weights = ip_weights t eng ~length in
-            Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf
-          end;
-          let same =
-            match eng.memo_tree with
-            | None -> false
-            | Some _ -> same_prefix t.tree_buf eng.memo_oedges 0 nt
-          in
-          if same then Option.get eng.memo_tree
-          else begin
-            let tree =
-              match Hashtbl.find eng.memo_tbl t.tree_buf with
-              | tree -> tree (* seen before: no rebuild *)
-              | exception Not_found ->
-                let oedges = Array.sub t.tree_buf 0 nt in
-                let tree = build_ip_tree t eng oedges in
-                if Hashtbl.length eng.memo_tbl >= memo_cap then
-                  Hashtbl.reset eng.memo_tbl;
-                Hashtbl.add eng.memo_tbl oedges tree;
-                tree
-            in
-            Array.blit t.tree_buf 0 eng.memo_oedges 0 nt;
-            eng.memo_tree <- Some tree;
-            tree
-          end
-        end
-        else begin
-          (* Record path: historical engine, kept as the equivalence
-             reference ([set_flat t false]). *)
-          let mst =
-            if lazy_bounds then
-              Mst.prim_lazy t.overlay_graph
-                ~lower:(fun oe -> eng.cached_w.(oe))
-                ~exact:(fun oe ->
-                  if eng.dirty.(oe) then begin
-                    refresh_one eng ~length oe;
-                    count_weight_ops t 1
-                  end;
-                  eng.cached_w.(oe))
-            else begin
-              let weights = ip_weights t eng ~length in
-              Mst.prim t.overlay_graph ~length:(fun oe -> weights.(oe))
-            end
-          in
-          Array.blit mst.Mst.edges 0 t.tree_buf 0 nt;
-          let pairs = Array.map (fun id -> t.pair_of_oedge.(id)) mst.Mst.edges in
-          let tree_routes =
-            Array.map (fun id -> eng.oroutes.(id)) mst.Mst.edges
-          in
-          build_tree t ~pairs ~routes:tree_routes
-        end
-      in
+      if lazy_bounds then begin
+        let refreshed =
+          Flat.Prim.lazy_routes_into t.prim_ws t.ocsr ~w:eng.cached_w
+            ~dirty:eng.dirty ~routes:eng.froutes ~lens:eng.lens
+            ~edges:t.tree_buf
+        in
+        if refreshed > 0 then count_weight_ops t refreshed
+      end
+      else
+        Flat.Prim.into t.prim_ws t.ocsr ~w:(ip_weights t eng ~length)
+          ~edges:t.tree_buf;
+      let tree = ip_tree t eng in
       if eng.incremental then begin
         (match eng.prev_tree with
         | Some prev when prev == tree ->
@@ -738,7 +639,7 @@ let min_spanning_tree t ~length =
           ()
         | _ ->
           Array.fill eng.in_prev_mst 0 (Array.length eng.in_prev_mst) false;
-          for i = 0 to nt - 1 do
+          for i = 0 to Array.length t.tree_buf - 1 do
             eng.in_prev_mst.(t.tree_buf.(i)) <- true
           done;
           eng.prev_tree <- Some tree);
@@ -768,9 +669,14 @@ let min_spanning_tree t ~length =
     Obs.Sink.emit t.sink Obs.Mst_recompute ~session:t.session.Session.id
       ~a:(float_of_int (Array.length weights))
       ~b:0.0;
-    mst_from_weights_and_routes t weights (fun id ->
-        let a, b = t.pair_of_oedge.(id) in
-        Dynamic_routing.route snapshot ms.(a) ms.(b))
+    Flat.Prim.into t.prim_ws t.ocsr ~w:weights ~edges:t.tree_buf;
+    let pairs = Array.map (fun id -> t.pair_of_oedge.(id)) t.tree_buf in
+    let routes =
+      Array.map
+        (fun (a, b) -> Dynamic_routing.route snapshot ms.(a) ms.(b))
+        pairs
+    in
+    build_tree t ~pairs ~routes
 
 let tree_of_pairs t ~pairs ~length =
   let ms = members t in
@@ -805,7 +711,3 @@ let total_mst_operations ts =
   Array.fold_left (fun acc t -> acc + t.ops) 0 ts
 
 let weight_operations t = t.weight_ops
-let reset_weight_operations t = t.weight_ops <- 0
-
-let total_weight_operations ts =
-  Array.fold_left (fun acc t -> acc + t.weight_ops) 0 ts

@@ -18,11 +18,15 @@
     edge weights [sum_e n_e * d_e] by re-walking every fixed route.  The
     engine keeps a per-overlay-edge weight cache plus an inverted
     edge->route incidence index ({!Incidence}); solvers activate it with
-    {!begin_incremental} and then announce every length change through
-    {!notify_length_update} (or {!notify_rescale} after a global
-    renormalization), so an MST call only re-walks the routes actually
-    invalidated.  Refreshes use [Route.weight]'s fold, so cached weights
-    stay bit-identical to a from-scratch recomputation.  The monotone
+    {!begin_incremental}, binding their dual-length array, and then
+    announce every length change through {!notify_length_update} (or
+    {!notify_rescale} after a global renormalization), so an MST call
+    only re-walks the routes actually invalidated, and a lazy Prim
+    re-walks only those whose stale weight is still competitive.
+    Refreshes sum the same edges in the same order as [Route.weight]'s
+    fold, so cached weights stay bit-identical to a from-scratch
+    recomputation.  With the engine off, every MST call folds the
+    [length] closure over every route and runs an eager Prim.  The monotone
     skip of {!notify_length_increase} keeps a tree of minimum weight but
     not always the one a fresh Prim would pick among equal-weight trees.
     A debug cross-check mode
@@ -121,41 +125,11 @@ val set_par : t -> Par.t -> unit
 (** [clear_par t] resets the pool to [Par.serial]. *)
 val clear_par : t -> unit
 
-(** {2 Flat kernel controls}
-
-    The overlay evaluates its hot path — weight refresh, Prim, tree
-    construction — on the cache-flat kernel ({!Flat}) by default.  The
-    flat paths are bit-identical to the record paths (same trajectories,
-    same tie-breaks); [set_flat t false] re-engages the historical
-    record engine, kept as the equivalence reference for property tests
-    and benchmarks. *)
-
-(** [set_flat t enabled] toggles the flat kernel (default [true]).
-    Disabling it also unbinds any bound length array. *)
-val set_flat : t -> bool -> unit
-
-(** [flat_enabled t] reports the current engine choice. *)
-val flat_enabled : t -> bool
-
-(** [bind_lengths t lens] declares that, until {!unbind_lengths}, every
-    [length] function passed to {!min_spanning_tree} satisfies
-    [length id = lens.(id)] for the physical edge ids of [t]'s graph.
-    The weight refresh then reads [lens] directly (one flat array walk
-    per route, bit-identical to the [Route.weight] fold) instead of
-    calling the closure per edge traversal.  No-op in [Arbitrary] mode
-    or when the flat kernel is off.  The cross-check debug flag
-    ([OVERLAY_CROSS_CHECK]) re-derives weights through the closure and
-    fails loudly if the promise is broken. *)
-val bind_lengths : t -> float array -> unit
-
-(** [unbind_lengths t] reverts {!bind_lengths}. *)
-val unbind_lengths : t -> unit
-
 (** [min_spanning_tree t ~length] computes the minimum overlay spanning
     tree under the physical edge length function, as an overlay tree
     with realized routes.  Each call counts as one MST operation.  With
-    the incremental engine active, only overlay edges invalidated since
-    the previous call are re-weighed. *)
+    the incremental engine on, only overlay edges invalidated since the
+    previous call are re-weighed, and only when Prim reaches them. *)
 val min_spanning_tree : t -> length:(int -> float) -> Otree.t
 
 (** [tree_of_pairs t ~pairs ~length] realizes an arbitrary overlay
@@ -166,21 +140,24 @@ val tree_of_pairs : t -> pairs:(int * int) array -> length:(int -> float) -> Otr
 
 (** {2 Incremental engine control} *)
 
-(** [begin_incremental t] activates the weight cache: from now until
-    {!end_incremental}, the caller promises to announce every change to
-    the length function it passes to {!min_spanning_tree} via
-    {!notify_length_update} / {!notify_rescale}.  All cached weights are
-    invalidated on activation, so any previous length state is
-    forgotten.  No-op in [Arbitrary] mode. *)
-val begin_incremental : t -> unit
+(** [begin_incremental t lens] turns the engine on and binds [lens]:
+    from now until {!end_incremental}, the caller promises that every
+    [length] function it passes to {!min_spanning_tree} satisfies
+    [length id = lens.(id)] for the physical edge ids of [t]'s graph,
+    and that it announces every change to [lens] via
+    {!notify_length_update} / {!notify_rescale}.  The weight refresh
+    reads [lens] directly (one flat array walk per route, bit-identical
+    to the [Route.weight] fold).  All cached weights are invalidated on
+    activation, so any previous length state is forgotten.  The
+    cross-check debug flag ([OVERLAY_CROSS_CHECK]) re-derives weights
+    through the closure and fails loudly if either promise is broken.
+    No-op in [Arbitrary] mode. *)
+val begin_incremental : t -> float array -> unit
 
-(** [end_incremental t] deactivates the engine; subsequent MST calls
-    recompute every overlay edge weight from scratch (the pre-engine
-    behaviour). *)
+(** [end_incremental t] turns the engine off and unbinds the length
+    array; subsequent MST calls recompute every overlay edge weight
+    from the [length] closure. *)
 val end_incremental : t -> unit
-
-(** [incremental_active t] reports whether the engine is on. *)
-val incremental_active : t -> bool
 
 (** [notify_length_update t edge] marks the overlay edges whose fixed
     route traverses physical [edge] as stale — O(incident overlay
@@ -263,11 +240,5 @@ val total_mst_operations : t array -> int
 
 (** [weight_operations t] counts per-overlay-edge weight computations
     (one full route re-walk, or one snapshot distance read in
-    [Arbitrary] mode) — the unit the incremental engine reduces.
-    [reset_weight_operations] clears it. *)
+    [Arbitrary] mode) — the unit the incremental engine reduces. *)
 val weight_operations : t -> int
-
-val reset_weight_operations : t -> unit
-
-(** [total_weight_operations ts] sums the counters. *)
-val total_weight_operations : t array -> int

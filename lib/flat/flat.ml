@@ -88,11 +88,14 @@ module Inc = struct
 end
 
 module Prim = struct
-  (* Same registry counters as Mst so flat/record engines stay
-     comparable in traces and benchmarks (Counter.make is idempotent
-     by name). *)
-  let c_prim = Obs.Counter.make "graph.prim_runs"
-  let c_prim_lazy = Obs.Counter.make "graph.prim_lazy_runs"
+  (* [graph.prim_runs] is shared with [Mst.prim] (Counter.make is
+     idempotent by name); each module gives the doc it registers. *)
+  let c_prim = Obs.Counter.make ~doc:"eager Prim MST runs" "graph.prim_runs"
+
+  let c_prim_lazy =
+    Obs.Counter.make
+      ~doc:"lazy-bound Prim MST runs (stale lower bounds consulted)"
+      "graph.prim_lazy_runs"
 
   (* The indexed heap is embedded here rather than taken from
      [Indexed_heap]: without flambda nothing inlines across module
@@ -261,58 +264,12 @@ module Prim = struct
       if !picked <> n then failwith "Mst.prim: graph is disconnected"
     end
 
-  let lazy_into ws csr ~w ~dirty ~refresh ~edges =
-    Obs.Counter.incr c_prim_lazy;
-    let n = csr.Csr.n in
-    if n > 0 then begin
-      reset ws n;
-      let off = csr.Csr.off and dst = csr.Csr.dst and eid = csr.Csr.eid in
-      let best_edge = ws.best_edge in
-      let prios = ws.prios and slots = ws.slots in
-      let picked = ref 0 in
-      let n_edges = ref 0 in
-      insert ws 0 0.0;
-      while ws.size > 0 do
-        let v = Array.unsafe_get ws.keys 0 in
-        remove_min ws;
-        incr picked;
-        let be = Array.unsafe_get best_edge v in
-        if be >= 0 then begin
-          edges.(!n_edges) <- be;
-          incr n_edges
-        end;
-        for i = Array.unsafe_get off v to Array.unsafe_get off (v + 1) - 1 do
-          let u = Array.unsafe_get dst i in
-          let s = Array.unsafe_get slots u in
-          if s <> popped then begin
-            let id = Array.unsafe_get eid i in
-            (* stale w.(id) is a lower bound; a bound that already
-               loses implies the exact length loses too *)
-            let promising = s < 0 || w.(id) < Array.unsafe_get prios s in
-            if promising then begin
-              if dirty.(id) then refresh id;
-              let len = w.(id) in
-              if len < 0.0 then
-                invalid_arg "Mst.prim_lazy: negative edge length";
-              (* [refresh] never touches the heap, so [s] is current *)
-              if s < 0 then begin
-                insert ws u len;
-                Array.unsafe_set best_edge u id
-              end
-              else if len < Array.unsafe_get prios s then begin
-                Array.unsafe_set prios s len;
-                sift_up ws s;
-                Array.unsafe_set best_edge u id
-              end
-            end
-          end
-        done
-      done;
-      if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected"
-    end
-
-  (* [lazy_into]'s loop with the refresh written out, so no closure is
-     called per promising edge *)
+  (* [into] with stale lower bounds in [w].  A relaxation first tests
+     the stale bound against the current key: a bound that already loses
+     implies the exact length loses too, so it is skipped, and an edge
+     is refreshed in place only when its bound is promising.  The
+     refresh never touches the heap, so [s] stays current, and the
+     decisions are [into]'s on the exact lengths. *)
   let lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges =
     Obs.Counter.incr c_prim_lazy;
     let n = csr.Csr.n in
@@ -348,8 +305,7 @@ module Prim = struct
                 incr refreshed
               end;
               let len = w.(id) in
-              if len < 0.0 then
-                invalid_arg "Mst.prim_lazy: negative edge length";
+              if len < 0.0 then invalid_arg "Mst.prim: negative edge length";
               if s < 0 then begin
                 insert ws u len;
                 Array.unsafe_set best_edge u id
@@ -363,7 +319,7 @@ module Prim = struct
           end
         done
       done;
-      if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
+      if !picked <> n then failwith "Mst.prim: graph is disconnected";
       !refreshed
     end
 end

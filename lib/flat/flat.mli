@@ -20,23 +20,24 @@
       {!Route.weight}.
     - [Inc] replays {!Incidence.iter_incident} order (ascending overlay
       edge id).
-    - [Prim.into] / [Prim.lazy_into] replay {!Mst.prim} /
-      {!Mst.prim_lazy} decision-for-decision, including the negative
-      length check and disconnection failure, and bump the same
-      [graph.prim_runs] / [graph.prim_lazy_runs] counters.
+    - [Prim.into] replays {!Mst.prim} decision-for-decision, including
+      the negative length check and disconnection failure, and bumps
+      the same [graph.prim_runs] counter.  [Prim.lazy_routes_into]
+      picks what [Prim.into] picks on the exact lengths, raises the
+      same errors, and counts [graph.prim_lazy_runs].
 
     The overlay engine's cross-check debug flag ([OVERLAY_CROSS_CHECK])
-    re-derives weights through the record path and fails on any
-    divergence, so a broken flat invariant is caught, not absorbed.
+    re-derives every cached weight with {!Route.weight} and fails on
+    any divergence, so a broken flat invariant is caught, not absorbed.
 
     {b Allocation contract.}  Construction ([Csr.of_graph],
     [Routes.of_routes], [Inc.of_incidence], [Prim.ws]) allocates; the
-    per-iteration operations ([Prim.into], [Prim.lazy_into],
-    [Prim.lazy_routes_into]) allocate {e nothing} — no closures, no
+    per-iteration operations ([Prim.into], [Prim.lazy_routes_into])
+    allocate {e nothing} — no closures, no
     boxed floats, no intermediate lists.  [Routes.weight] returns a
     float, which is boxed wherever a call from another module is not
     inlined (always, under [-opaque]).  [bench/main.ml]'s
-    [flat_steady_state_words] gate measures this at < 8 minor words per
+    [steady_state_words] gate measures this at < 8 minor words per
     steady-state solver iteration.
 
     {b Workspace ownership.}  The arrays of a {!Csr.t}, {!Routes.t} or
@@ -111,30 +112,18 @@ module Prim : sig
       length and [Failure] when the graph is disconnected. *)
   val into : ws -> Csr.t -> w:float array -> edges:int array -> unit
 
-  (** [lazy_into ws csr ~w ~dirty ~refresh ~edges] is [into] with stale
-      lower bounds: [w.(id)] may be stale (marked by [dirty.(id)]) as
-      long as stale values are lower bounds on the true lengths.  A
-      relaxation first tests the stale bound against the current key and
-      calls [refresh id] — which must store the exact length into
-      [w.(id)] and clear [dirty.(id)] — only when the bound is
-      promising.  Decision-identical to {!Mst.prim_lazy} with
-      [lower = w] (pre-refresh) and [exact = w] (post-refresh). *)
-  val lazy_into :
-    ws ->
-    Csr.t ->
-    w:float array ->
-    dirty:bool array ->
-    refresh:(int -> unit) ->
-    edges:int array ->
-    unit
-
-  (** [lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges] is
-      [lazy_into] with the refresh done in place: a promising dirty edge
-      [id] gets [w.(id) <- Routes.weight routes id lens] and
-      [dirty.(id) <- false].  Same picks in [edges], same refreshes;
-      returns the number of refreshes.  The
-      overlay engine uses it whenever its lengths are bound, so the Prim
-      loop calls no closure. *)
+  (** [lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges] is [into]
+      with stale lower bounds: [w.(id)] may be stale (marked by
+      [dirty.(id)]) as long as stale values are lower bounds on the
+      exact lengths [Routes.weight routes id lens].  A relaxation first
+      tests the stale bound against the current key, and only a
+      promising dirty edge is refreshed in place ([w.(id) <-
+      Routes.weight routes id lens], [dirty.(id) <- false]); edges whose
+      bound already loses stay dirty.  The picks in [edges] are those of
+      [Mst.prim] on the exact lengths; returns the number of refreshes.
+      Raises like [into] (a negative length is detected only on an edge
+      it reads exactly).  The overlay engine runs it whenever the engine
+      is on and every stale weight stems from an increase. *)
   val lazy_routes_into :
     ws ->
     Csr.t ->

@@ -2,10 +2,6 @@ type result = { edges : int array; weight : float }
 
 let c_prim = Obs.Counter.make ~doc:"eager Prim MST runs" "graph.prim_runs"
 
-let c_prim_lazy =
-  Obs.Counter.make ~doc:"lazy-bound Prim MST runs (stale lower bounds consulted)"
-    "graph.prim_lazy_runs"
-
 let c_kruskal = Obs.Counter.make ~doc:"Kruskal MST runs" "graph.kruskal_runs"
 
 let prim g ~length =
@@ -46,61 +42,6 @@ let prim g ~length =
       end
     done;
     if !picked <> n then failwith "Mst.prim: graph is disconnected";
-    { edges = Array.of_list (List.rev !edges); weight = !weight }
-  end
-
-let prim_lazy g ~lower ~exact =
-  (* Same trajectory as [prim g ~length:exact], but a relaxation first
-     tests the cheap lower bound and demands the exact length only when
-     the bound beats the current key: with [lower id <= exact id], a
-     bound that already loses (lower >= key) implies the exact length
-     loses too, so skipping it cannot change any decision — the result
-     is identical to the eager run, bit for bit. *)
-  Obs.Counter.incr c_prim_lazy;
-  let n = Graph.n_vertices g in
-  if n = 0 then { edges = [||]; weight = 0.0 }
-  else begin
-    let in_tree = Array.make n false in
-    let best_edge = Array.make n (-1) in
-    let heap = Indexed_heap.create n in
-    let edges = ref [] in
-    let weight = ref 0.0 in
-    let picked = ref 0 in
-    Indexed_heap.insert heap 0 0.0;
-    while not (Indexed_heap.is_empty heap) do
-      let v, key = Indexed_heap.pop_min heap in
-      if not in_tree.(v) then begin
-        in_tree.(v) <- true;
-        incr picked;
-        if best_edge.(v) >= 0 then begin
-          edges := best_edge.(v) :: !edges;
-          weight := !weight +. key
-        end;
-        Graph.iter_neighbors g v (fun w id ->
-            if not in_tree.(w) then begin
-              let promising =
-                match Indexed_heap.mem heap w with
-                | false -> true
-                | true -> lower id < Indexed_heap.priority heap w
-              in
-              if promising then begin
-                let len = exact id in
-                if len < 0.0 then
-                  invalid_arg "Mst.prim_lazy: negative edge length";
-                let update =
-                  match Indexed_heap.mem heap w with
-                  | false -> true
-                  | true -> len < Indexed_heap.priority heap w
-                in
-                if update then begin
-                  Indexed_heap.insert_or_decrease heap w len;
-                  best_edge.(w) <- id
-                end
-              end
-            end)
-      end
-    done;
-    if !picked <> n then failwith "Mst.prim_lazy: graph is disconnected";
     { edges = Array.of_list (List.rev !edges); weight = !weight }
   end
 

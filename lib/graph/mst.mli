@@ -1,9 +1,10 @@
 (** Minimum spanning trees.
 
-    Prim with an indexed heap is the hot path — the FPTAS computes one
-    "minimum overlay spanning tree" per iteration on a complete overlay
-    graph. Kruskal is kept as an independent implementation for
-    cross-checking and for sparse graphs. *)
+    Prim with an indexed heap is the reference for the FPTAS hot path:
+    the overlay's flat kernel ([Flat.Prim]) replays it decision for
+    decision, and tree packing calls it directly. Kruskal is kept as an
+    independent implementation for cross-checking and for sparse
+    graphs. *)
 
 (** Result of a spanning-tree computation. [edges] holds the chosen
     edge ids (for Prim, in pick order); [weight] is their total
@@ -15,17 +16,6 @@ type result = { edges : int array; weight : float }
     graph is disconnected. Deterministic: among equal-length candidates
     the earliest-relaxed wins. *)
 val prim : Graph.t -> length:(int -> float) -> result
-
-(** [prim_lazy g ~lower ~exact] is [prim g ~length:exact] computed
-    lazily: a relaxation consults the cheap [lower] bound first and only
-    evaluates [exact id] when the bound beats the current candidate key.
-    Requires [lower id <= exact id] for every edge; under that contract
-    the returned tree is identical (same trajectory, same tie-breaks) to
-    the eager run, while [exact] is never called for edges whose bound
-    already loses.  Negative lengths are detected only on edges whose
-    exact length is demanded. *)
-val prim_lazy :
-  Graph.t -> lower:(int -> float) -> exact:(int -> float) -> result
 
 (** [kruskal g ~length] computes an MST via sorting + union-find;
     O(m log m). Raises [Failure] when disconnected. Ties break on lower

@@ -217,8 +217,10 @@ let solve_case ?(inspect = fun _ _ -> ()) c =
         inspect g r.Refinement.solution;
         Check.certify g r.Refinement.solution)
 
-(* --- flat/record bit-identity ---------------------------------------- *)
+(* --- sparsification soundness ----------------------------------------- *)
 
+(* (tree key, rate) multisets per session, compared with exact float
+   equality *)
 let solution_fingerprint solution =
   let sessions = Solution.sessions solution in
   Array.to_list
@@ -229,44 +231,6 @@ let solution_fingerprint solution =
               (fun (t, r) -> (Otree.key t, r))
               (Solution.trees solution i)))
        sessions)
-
-let flat_equivalence c =
-  let run ~flat =
-    (* fresh instance and overlays per engine: nothing can leak between
-       the two runs *)
-    let g, sessions = instance c in
-    let overlays = Array.map (Overlay.create g c.mode) sessions in
-    with_pool c (fun par ->
-        match c.algo with
-        | Maxflow ->
-          let r = Max_flow.solve ~flat ~par g overlays ~epsilon:c.epsilon in
-          (r.Max_flow.iterations, solution_fingerprint r.Max_flow.solution)
-        | Mcf ->
-          let scaling =
-            if c.instance_seed land 1 = 0 then
-              Max_concurrent_flow.Maxflow_weighted
-            else Max_concurrent_flow.Proportional
-          in
-          let r =
-            Max_concurrent_flow.solve ~flat ~par g overlays ~epsilon:c.epsilon
-              ~scaling
-          in
-          ( r.Max_concurrent_flow.phases,
-            solution_fingerprint r.Max_concurrent_flow.solution )
-        | _ ->
-          invalid_arg "Prop_overlay.flat_equivalence: FPTAS algorithms only")
-  in
-  let iters_flat, fp_flat = run ~flat:true in
-  let iters_record, fp_record = run ~flat:false in
-  if iters_flat <> iters_record then
-    Error
-      (Printf.sprintf "iteration/phase counts diverge: flat %d, record %d"
-         iters_flat iters_record)
-  else if fp_flat <> fp_record then
-    Error "solutions diverge: tree/rate multisets differ between engines"
-  else Ok ()
-
-(* --- sparsification soundness ----------------------------------------- *)
 
 let check_pruned_connected overlays =
   Array.iteri

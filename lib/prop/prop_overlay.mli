@@ -66,15 +66,6 @@ val instance : case -> Graph.t * Session.t array
 val solve_case :
   ?inspect:(Graph.t -> Solution.t -> unit) -> case -> Check.verdict
 
-(** [flat_equivalence c] runs [c.algo] twice on the same instance — the
-    cache-flat kernel ([~flat:true], the default engine) against the
-    historical record engine ([~flat:false]) — and demands bit-identical
-    results: equal iteration/phase counts and equal per-session
-    (tree key, rate) multisets, compared with exact float equality.
-    Only meaningful for the FPTAS solvers; raises [Invalid_argument]
-    for other algorithms. *)
-val flat_equivalence : case -> (unit, string) result
-
 (** [sparsify_sound c ~spec] checks the sparsification contract on the
     case's instance ({!Sparsify}, passed separately so the replay
     grammar of {!case_to_string} is untouched):

@@ -22,9 +22,10 @@
     - {b Increase-only laziness}: when the caller promises lengths only
       grew ([Overlay.notify_length_increase]), a stale cached weight is
       a {e lower bound} on the true weight.  The engine then skips Prim
-      entirely while no tree edge is stale (cycle property), and
-      [Mst.prim_lazy] re-walks a route only when its stale bound beats
-      the current candidate key — decisions identical to the eager run.
+      entirely while no tree edge is stale (cycle property), and the
+      lazy Prim ([Flat.Prim.lazy_routes_into]) re-walks a route only
+      when its stale bound beats the current candidate key — decisions
+      identical to the eager run.
       A missed incidence entry would silently break both; the
       [overlay.cross_check] debug flag exists to catch that. *)
 

@@ -251,41 +251,11 @@ let property_for algo () =
         [ Overlay.Ip; Overlay.Arbitrary ])
     Prop_overlay.all_families
 
-(* flat-vs-record bit-identity: same matrix shape as [property_for],
-   restricted to the two FPTAS solvers, with a disjoint seed stream
-   (offset 2000 vs the certification sweep's 1000). *)
-let flat_property_for algo () =
-  let combo = ref 0 in
-  List.iter
-    (fun family ->
-      List.iter
-        (fun mode ->
-          List.iter
-            (fun jobs ->
-              incr combo;
-              let seed = Prop.case_seed ~seed:master_seed (2000 + !combo) in
-              Prop.check
-                ~name:
-                  (Printf.sprintf "flat-identity %s/%s/%s/j%d"
-                     (Prop_overlay.algorithm_name algo)
-                     (Prop_overlay.family_name family)
-                     (match mode with
-                     | Overlay.Ip -> "ip"
-                     | Overlay.Arbitrary -> "arbitrary")
-                     jobs)
-                ~count:cases_per_combo ~seed
-                ~gen:(Prop_overlay.gen ~algo ~family ~mode ~jobs)
-                ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
-                Prop_overlay.flat_equivalence)
-            [ 1; 2 ])
-        [ Overlay.Ip; Overlay.Arbitrary ])
-    Prop_overlay.all_families
-
 (* sparsification soundness: strategy x topology family x routing mode,
-   seed stream offset 3000 (disjoint from the certification sweep's 1000
-   and the flat-identity block's 2000).  Specs are swept alongside the
-   generated cases rather than encoded in them, keeping the
-   OVERLAY_PROP_CASE replay grammar untouched. *)
+   seed stream offset 3000 (disjoint from the certification sweep's
+   1000).  Specs are swept alongside the generated cases rather than
+   encoded in them, keeping the OVERLAY_PROP_CASE replay grammar
+   untouched. *)
 let sparsify_specs =
   [
     Sparsify.full;
@@ -323,8 +293,8 @@ let sparsify_property_for algo () =
     sparsify_specs
 
 (* warm-engine consistency: topology family x routing mode per FPTAS
-   solver, seed stream offset 4000 (disjoint from the 1000/2000/3000
-   blocks above).  Each case drives the re-solve engine through a
+   solver, seed stream offset 4000 (disjoint from the 1000/3000 blocks
+   above).  Each case drives the re-solve engine through a
    deterministic churn sequence and demands every accepted state be
    certified and the final objective sit inside the FPTAS guarantee
    band of a from-scratch batch solve. *)
@@ -772,15 +742,6 @@ let suite =
           `Slow (property_for algo))
       Prop_overlay.all_algorithms
   in
-  let flat_tests =
-    List.map
-      (fun algo ->
-        Alcotest.test_case
-          (Printf.sprintf "property: flat kernel bit-identical for %s"
-             (Prop_overlay.algorithm_name algo))
-          `Slow (flat_property_for algo))
-      [ Prop_overlay.Maxflow; Prop_overlay.Mcf ]
-  in
   let sparsify_tests =
     List.map
       (fun algo ->
@@ -807,7 +768,7 @@ let suite =
         wire_mutation_property;
     ]
   in
-  prop_tests @ flat_tests @ sparsify_tests @ warm_tests @ wire_tests
+  prop_tests @ sparsify_tests @ warm_tests @ wire_tests
   @ [
       Alcotest.test_case "OVERLAY_PROP_CASE replay hook" `Quick
         test_replay_case;

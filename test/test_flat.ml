@@ -1,11 +1,10 @@
 (* The cache-flat kernel's equivalence contract, tested structure by
    structure: CSR adjacency replays Graph.iter_neighbors order, flat
    route weights match Route.weight bit for bit, the flat incidence
-   index replays Incidence.iter_incident, and the array-backed Prim
-   variants reproduce Mst.prim / Mst.prim_lazy decision-for-decision.
-   On top, an overlay-level lockstep run (flat engine vs record engine
-   under the same dual-update schedule) and sanity checks for the
-   Solution fast path and the Obs.Alloc measurement helper. *)
+   index replays Incidence.iter_incident, and both array-backed Prim
+   loops pick what Mst.prim picks on the exact lengths.  On top, sanity
+   checks for the Solution fast path, the overlay's tree-build counter
+   and the Obs.Alloc measurement helper. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -118,72 +117,72 @@ let test_prim_into_matches () =
     checkb "prim edges (reused ws)" true (edges = edges2)
   done
 
+(* Both kernels raise [Mst.prim]'s messages, and both registry
+   counters they bump carry a doc (the Prometheus # HELP line). *)
 let test_prim_into_errors () =
+  let expect_failure what msg f =
+    match f () with
+    | exception Failure m -> checks (what ^ ": disconnection message") msg m
+    | () -> Alcotest.failf "%s: disconnected graph accepted" what
+  in
+  let expect_invalid what msg f =
+    match f () with
+    | exception Invalid_argument m ->
+      checks (what ^ ": negative-length message") msg m
+    | () -> Alcotest.failf "%s: negative length accepted" what
+  in
   let g = Graph.create ~n:4 in
   ignore (Graph.add_edge g 0 1 ~capacity:1.0);
   ignore (Graph.add_edge g 2 3 ~capacity:1.0);
   let csr = Flat.Csr.of_graph g in
   let ws = Flat.Prim.ws ~n:4 in
   let edges = Array.make 3 (-1) in
-  (match Flat.Prim.into ws csr ~w:[| 1.0; 1.0 |] ~edges with
-  | exception Failure msg ->
-    checks "disconnection message" "Mst.prim: graph is disconnected" msg
-  | () -> Alcotest.fail "disconnected graph accepted");
+  expect_failure "into" "Mst.prim: graph is disconnected" (fun () ->
+      Flat.Prim.into ws csr ~w:[| 1.0; 1.0 |] ~edges);
+  (* one single-edge route per edge of [g] *)
+  let routes g =
+    Flat.Routes.of_routes
+      (Array.init (Graph.n_edges g) (fun id -> Route.make ~src:0 ~dst:1 [| id |]))
+  in
+  expect_failure "lazy_routes_into" "Mst.prim: graph is disconnected"
+    (fun () ->
+      ignore
+        (Flat.Prim.lazy_routes_into ws csr ~w:[| 0.0; 0.0 |]
+           ~dirty:[| true; true |] ~routes:(routes g) ~lens:[| 1.0; 1.0 |]
+           ~edges));
   let g2 = random_graph (Rng.create 7) ~n:5 ~extra:3 in
+  let m2 = Graph.n_edges g2 in
   let csr2 = Flat.Csr.of_graph g2 in
   let ws2 = Flat.Prim.ws ~n:5 in
-  let w = Array.make (Graph.n_edges g2) 1.0 in
+  let w = Array.make m2 1.0 in
   w.(0) <- -1.0;
-  match Flat.Prim.into ws2 csr2 ~w ~edges:(Array.make 4 (-1)) with
-  | exception Invalid_argument msg ->
-    checks "negative-length message" "Mst.prim: negative edge length" msg
-  | () -> Alcotest.fail "negative length accepted"
+  expect_invalid "into" "Mst.prim: negative edge length" (fun () ->
+      Flat.Prim.into ws2 csr2 ~w ~edges:(Array.make 4 (-1)));
+  (* a stale bound of -inf is promising wherever it is relaxed, so the
+     exact negative length is read *)
+  let lens = Array.make m2 1.0 in
+  lens.(0) <- -1.0;
+  expect_invalid "lazy_routes_into" "Mst.prim: negative edge length"
+    (fun () ->
+      ignore
+        (Flat.Prim.lazy_routes_into ws2 csr2
+           ~w:(Array.make m2 neg_infinity) ~dirty:(Array.make m2 true)
+           ~routes:(routes g2) ~lens ~edges:(Array.make 4 (-1))));
+  List.iter
+    (fun name ->
+      match
+        List.find_opt (fun (n, _, _) -> n = name) (Obs.Registry.counters ())
+      with
+      | Some (_, doc, _) ->
+        checkb (Printf.sprintf "%s has a registry doc" name) true (doc <> "")
+      | None -> Alcotest.failf "%s is not registered" name)
+    [ "graph.prim_runs"; "graph.prim_lazy_runs" ]
 
-(* Lazy Prim, mirrored against Mst.prim_lazy driven the way the overlay
-   engine drives it: a cache array holding stale lower bounds on dirty
-   edges, refreshed to the exact value on demand. *)
-let test_prim_lazy_matches () =
-  for seed = 1 to 20 do
-    let rng = Rng.create (400 + seed) in
-    let n = 4 + Rng.int rng 30 in
-    let g = random_graph rng ~n ~extra:(Rng.int rng (3 * n)) in
-    let m = Graph.n_edges g in
-    let exact = random_lengths rng m in
-    (* dirty edges carry a stale value that is a strict lower bound *)
-    let dirty = Array.init m (fun _ -> Rng.int rng 3 = 0) in
-    let stale i = if dirty.(i) then exact.(i) /. (1.5 +. Rng.float rng 2.0)
-      else exact.(i)
-    in
-    let cache_legacy = Array.init m stale in
-    let cache_flat = Array.copy cache_legacy in
-    let dirty_flat = Array.copy dirty in
-    let legacy_refreshes = ref 0 and flat_refreshes = ref 0 in
-    let mst =
-      Mst.prim_lazy g
-        ~lower:(fun id -> cache_legacy.(id))
-        ~exact:(fun id ->
-          if cache_legacy.(id) <> exact.(id) then incr legacy_refreshes;
-          cache_legacy.(id) <- exact.(id);
-          exact.(id))
-    in
-    let csr = Flat.Csr.of_graph g in
-    let ws = Flat.Prim.ws ~n in
-    let edges = Array.make (n - 1) (-1) in
-    Flat.Prim.lazy_into ws csr ~w:cache_flat ~dirty:dirty_flat
-      ~refresh:(fun id ->
-        incr flat_refreshes;
-        cache_flat.(id) <- exact.(id);
-        dirty_flat.(id) <- false)
-      ~edges;
-    checkb "lazy edge picks" true (mst.Mst.edges = edges);
-    (* laziness is real: clean instances refresh nothing *)
-    if not (Array.exists Fun.id dirty) then
-      checki "no refresh on clean cache" 0 !flat_refreshes
-  done
-
-(* The in-place refresh of [lazy_routes_into] against [lazy_into] with
-   the equivalent closure: same picks, same refreshed cache and dirty
-   flags, and a refresh count equal to the closure's call count. *)
+(* The lazy kernel against [Mst.prim] on the exact lengths: dirty edges
+   carry a stale lower bound, and the kernel must pick exactly the
+   eager trajectory, store exact bits on every edge it refreshed, leave
+   every other dirty edge stale, and count one refresh per flag it
+   cleared. *)
 let test_prim_lazy_routes_matches () =
   for seed = 1 to 20 do
     let rng = Rng.create (500 + seed) in
@@ -194,42 +193,42 @@ let test_prim_lazy_routes_matches () =
     let physical = random_graph rng ~n:12 ~extra:20 in
     let routes = Flat.Routes.of_routes (random_routes rng physical ~count:m) in
     let lens = random_lengths rng (Graph.n_edges physical) in
+    let exact = Array.init m (fun id -> Flat.Routes.weight routes id lens) in
     let dirty = Array.init m (fun _ -> Rng.int rng 3 = 0) in
-    let cache =
+    let w =
       Array.init m (fun id ->
-          let exact = Flat.Routes.weight routes id lens in
-          if dirty.(id) then exact /. (1.5 +. Rng.float rng 2.0) else exact)
+          if dirty.(id) then exact.(id) /. (1.5 +. Rng.float rng 2.0)
+          else exact.(id))
     in
+    let stale = Array.copy w and was_dirty = Array.copy dirty in
     let csr = Flat.Csr.of_graph g in
     let ws = Flat.Prim.ws ~n in
-    let w_closure = Array.copy cache and dirty_closure = Array.copy dirty in
-    let calls = ref 0 in
-    let edges_closure = Array.make (n - 1) (-1) in
-    Flat.Prim.lazy_into ws csr ~w:w_closure ~dirty:dirty_closure
-      ~refresh:(fun id ->
-        incr calls;
-        w_closure.(id) <- Flat.Routes.weight routes id lens;
-        dirty_closure.(id) <- false)
-      ~edges:edges_closure;
-    let w_inline = Array.copy cache and dirty_inline = Array.copy dirty in
-    let edges_inline = Array.make (n - 1) (-1) in
+    let edges = Array.make (n - 1) (-1) in
     let refreshed =
-      Flat.Prim.lazy_routes_into ws csr ~w:w_inline ~dirty:dirty_inline
-        ~routes ~lens ~edges:edges_inline
+      Flat.Prim.lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges
     in
-    checkb "edge picks (in order)" true (edges_closure = edges_inline);
+    let mst = Mst.prim g ~length:(fun id -> exact.(id)) in
+    checkb "edge picks = Mst.prim on exact lengths" true (mst.Mst.edges = edges);
     let same_bits a b =
       Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
     in
-    checkb "refreshed cache (bits)" true
-      (Array.for_all2 same_bits w_closure w_inline);
-    checkb "dirty flags" true (dirty_closure = dirty_inline);
-    checki "refresh count" !calls refreshed
+    let cleared = ref 0 in
+    for id = 0 to m - 1 do
+      if was_dirty.(id) && not dirty.(id) then begin
+        incr cleared;
+        checkb "refreshed edge holds exact bits" true (same_bits exact.(id) w.(id))
+      end
+      else checkb "untouched edge keeps its value" true (same_bits stale.(id) w.(id))
+    done;
+    checki "refresh count = cleared flags" !cleared refreshed;
+    (* laziness is real: a clean cache refreshes nothing *)
+    if not (Array.exists Fun.id was_dirty) then
+      checki "no refresh on clean cache" 0 refreshed
   done
 
-(* --- overlay engine lockstep: flat vs record --------------------------- *)
+(* --- overlay instances ---------------------------------------------------- *)
 
-let lockstep_instance seed =
+let overlay_instance seed =
   let rng = Rng.create seed in
   let topo = Waxman.generate rng { Waxman.default_params with Waxman.n = 30 } in
   let g = topo.Topology.graph in
@@ -239,69 +238,10 @@ let lockstep_instance seed =
   in
   (rng, g, session)
 
-(* Drive the same FPTAS-shaped dual-update schedule (multiplicative
-   increases along the winning tree, periodic renormalization) through a
-   flat-engine overlay and a record-engine overlay, demanding the exact
-   same tree at every step. *)
-let run_lockstep mode seed =
-  let rng, g, session = lockstep_instance seed in
-  let flat = Overlay.create g mode session in
-  let legacy = Overlay.create g mode session in
-  Overlay.set_flat legacy false;
-  checkb "flat engine on by default" true (Overlay.flat_enabled flat);
-  checkb "record engine off after set_flat" false (Overlay.flat_enabled legacy);
-  let m = Graph.n_edges g in
-  let lens = Array.make m 1.0 in
-  let length id = lens.(id) in
-  Overlay.begin_incremental flat;
-  Overlay.begin_incremental legacy;
-  Overlay.bind_lengths flat lens;
-  let notify = Overlay.notify_index [| flat; legacy |] in
-  Fun.protect
-    ~finally:(fun () ->
-      Overlay.unbind_lengths flat;
-      Overlay.end_incremental flat;
-      Overlay.end_incremental legacy)
-    (fun () ->
-      for step = 1 to 60 do
-        let tf = Overlay.min_spanning_tree flat ~length in
-        let tl = Overlay.min_spanning_tree legacy ~length in
-        checks
-          (Printf.sprintf "identical tree at step %d (seed %d)" step seed)
-          (Otree.key tl) (Otree.key tf);
-        (* bump duals along the winning tree, as the solvers do *)
-        let usage = tf.Otree.usage in
-        Array.iter
-          (fun (id, c) ->
-            lens.(id) <- lens.(id) *. (1.0 +. (0.1 *. float_of_int c)))
-          usage;
-        Overlay.notify_usage notify usage;
-        (* occasional rescale, plus an off-tree bump through the
-           single-edge notification *)
-        if step mod 13 = 0 then begin
-          for e = 0 to m - 1 do
-            lens.(e) <- lens.(e) *. 0.0625
-          done;
-          Overlay.notify_rescale flat;
-          Overlay.notify_rescale legacy
-        end
-        else if step mod 5 = 0 then begin
-          let e = Rng.int rng m in
-          lens.(e) <- lens.(e) *. 1.25;
-          Overlay.notify_length_increase flat e;
-          Overlay.notify_length_increase legacy e
-        end
-      done)
-
-let test_lockstep_ip () = List.iter (run_lockstep Overlay.Ip) [ 3; 14; 27 ]
-
-let test_lockstep_arbitrary () =
-  List.iter (run_lockstep Overlay.Arbitrary) [ 3; 14 ]
-
 (* --- Solution fast path ------------------------------------------------ *)
 
 let test_solution_repeat_tree_accumulates () =
-  let _, g, session = lockstep_instance 5 in
+  let _, g, session = overlay_instance 5 in
   let overlay = Overlay.create g Overlay.Ip session in
   let tree = Overlay.min_spanning_tree overlay ~length:(fun _ -> 1.0) in
   let sol = Solution.create [| session |] in
@@ -323,9 +263,9 @@ let test_solution_repeat_tree_accumulates () =
 
 (* --- overlay.tree_builds ------------------------------------------------ *)
 
-(* One count per [Otree.t] the overlay constructs: the flat IP path
-   counts its memo misses only, the record, arbitrary and
-   [tree_of_pairs] paths every tree they build. *)
+(* One count per [Otree.t] the overlay constructs: the IP path counts
+   its memo misses only, the arbitrary and [tree_of_pairs] paths every
+   tree they build. *)
 let test_tree_builds_counter () =
   let c = Obs.Counter.make "overlay.tree_builds" in
   let builds f =
@@ -333,22 +273,18 @@ let test_tree_builds_counter () =
     f ();
     Obs.Counter.value c - before
   in
-  let _, g, session = lockstep_instance 7 in
+  let _, g, session = overlay_instance 7 in
   let length _ = 1.0 in
   let mst o () = ignore (Overlay.min_spanning_tree o ~length) in
-  let flat = Overlay.create g Overlay.Ip session in
-  checki "flat ip: first tree is a memo miss" 1 (builds (mst flat));
-  checki "flat ip: the same tree again is a memo hit" 0 (builds (mst flat));
-  let record = Overlay.create g Overlay.Ip session in
-  Overlay.set_flat record false;
-  checki "record ip: one build per call" 2
-    (builds (fun () -> mst record (); mst record ()));
+  let ip = Overlay.create g Overlay.Ip session in
+  checki "ip: first tree is a memo miss" 1 (builds (mst ip));
+  checki "ip: the same tree again is a memo hit" 0 (builds (mst ip));
   let arbitrary = Overlay.create g Overlay.Arbitrary session in
   checki "arbitrary: one build per call" 2
     (builds (fun () -> mst arbitrary (); mst arbitrary ()));
-  let pairs = (Overlay.min_spanning_tree flat ~length).Otree.pairs in
+  let pairs = (Overlay.min_spanning_tree ip ~length).Otree.pairs in
   checki "tree_of_pairs: one build" 1
-    (builds (fun () -> ignore (Overlay.tree_of_pairs flat ~pairs ~length)))
+    (builds (fun () -> ignore (Overlay.tree_of_pairs ip ~pairs ~length)))
 
 (* --- Obs.Alloc --------------------------------------------------------- *)
 
@@ -384,14 +320,8 @@ let suite =
       test_prim_into_matches;
     Alcotest.test_case "Prim.into keeps Mst's error contract" `Quick
       test_prim_into_errors;
-    Alcotest.test_case "Prim.lazy_into = Mst.prim_lazy" `Quick
-      test_prim_lazy_matches;
-    Alcotest.test_case "Prim.lazy_routes_into = lazy_into + Routes.weight"
-      `Quick test_prim_lazy_routes_matches;
-    Alcotest.test_case "overlay lockstep flat vs record (ip)" `Quick
-      test_lockstep_ip;
-    Alcotest.test_case "overlay lockstep flat vs record (arbitrary)" `Quick
-      test_lockstep_arbitrary;
+    Alcotest.test_case "Prim.lazy_routes_into = lazy-bound Mst.prim" `Quick
+      test_prim_lazy_routes_matches;
     Alcotest.test_case "solution accumulates repeated trees" `Quick
       test_solution_repeat_tree_accumulates;
     Alcotest.test_case "overlay.tree_builds counts constructed trees" `Quick

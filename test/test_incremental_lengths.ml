@@ -1,8 +1,9 @@
 (* Property tests for the incremental overlay-length engine: after N
    random multiplicative length updates plus renormalizations pushed
-   through [Overlay.notify_length_update] / [notify_rescale], the cached
-   overlay weights and the chosen MST must match a from-scratch
-   [Route.weight] recomputation — in both Ip and Arbitrary modes. *)
+   through [Overlay.notify_length_update] / [notify_usage] /
+   [notify_rescale], the cached overlay weights and the chosen MST must
+   match a from-scratch [Route.weight] recomputation (an overlay with
+   the engine off) — in both Ip and Arbitrary modes. *)
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -45,15 +46,22 @@ let scratch_tree_weight tree ~length =
    weights stale).  [monotone] announces updates through
    [notify_length_increase] (all growths here are >= 1), exercising the
    skip; otherwise the generic [notify_length_update] path — and, with
-   [decreases], update factors that may shrink a length — is tested. *)
-let run_ip_schedule ~cross_check ~monotone ?(decreases = false) seed =
+   [decreases], update factors that may shrink a length — is tested.
+   [usage] first bumps the duals along the last winning tree, as the
+   solvers do, announced by [notify_usage] on one index over both
+   overlays: the scratch overlay's engine is off, so the marks it gets
+   must change nothing. *)
+let run_ip_schedule ~cross_check ~monotone ?(decreases = false)
+    ?(usage = false) seed =
   let rng, g, session = instance seed in
   let inc = Overlay.create g Overlay.Ip session in
   let scr = Overlay.create g Overlay.Ip session in
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
   let length id = lens.(id) in
-  Overlay.begin_incremental inc;
+  Overlay.begin_incremental inc lens;
+  let notify = Overlay.notify_index [| inc; scr |] in
+  let winner = ref [||] in
   let was_cross_check = Overlay.cross_check_enabled () in
   Overlay.set_cross_check cross_check;
   Fun.protect
@@ -62,6 +70,13 @@ let run_ip_schedule ~cross_check ~monotone ?(decreases = false) seed =
       Overlay.end_incremental inc)
     (fun () ->
       for step = 1 to 40 do
+        if usage then begin
+          Array.iter
+            (fun (e, c) ->
+              lens.(e) <- lens.(e) *. (1.0 +. (0.1 *. float_of_int c)))
+            !winner;
+          Overlay.notify_usage notify !winner
+        end;
         (* a handful of multiplicative updates, like one FPTAS iteration *)
         let touched = 1 + Rng.int rng 6 in
         for _ = 1 to touched do
@@ -85,6 +100,7 @@ let run_ip_schedule ~cross_check ~monotone ?(decreases = false) seed =
            a fresh Route.weight inside this call; it raises on mismatch *)
         let t_inc = Overlay.min_spanning_tree inc ~length in
         let t_scr = Overlay.min_spanning_tree scr ~length in
+        winner := t_inc.Otree.usage;
         checks
           (Printf.sprintf "seed %d step %d: same tree" seed step)
           (Otree.key t_scr) (Otree.key t_inc);
@@ -117,6 +133,11 @@ let test_ip_decreasing_updates_match_scratch () =
   List.iter
     (run_ip_schedule ~cross_check:false ~monotone:false ~decreases:true)
     [ 1; 2; 3 ]
+
+let test_ip_notify_usage_matches_scratch () =
+  List.iter
+    (run_ip_schedule ~cross_check:false ~monotone:true ~usage:true)
+    [ 3; 14; 27 ]
 
 (* Arbitrary mode has no weight cache, but shares the reusable Dijkstra
    workspace path: repeated snapshots must keep producing the same trees
@@ -163,7 +184,7 @@ let test_cross_check_catches_missed_notification () =
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
   let length id = lens.(id) in
-  Overlay.begin_incremental o;
+  Overlay.begin_incremental o lens;
   let was = Overlay.cross_check_enabled () in
   Overlay.set_cross_check true;
   Fun.protect
@@ -236,7 +257,7 @@ let test_monotone_skip_weight_exact () =
         (fun e ->
           if not on_tree.(e) then begin
             let inc = Overlay.create g Overlay.Ip session in
-            Overlay.begin_incremental inc;
+            Overlay.begin_incremental inc lens;
             let before = Overlay.min_spanning_tree inc ~length in
             lens.(e) <- 2.0;
             Overlay.notify_length_increase inc e;
@@ -329,6 +350,8 @@ let suite =
       test_ip_monotone_skip_matches_scratch;
     Alcotest.test_case "ip decreasing updates = scratch (property)" `Quick
       test_ip_decreasing_updates_match_scratch;
+    Alcotest.test_case "ip notify_usage on two overlays = scratch (property)"
+      `Quick test_ip_notify_usage_matches_scratch;
     Alcotest.test_case "arbitrary workspace = scratch (property)" `Quick
       test_arbitrary_workspace_matches_scratch;
     Alcotest.test_case "cross-check catches missed notification" `Quick

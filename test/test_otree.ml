@@ -204,7 +204,7 @@ let test_key_stable_under_copies () =
     (Otree.key late_usage);
   checks "original unchanged by the copies" expected (Otree.key tree)
 
-(* --- the flat IP path's construction -------------------------------------- *)
+(* --- the IP path's construction ------------------------------------------- *)
 
 let same_tree ~what (a : Otree.t) (b : Otree.t) =
   checkb (what ^ ": pairs") true (a.Otree.pairs = b.Otree.pairs);
@@ -214,11 +214,28 @@ let same_tree ~what (a : Otree.t) (b : Otree.t) =
   checkb (what ^ ": usage") true (a.Otree.usage = b.Otree.usage);
   checks (what ^ ": key") (Otree.key a) (Otree.key b)
 
+(* The reference tree, from public pieces only: the overlay graph over
+   the candidate pairs (edge id = pair index, as the overlay builds it),
+   each pair's fixed route, [Mst.prim] on the [Route.weight]s, and
+   [Otree.build] of its picks. *)
+let reference_tree o ~length =
+  let pairs = Overlay.overlay_pairs o in
+  let og = Graph.create ~n:(Session.size (Overlay.session o)) in
+  Array.iter (fun (a, b) -> ignore (Graph.add_edge og a b ~capacity:1.0)) pairs;
+  let routes =
+    Array.map
+      (fun p -> (Overlay.tree_of_pairs o ~pairs:[| p |] ~length).Otree.routes.(0))
+      pairs
+  in
+  let mst = Mst.prim og ~length:(fun oe -> Route.weight routes.(oe) ~length) in
+  Otree.build ~session_id:(Overlay.session o).Session.id
+    ~pairs:(Array.map (fun id -> pairs.(id)) mst.Mst.edges)
+    ~routes:(Array.map (fun id -> routes.(id)) mst.Mst.edges)
+
 (* Random overlays of 3-100 members, full or k_nearest, under random
-   lengths.  The record path builds its tree with [Otree.build] from
-   [Mst.prim]'s output, which is Flat.Prim's, pick for pick; the
-   [with_session] twin shares the flat overlay's routes, so the two
-   trees must agree down to the physical route values. *)
+   lengths, with the engine off and on (a [with_session] twin).  Both
+   must return the reference tree, down to the physical route values
+   (every tree shares the overlay's fixed routes). *)
 let test_flat_ip_builds_match_build () =
   let rng = Rng.create 41 in
   let specs =
@@ -236,9 +253,8 @@ let test_flat_ip_builds_match_build () =
       Session.random rng ~id:case ~topology_size:nodes ~size:k ~demand:1.0
     in
     let sparsify = specs.(case mod 2) in
-    let flat = Overlay.create ~sparsify g Overlay.Ip session in
-    let record = Overlay.with_session flat session in
-    Overlay.set_flat record false;
+    let off = Overlay.create ~sparsify g Overlay.Ip session in
+    let on = Overlay.with_session off session in
     for draw = 1 to 4 do
       let lens =
         Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
@@ -248,9 +264,12 @@ let test_flat_ip_builds_match_build () =
         Printf.sprintf "case %d (%d members, %s) draw %d" case k
           (Sparsify.to_string sparsify) draw
       in
-      same_tree ~what
-        (Overlay.min_spanning_tree record ~length)
-        (Overlay.min_spanning_tree flat ~length)
+      let reference = reference_tree off ~length in
+      same_tree ~what:(what ^ ", engine off") reference
+        (Overlay.min_spanning_tree off ~length);
+      Overlay.begin_incremental on lens;
+      same_tree ~what:(what ^ ", engine on") reference
+        (Overlay.min_spanning_tree on ~length)
     done
   done
 
@@ -360,14 +379,15 @@ let test_solution_add_constant_alloc () =
     Alcotest.failf "Solution.add allocation depends on tree size: %s"
       (String.concat ", " (List.map (Printf.sprintf "%.1f") per_add))
 
-(* A memo miss on the flat IP path allocates the returned tree (record,
+(* A memo miss on the IP path allocates the returned tree (record,
    pairs, routes, usage table and rows) and the memo's new entry (its
    key, a copy of Prim's output, and one table binding), nothing else.
    A run of misses on a fresh overlay is compared with the same run
-   repeated, when every tree is a memo hit: both refresh the same
-   weights and fill the same memo slot, so the difference is the
-   builds and the entries.  Cross-check mode rebuilds every new tree a
-   second time on purpose, so it is off for the measurement. *)
+   repeated, when every tree is a memo hit: both bind each draw's
+   lengths, refresh the same weights and fill the same memo slot, so
+   the difference is the builds and the entries.  Cross-check mode
+   rebuilds every new tree a second time on purpose, so it is off for
+   the measurement. *)
 let test_memo_miss_allocates_the_tree () =
   let was_cross_check = Overlay.cross_check_enabled () in
   Overlay.set_cross_check false;
@@ -393,7 +413,7 @@ let test_memo_miss_allocates_the_tree () =
             let lens =
               Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
             in
-            Overlay.bind_lengths probe lens;
+            Overlay.begin_incremental probe lens;
             let tree = Overlay.min_spanning_tree probe ~length in
             if Hashtbl.length seen >= 24 || Hashtbl.mem seen (Otree.key tree)
             then None
@@ -420,7 +440,7 @@ let test_memo_miss_allocates_the_tree () =
         let w0 = Obs.Alloc.minor_words () in
         Array.iter
           (fun lens ->
-            Overlay.bind_lengths o lens;
+            Overlay.begin_incremental o lens;
             ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
           draws;
         Obs.Alloc.minor_words () -. w0
@@ -435,13 +455,14 @@ let test_memo_miss_allocates_the_tree () =
           k (Array.length draws) builds expected)
     [ 3; 7; 30 ]
 
-(* The weight refresh of every overlay edge (the first MST call of a
-   solve, every call after a rescale, every call with the engine off)
-   allocates nothing once lengths are bound, and neither does refreshing
-   the dirty ones after a generic update: on a 30-member full overlay
-   (435 overlay edges), a memo-hit MST call on each of these paths
-   allocates 0 words.  Cross-check mode re-derives every weight through
-   a closure on purpose, so it is off for the measurement. *)
+(* With the engine on, the weight refresh of every overlay edge (a call
+   after a rescale, the same refresh as the first call of a solve)
+   allocates nothing, and neither does refreshing the dirty ones after
+   a generic update: on a 30-member full overlay (435 overlay edges), a
+   memo-hit MST call on each of these paths allocates 0 words.  The
+   closure fold of the engine-off state and of cross-check mode
+   allocates by design, so cross-check mode is off for the
+   measurement. *)
 let test_refresh_allocates_nothing () =
   let was_cross_check = Overlay.cross_check_enabled () in
   Overlay.set_cross_check false;
@@ -462,8 +483,6 @@ let test_refresh_allocates_nothing () =
   in
   let length id = lens.(id) in
   let covered = Overlay.covered_edges o in
-  Overlay.bind_lengths o lens;
-  Fun.protect ~finally:(fun () -> Overlay.unbind_lengths o) @@ fun () ->
   let measure path before =
     ignore (Overlay.min_spanning_tree o ~length);
     let words =
@@ -474,8 +493,7 @@ let test_refresh_allocates_nothing () =
     if words <> 0.0 then
       Alcotest.failf "a memo-hit MST call %s allocates %.1f words" path words
   in
-  measure "with the engine off" ignore;
-  Overlay.begin_incremental o;
+  Overlay.begin_incremental o lens;
   Fun.protect ~finally:(fun () -> Overlay.end_incremental o) @@ fun () ->
   measure "after notify_rescale" (fun () -> Overlay.notify_rescale o);
   measure "after notify_length_update" (fun () ->
