@@ -1079,120 +1079,6 @@ let run_obs_bench () =
   if !fail then exit 1
 
 (* ------------------------------------------------------------- *)
-(* Multicore engine: serial vs domain-pool solver wall clock      *)
-(* ------------------------------------------------------------- *)
-
-let run_par_bench () =
-  section "Multicore engine: serial vs domain-pool solver runs";
-  let g = setup_a.Setup.topology.Topology.graph in
-  let host_domains = Par.default_jobs () in
-  let job_counts = [ 1; 2; 4 ] in
-  (* Per mode: solve Setup A once per worker count (best of 2, the
-     workload is seconds-long), compare wall clock against -j 1 and
-     check bit-identical output at every -j.  Arbitrary mode is the
-     headline: each MST op is k' source Dijkstras, the fan-out the pool
-     parallelizes; IP mode parallelizes the 2-session winner sweep,
-     whose speedup is bounded by the candidate count. *)
-  let bench_mode mode ~ratio =
-    let epsilon = Max_flow.ratio_to_epsilon ratio in
-    let solve_at jobs =
-      let par = Par.create ~jobs () in
-      let best = ref None in
-      let result = ref None in
-      for _ = 1 to 2 do
-        let overlays = Setup.overlays setup_a mode in
-        let r, dt = elapsed (fun () -> Max_flow.solve ~par g overlays ~epsilon) in
-        result := Some r;
-        best := Some (match !best with Some b when b <= dt -> b | _ -> dt)
-      done;
-      Par.shutdown par;
-      (Option.get !result, Option.get !best)
-    in
-    ignore (solve_at 1) (* warmup *);
-    let timed = List.map (fun jobs -> (jobs, solve_at jobs)) job_counts in
-    let base_r, base_dt =
-      match timed with (1, rd) :: _ -> rd | _ -> assert false
-    in
-    let runs =
-      List.map
-        (fun (jobs, (r, dt)) ->
-          (jobs, dt, base_dt /. dt, same_solver_output base_r r))
-        timed
-    in
-    (epsilon, base_r, runs)
-  in
-  let report name mode ~ratio =
-    let epsilon, base_r, runs = bench_mode mode ~ratio in
-    Printf.printf "MaxFlow Setup A (ratio %.2f, %s): %d iterations\n" ratio name
-      base_r.Max_flow.iterations;
-    List.iter
-      (fun (jobs, dt, speedup, equal) ->
-        Printf.printf "  -j %d: %.3fs  speedup %.2fx  equal_output=%b\n" jobs dt
-          speedup equal)
-      runs;
-    ( name,
-      runs,
-      Json_export.Object_
-        [
-          ("ratio", Json_export.Number ratio);
-          ("epsilon", Json_export.Number epsilon);
-          ( "iterations",
-            Json_export.Number (float_of_int base_r.Max_flow.iterations) );
-          ( "runs",
-            Json_export.Array_
-              (List.map
-                 (fun (jobs, dt, speedup, equal) ->
-                   Json_export.Object_
-                     [
-                       ("jobs", Json_export.Number (float_of_int jobs));
-                       ("seconds", Json_export.Number dt);
-                       ("speedup_vs_j1", Json_export.Number speedup);
-                       ("equal_output", Json_export.Bool equal);
-                     ])
-                 runs) );
-        ] )
-  in
-  let arb_name, arb_runs, arb_json = report "arbitrary" Overlay.Arbitrary ~ratio:0.92 in
-  let ip_name, _, ip_json = report "ip" Overlay.Ip ~ratio:0.95 in
-  let note =
-    if host_domains >= 4 then
-      "speedups measured on a host with >= 4 available cores"
-    else
-      Printf.sprintf
-        "host exposes only %d core(s) (Domain.recommended_domain_count): \
-         extra domains cannot run concurrently, so wall-clock speedup is \
-         bounded by 1.0x here; equal_output at every -j is the \
-         machine-independent claim"
-        host_domains
-  in
-  Printf.printf "note: %s\n" note;
-  let json =
-    Json_export.Object_
-      [
-        ( "setup",
-          Json_export.String
-            "Setup A: 100-node Waxman, sessions of 7 and 5, MaxFlow" );
-        host_json;
-        ("host_recommended_domains", Json_export.Number (float_of_int host_domains));
-        ("note", Json_export.String note);
-        (arb_name, arb_json);
-        (ip_name, ip_json);
-      ]
-  in
-  Json_export.to_file "BENCH_par.json" json;
-  Printf.printf "wrote BENCH_par.json\n";
-  (* -j 2 must not regress arbitrary mode: small member sets run inline
-     (Par.parallel_for's min_chunk threshold), so adding a worker can be
-     a wash but never the historical slowdown. *)
-  (match List.find_opt (fun (jobs, _, _, _) -> jobs = 2) arb_runs with
-  | Some (_, _, speedup, _) when speedup < 0.95 ->
-    Printf.printf "FAIL: arbitrary -j2 speedup %.2fx < 0.95x vs -j1\n" speedup;
-    exit 1
-  | Some (_, _, speedup, _) ->
-    Printf.printf "arbitrary -j2 speedup %.2fx >= 0.95x: ok\n" speedup
-  | None -> ())
-
-(* ------------------------------------------------------------- *)
 (* Overlay sparsification: quality-vs-speed frontier at scale     *)
 (* ------------------------------------------------------------- *)
 
@@ -1778,7 +1664,6 @@ let run_daemon_bench ~smoke =
 
 let mst_only = Array.exists (fun a -> a = "--mst") Sys.argv
 let obs_only = Array.exists (fun a -> a = "--obs") Sys.argv
-let par_only = Array.exists (fun a -> a = "--par") Sys.argv
 let scale_only = Array.exists (fun a -> a = "--scale") Sys.argv
 let warm_only = Array.exists (fun a -> a = "--warm") Sys.argv
 let daemon_only = Array.exists (fun a -> a = "--daemon") Sys.argv
@@ -1803,10 +1688,6 @@ let () =
   end;
   if obs_only then begin
     run_obs_bench ();
-    exit 0
-  end;
-  if par_only then begin
-    run_par_bench ();
     exit 0
   end;
   Printf.printf
@@ -1837,7 +1718,6 @@ let () =
         run_bechamel ();
         run_mst_bench ~smoke;
         run_obs_bench ();
-        run_daemon_bench ~smoke;
-        run_par_bench ())
+        run_daemon_bench ~smoke)
   in
   Printf.printf "\nTotal bench time: %.1fs\n" dt

@@ -244,7 +244,7 @@ let eval_cmd =
 
 let solve_cmd =
   let run seed nodes sizes demand mode algorithm ratio sigma trace trace_stream
-      trace_capacity jobs certify sparsify =
+      trace_capacity certify sparsify =
     let setup = make_setup seed nodes sizes demand in
     let g = setup.Setup.topology.Topology.graph in
     let overlays = Setup.overlays ~sparsify setup mode in
@@ -259,7 +259,6 @@ let solve_cmd =
             (Overlay.n_overlay_edges o)
             (k * (k - 1) / 2))
         overlays;
-    let par = Par.create ~jobs () in
     let tr =
       Option.map (fun _ -> Obs.Trace.create ~capacity:trace_capacity ()) trace
     in
@@ -318,7 +317,7 @@ let solve_cmd =
       match algorithm with
       | "maxflow" ->
         let r =
-          Max_flow.solve ~obs ~par g overlays
+          Max_flow.solve ~obs g overlays
             ~epsilon:(Max_flow.ratio_to_epsilon ratio)
         in
         Printf.printf "MaxFlow: %d iterations, %d MST operations\n"
@@ -328,7 +327,7 @@ let solve_cmd =
       | "mcf" ->
         let scaling = Max_concurrent_flow.Maxflow_weighted in
         let r =
-          Max_concurrent_flow.solve ~obs ~par g overlays
+          Max_concurrent_flow.solve ~obs g overlays
             ~epsilon:(Max_concurrent_flow.ratio_to_epsilon ratio)
             ~scaling
         in
@@ -353,7 +352,6 @@ let solve_cmd =
     in
     Option.iter (fun v -> Format.printf "%a@." Check.pp_verdict v) verdict;
     write_trace ();
-    Par.shutdown par;
     match verdict with Some v when not (Check.ok v) -> exit 1 | _ -> ()
   in
   let algorithm =
@@ -403,16 +401,6 @@ let solve_cmd =
              drops the early iterations of acceptance-size runs; raise it \
              or switch to $(b,--trace-stream).")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int (Par.default_jobs ())
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel engine (default: \
-             $(b,OVERLAY_JOBS) or the machine's recommended domain count; \
-             1 = serial).  Output is bit-identical at any $(docv).")
-  in
   let certify =
     Arg.(
       value & flag
@@ -446,8 +434,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc)
     Term.(
       const run $ seed $ nodes $ sizes $ demand $ mode $ algorithm $ ratio
-      $ sigma $ trace $ trace_stream $ trace_capacity $ jobs $ certify
-      $ sparsify)
+      $ sigma $ trace $ trace_stream $ trace_capacity $ certify $ sparsify)
 
 (* --- export: dump an instance + solution to files --------------------------- *)
 

@@ -250,8 +250,8 @@ let run_fleischer obs st overlays working solution =
 (* --- common driver --------------------------------------------------- *)
 
 let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
-    ?(par = Par.serial) ?(sparsify = Sparsify.full) ?warm_start ?warm_zetas
-    graph overlays ~epsilon ~scaling =
+    ?(sparsify = Sparsify.full) ?warm_start ?warm_zetas graph overlays ~epsilon
+    ~scaling =
   if epsilon <= 0.0 || epsilon >= 1.0 /. 3.0 then
     invalid_arg "Max_concurrent_flow.solve: epsilon out of (0, 1/3)";
   (* convenience rebuild, identity under the default (full) spec; the
@@ -267,25 +267,14 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
       if Overlay.graph o != graph then
         invalid_arg "Max_concurrent_flow.solve: overlay on a different graph")
     overlays;
-  (* Pool placement mirrors Max_flow: in IP mode the independent
-     per-session preprocessing runs fan out across workers; in arbitrary
-     mode each MST is itself a batch of source Dijkstras, so the pool
-     goes to the overlays and session-level loops stay sequential. *)
-  let arbitrary =
-    match Overlay.mode overlays.(0) with
-    | Overlay.Arbitrary -> true
-    | Overlay.Ip -> false
-  in
   let sessions = Array.map Overlay.session overlays in
   Array.iter Overlay.reset_mst_operations overlays;
   Obs.Counter.incr c_runs;
   Obs.Sink.emit obs Obs.Run_start ~session:run_name ~a:(float_of_int k)
     ~b:epsilon;
-  (* Preprocessing: standalone maximum flow per session.  The nested
-     MaxFlow runs emit their own Run_start/Run_end inside this span; in
-     the parallel IP path each worker records its sessions' events in a
-     private buffer, replayed in worker (= ascending session) order so
-     the merged trace equals the serial one. *)
+  (* Preprocessing: standalone maximum flow per session, in session
+     order.  The nested MaxFlow runs emit their own Run_start/Run_end
+     inside this span. *)
   let zetas =
     (* Warm re-solves reuse the per-session maximum flow rates of the
        previous run: a zeta depends only on the session's members and
@@ -301,37 +290,9 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
       Array.copy wz
     | None ->
     Obs.Span.with_ obs preprocess_span (fun () ->
-        let pre_par = if arbitrary then Par.serial else par in
-        let zetas = Array.make k 0.0 in
-        if Par.jobs pre_par <= 1 then
-          Array.iteri
-            (fun i o ->
-              let rate, _ =
-                Max_flow.solve_single ~incremental ~obs ~par graph o ~epsilon
-              in
-              zetas.(i) <- rate)
-            overlays
-        else begin
-          let bufs =
-            if Obs.Sink.enabled obs then
-              Array.init (Par.jobs pre_par) (fun _ -> Obs.Event_buffer.create ())
-            else [||]
-          in
-          Par.parallel_for pre_par ~n:k (fun ~worker ~lo ~hi ->
-              let wobs =
-                if Array.length bufs > 0 then Obs.Event_buffer.sink bufs.(worker)
-                else Obs.Sink.null
-              in
-              for i = lo to hi - 1 do
-                let rate, _ =
-                  Max_flow.solve_single ~incremental ~obs:wobs graph
-                    overlays.(i) ~epsilon
-                in
-                zetas.(i) <- rate
-              done);
-          Array.iter (fun b -> Obs.Event_buffer.replay b obs) bufs
-        end;
-        zetas)
+        Array.map
+          (fun o -> fst (Max_flow.solve_single ~incremental ~obs graph o ~epsilon))
+          overlays)
   in
   let pre_mst_operations = Overlay.total_mst_operations overlays in
   Array.iter Overlay.reset_mst_operations overlays;
@@ -388,7 +349,6 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
   let solution = Solution.create sessions in
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
-  if arbitrary then Array.iter (fun o -> Overlay.set_par o par) overlays;
   (* the engine reads [st.lens], which backs the main loop's [length] *)
   if incremental then
     Array.iter (fun o -> Overlay.begin_incremental o st.lens) overlays;
@@ -396,8 +356,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
     Fun.protect
       ~finally:(fun () ->
         if incremental then Array.iter Overlay.end_incremental overlays;
-        if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays;
-        if arbitrary then Array.iter Overlay.clear_par overlays)
+        if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays)
       (fun () ->
         Obs.Span.with_ obs main_span (fun () ->
             match variant with

@@ -110,14 +110,6 @@ type warm_start = {
 
     Raises [Invalid_argument] for [epsilon] outside (0, 1/3).
 
-    [par] (default [Par.serial]) supplies a domain pool.  In IP mode
-    the independent per-session MaxFlow preprocessing runs fan out
-    across workers (per-worker trace buffers are merged in session
-    order); in arbitrary mode the pool is handed to the overlays so
-    every main-loop and preprocessing MST parallelizes its source
-    Dijkstras.  Output and the [obs] event sequence are bit-identical
-    at every worker count.
-
     [sparsify] (default [Sparsify.full]) rebuilds any overlay whose
     recorded spec differs ({!Overlay.resparsify}) before preprocessing,
     so both the per-session MaxFlow runs and the main loop price trees
@@ -139,7 +131,6 @@ val solve :
   ?variant:variant ->
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?par:Par.t ->
   ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   ?warm_zetas:float array ->

@@ -38,7 +38,7 @@ let c_rescales =
 (* [(w.(a), a)] precedes [(w.(b), b)] lexicographically *)
 let lex_less (w : float array) a b = w.(a) < w.(b) || (w.(a) = w.(b) && a < b)
 
-let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?(par = Par.serial)
+let solve ?(incremental = true) ?(obs = Obs.Sink.null)
     ?(sparsify = Sparsify.full) ?warm_start graph overlays ~epsilon =
   if epsilon <= 0.0 || epsilon >= 0.5 then
     invalid_arg "Max_flow.solve: epsilon out of (0, 0.5)";
@@ -55,15 +55,6 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?(par = Par.serial)
       if Overlay.graph o != graph then
         invalid_arg "Max_flow.solve: overlay built on a different graph")
     overlays;
-  (* The pool serves arbitrary mode only: each MST there is k' source
-     Dijkstras, which the overlays parallelize (Dynamic_routing).  The
-     IP winner sweep below is serial. *)
-  let arbitrary =
-    match Overlay.mode overlays.(0) with
-    | Overlay.Arbitrary -> true
-    | Overlay.Ip -> false
-  in
-  if arbitrary then Array.iter (fun o -> Overlay.set_par o par) overlays;
   let sessions = Array.map Overlay.session overlays in
   let smax = float_of_int (Session.max_size sessions - 1) in
   let u_bound =
@@ -134,8 +125,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?(par = Par.serial)
   Fun.protect
     ~finally:(fun () ->
       if incremental then Array.iter Overlay.end_incremental overlays;
-      if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays;
-      if arbitrary then Array.iter Overlay.clear_par overlays)
+      if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays)
     (fun () ->
       let stop = ref false in
       (* Best-first winner sweep.  Dual lengths only grow between
@@ -297,11 +287,10 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?(par = Par.serial)
     dual_ln_base = !ln_base;
   }
 
-let solve_single ?incremental ?obs ?par ?sparsify ?warm_start graph overlay
+let solve_single ?incremental ?obs ?sparsify ?warm_start graph overlay
     ~epsilon =
   let result =
-    solve ?incremental ?obs ?par ?sparsify ?warm_start graph [| overlay |]
-      ~epsilon
+    solve ?incremental ?obs ?sparsify ?warm_start graph [| overlay |] ~epsilon
   in
   (* the single session keeps its own id; rate lookup goes through the
      session array of the fresh solution, which has exactly one slot *)

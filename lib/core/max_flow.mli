@@ -111,12 +111,6 @@ type warm_start = {
     bit-identical to an uninstrumented run.  Raises [Invalid_argument]
     for [epsilon] outside (0, 0.5).
 
-    [par] (default [Par.serial]) is handed to the overlays in arbitrary
-    mode, parallelizing each routing snapshot's source Dijkstras; output
-    — solution, iteration count, and the [obs] event sequence — is
-    bit-identical at every worker count.  IP mode ignores it: the winner
-    sweep is serial.
-
     [sparsify] (default [Sparsify.full]) is a convenience: any overlay
     whose recorded spec differs is rebuilt via {!Overlay.resparsify}
     before the run, so callers can prune without touching their overlay
@@ -136,7 +130,6 @@ type warm_start = {
 val solve :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?par:Par.t ->
   ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   Graph.t ->
@@ -147,12 +140,10 @@ val solve :
 (** [solve_single graph overlay ~epsilon] runs the single-session
     special case and returns the session's maximum flow rate (the
     [zeta_i] of the concurrent-flow preprocessing) along with the full
-    result.  [obs], [par], [sparsify] and [warm_start] as in
-    {!solve}. *)
+    result.  [obs], [sparsify] and [warm_start] as in {!solve}. *)
 val solve_single :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?par:Par.t ->
   ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   Graph.t ->

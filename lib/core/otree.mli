@@ -32,8 +32,7 @@ val build : session_id:int -> pairs:(int * int) array -> routes:Route.t array ->
     count is zero and the set is empty, also after [build_sorted]
     raised.  A scratch belongs to one caller and must not be used by
     two domains at once: {!Overlay} gives every overlay value its own,
-    including the copies [Overlay.with_session] makes, since [Par]
-    sweeps evaluate overlays concurrently. *)
+    including the copies [Overlay.with_session] makes. *)
 type scratch
 
 (** [scratch ~n_edges] serves trees whose route edge ids lie in
@@ -105,11 +104,10 @@ val bottleneck_arr : t -> float array -> float
       carries the cache along.  A copy [{ t with ... }] may therefore
       change only [session_id] and [usage]; a copy that changed
       [pairs] or [routes] would report the original's key.
-    - A tree shared between domains (e.g. the trees that
-      {!Random_rounding.round_average}'s [Par] workers add to their own
-      solutions) may have its cache filled by several domains at once.
-      Each computes an equal string, and whichever write lands last is
-      kept, so readers always see a correct key. *)
+    - A tree shared between domains may have its cache filled by
+      several domains at once.  Each computes an equal string, and
+      whichever write lands last is kept, so readers always see a
+      correct key. *)
 val key : t -> string
 
 (** [shape_key t] identifies only the overlay shape (member pairs),

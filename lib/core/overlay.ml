@@ -79,7 +79,6 @@ type t = {
   mutable ops : int;
   mutable weight_ops : int;
   mutable sink : Obs.Sink.t;           (* trace destination; null by default *)
-  mutable par : Par.t;                 (* pool for arbitrary-mode Dijkstras *)
 }
 
 
@@ -266,7 +265,6 @@ let create ?(sparsify = Sparsify.full) graph mode session =
     ops = 0;
     weight_ops = 0;
     sink = Obs.Sink.null;
-    par = Par.serial;
   }
 
 let same_int_array a b =
@@ -313,7 +311,6 @@ let with_session t session =
     ops = 0;
     weight_ops = 0;
     sink = Obs.Sink.null;
-    par = Par.serial;
   }
 
 let session t = t.session
@@ -329,8 +326,6 @@ let resparsify t spec =
 
 let set_sink t sink = t.sink <- sink
 let clear_sink t = t.sink <- Obs.Sink.null
-let set_par t par = t.par <- par
-let clear_par t = t.par <- Par.serial
 
 let members t = t.session.Session.members
 
@@ -655,8 +650,7 @@ let min_spanning_tree t ~length =
   | Arbitrary ->
     let ws = Option.get t.dyn_ws in
     let snapshot =
-      Dynamic_routing.routes_ws ~par:t.par ws t.graph ~members:(members t)
-        ~length
+      Dynamic_routing.routes_ws ws t.graph ~members:(members t) ~length
     in
     let ms = members t in
     let weights =
@@ -686,9 +680,7 @@ let tree_of_pairs t ~pairs ~length =
     build_tree t ~pairs ~routes
   | Arbitrary ->
     let ws = Option.get t.dyn_ws in
-    let snapshot =
-      Dynamic_routing.routes_ws ~par:t.par ws t.graph ~members:ms ~length
-    in
+    let snapshot = Dynamic_routing.routes_ws ws t.graph ~members:ms ~length in
     let routes =
       Array.map (fun (a, b) -> Dynamic_routing.route snapshot ms.(a) ms.(b)) pairs
     in

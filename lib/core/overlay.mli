@@ -115,16 +115,6 @@ val set_sink : t -> Obs.Sink.t -> unit
 (** [clear_sink t] resets the sink to [Obs.Sink.null]. *)
 val clear_sink : t -> unit
 
-(** [set_par t par] hands the context a parallel pool: in [Arbitrary]
-    mode, each snapshot's per-member source Dijkstras run on it (see
-    [Dynamic_routing.routes_ws]).  [Ip]-mode contexts ignore it.
-    Solvers set this for the duration of a run and {!clear_par} it on
-    the way out, mirroring {!set_sink}. *)
-val set_par : t -> Par.t -> unit
-
-(** [clear_par t] resets the pool to [Par.serial]. *)
-val clear_par : t -> unit
-
 (** [min_spanning_tree t ~length] computes the minimum overlay spanning
     tree under the physical edge length function, as an overlay tree
     with realized routes.  Each call counts as one MST operation.  With

@@ -89,58 +89,24 @@ let round ?(obs = Obs.Sink.null) rng graph ~fractional ~trees_per_session =
   end;
   { solution; lmax; per_session_lmax; distinct_trees }
 
-let round_average ?(obs = Obs.Sink.null) ?(par = Par.serial) rng graph
-    ~fractional ~trees_per_session ~repeats =
+let round_average ?(obs = Obs.Sink.null) rng graph ~fractional
+    ~trees_per_session ~repeats =
   if repeats < 1 then invalid_arg "Random_rounding.round_average: repeats < 1";
   let sessions = Solution.sessions fractional in
   let k = Array.length sessions in
-  (* One RNG per trial, split off the master serially up front: the
-     per-trial streams — and hence every averaged figure — are the same
-     whatever the worker count, and trials become independent so they
-     can run on the pool.  ([Rng.split] advances the master, so this
-     loop must not run inside the parallel region.) *)
-  let rngs = Array.init repeats (fun _ -> rng) in
-  for t = 0 to repeats - 1 do
-    rngs.(t) <- Rng.split rng
-  done;
-  let results = Array.make repeats None in
-  let nworkers = Par.jobs par in
-  if nworkers <= 1 then
-    for t = 0 to repeats - 1 do
-      results.(t) <- Some (round ~obs rngs.(t) graph ~fractional ~trees_per_session)
-    done
-  else begin
-    let bufs =
-      if Obs.Sink.enabled obs then
-        Array.init nworkers (fun _ -> Obs.Event_buffer.create ())
-      else [||]
-    in
-    Par.parallel_for par ~n:repeats (fun ~worker ~lo ~hi ->
-        let wobs =
-          if Array.length bufs > 0 then Obs.Event_buffer.sink bufs.(worker)
-          else Obs.Sink.null
-        in
-        for t = lo to hi - 1 do
-          results.(t) <-
-            Some (round ~obs:wobs rngs.(t) graph ~fractional ~trees_per_session)
-        done);
-    (* worker order = ascending trial order = the serial event order *)
-    Array.iter (fun b -> Obs.Event_buffer.replay b obs) bufs
-  end;
   let rate_sum = Array.make k 0.0 in
   let tree_sum = Array.make k 0.0 in
   let throughput_sum = ref 0.0 in
-  (* accumulate in trial order: the float sums are reduction-order
-     sensitive, and this order is the serial one *)
-  for t = 0 to repeats - 1 do
-    match results.(t) with
-    | None -> assert false
-    | Some r ->
-      for i = 0 to k - 1 do
-        rate_sum.(i) <- rate_sum.(i) +. Solution.session_rate r.solution i;
-        tree_sum.(i) <- tree_sum.(i) +. float_of_int r.distinct_trees.(i)
-      done;
-      throughput_sum := !throughput_sum +. Solution.overall_throughput r.solution
+  (* One RNG per trial, split off the master: a trial draws only from
+     its own stream, so every trial's stream is fixed by its index.
+     The float sums accumulate in trial order. *)
+  for _ = 1 to repeats do
+    let r = round ~obs (Rng.split rng) graph ~fractional ~trees_per_session in
+    for i = 0 to k - 1 do
+      rate_sum.(i) <- rate_sum.(i) +. Solution.session_rate r.solution i;
+      tree_sum.(i) <- tree_sum.(i) +. float_of_int r.distinct_trees.(i)
+    done;
+    throughput_sum := !throughput_sum +. Solution.overall_throughput r.solution
   done;
   let n = float_of_int repeats in
   ( Array.map (fun s -> s /. n) rate_sum,

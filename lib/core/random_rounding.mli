@@ -46,15 +46,10 @@ val round :
     Returns (mean session rates, mean overall throughput, mean distinct
     trees per session).  [obs] is passed to every {!round}.
 
-    Each trial draws from its own RNG, split off [rng] serially before
-    any trial runs; [par] (default [Par.serial]) then distributes the
-    independent trials over the pool, with per-worker trace buffers
-    merged in trial order.  Results are bit-identical at every worker
-    count — and, since the per-trial split, independent of [repeats]
-    prefix ordering too. *)
+    Each trial draws from its own RNG, split off [rng] in trial order,
+    so a trial's stream depends only on its index. *)
 val round_average :
   ?obs:Obs.Sink.t ->
-  ?par:Par.t ->
   Rng.t ->
   Graph.t ->
   fractional:Solution.t ->

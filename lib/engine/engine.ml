@@ -14,7 +14,6 @@ type config = {
   clamp : float;
   certify_tol : float;
   obs : Obs.Sink.t;
-  par : Par.t;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     clamp = 8.0;
     certify_tol = Check.default_tol;
     obs = Obs.Sink.null;
-    par = Par.serial;
   }
 
 type run =
@@ -207,7 +205,7 @@ let clamp_range ~clamp lens =
   end
 
 let run_solver t ~warm =
-  let { epsilon; obs; par; _ } = t.config in
+  let { epsilon; obs; _ } = t.config in
   match t.config.solver with
   | Maxflow ->
     let warm_start =
@@ -216,7 +214,7 @@ let run_solver t ~warm =
         Some { Max_flow.prev_lens; prev_ln_base = t.ln_base; room }
       | None -> None
     in
-    Run_maxflow (Max_flow.solve ~obs ~par ?warm_start t.graph t.overlays ~epsilon)
+    Run_maxflow (Max_flow.solve ~obs ?warm_start t.graph t.overlays ~epsilon)
   | Mcf { variant; scaling } ->
     let warm_start =
       match warm with
@@ -237,8 +235,8 @@ let run_solver t ~warm =
       else None
     in
     Run_mcf
-      (Max_concurrent_flow.solve ~variant ~obs ~par ?warm_start ?warm_zetas
-         t.graph t.overlays ~epsilon ~scaling)
+      (Max_concurrent_flow.solve ~variant ~obs ?warm_start ?warm_zetas t.graph
+         t.overlays ~epsilon ~scaling)
 
 let certify_run t run =
   match run with
@@ -431,8 +429,7 @@ let apply t (te : Churn.timed) =
     | Mcf _ ->
       (* only the joined session's standalone rate is missing *)
       let zeta, _ =
-        Max_flow.solve_single ~par:t.config.par t.graph overlay
-          ~epsilon:t.config.epsilon
+        Max_flow.solve_single t.graph overlay ~epsilon:t.config.epsilon
       in
       t.zetas <- append t.zetas zeta)
   | Churn.Session_leave { id } -> (

@@ -74,12 +74,11 @@ type config = {
           [engine.resolve_<kind>_<warm|cold>_s], [engine.rung_depth]
           and [engine.certify_s] — like every [Obs] surface, none of
           this perturbs solver output. *)
-  par : Par.t;
 }
 
 (** [Maxflow], IP mode, full overlays, [epsilon = 0.05],
     [rooms = [| 2; 8; 32 |]], [clamp = 8], [Check.default_tol], null
-    sink, serial. *)
+    sink. *)
 val default_config : config
 
 type run =

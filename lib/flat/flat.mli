@@ -43,8 +43,8 @@
     {b Workspace ownership.}  The arrays of a {!Csr.t}, {!Routes.t} or
     {!Inc.t} are immutable after construction and may be shared freely
     across domains.  A {!Prim.ws} is mutable scratch: it is owned by
-    exactly one overlay evaluation at a time, and the domain-pool solver
-    gives each worker its own workspace rather than locking one. *)
+    exactly one overlay evaluation at a time (every overlay value has
+    its own). *)
 
 module Csr : sig
   (** Compressed-sparse-row view of an undirected {!Graph.t}: vertex

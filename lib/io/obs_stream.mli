@@ -31,8 +31,7 @@
     remain monotone non-decreasing.  Like a {!Obs.Trace} ring, the
     sink assigns [seq] at write and maintains the span-nesting depth
     for {!Obs.Span} events; and like every sink it is single-domain by
-    contract — parallel regions replay their per-worker
-    {!Obs.Event_buffer}s into it after the barrier.
+    contract.
 
     The DESIGN.md §5 invariant binds here too: attaching a stream must
     not perturb solver output ([bench --obs] checks bit-identical

@@ -3,12 +3,9 @@
    and counters are write-only from the solvers' point of view;
    (2) the disabled path must stay branch-cheap, because the solvers
    carry their instrumentation unconditionally; and (3) the always-on
-   primitives (clock, counters, gauges, registries) are domain-safe,
-   because the Par pool runs solver hot loops on several domains.
-   Sinks are the exception: a Sink/Trace is single-domain by contract,
-   and parallel regions give each worker its own Event_buffer whose
-   contents are replayed into the main sink in deterministic worker
-   order (see Event_buffer below). *)
+   primitives (clock, counters, gauges, registries) are domain-safe, so
+   a tally stays exact whichever domain bumps it.  Sinks are the
+   exception: a Sink/Trace is single-domain by contract. *)
 
 (* --- monotonic clock -------------------------------------------------- *)
 
@@ -70,10 +67,9 @@ let registry_lock = Mutex.create ()
 (* --- counters, gauges, registry --------------------------------------- *)
 
 module Counter = struct
-  (* The tally is an Atomic so workers of a Par pool can bump the same
+  (* The tally is an Atomic so several domains can bump the same
      counter concurrently without losing increments; fetch_and_add on
-     an uncontended cacheline costs about as much as the old plain
-     store, and totals become exact at any [-j]. *)
+     an uncontended cacheline costs about as much as a plain store. *)
   type t = { name : string; mutable doc : string; n : int Atomic.t }
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 64
@@ -635,70 +631,6 @@ module Trace = struct
     t.n <- 0;
     t.pos <- 0;
     t.depth <- 0
-end
-
-(* --- per-worker event buffers ------------------------------------------- *)
-
-module Event_buffer = struct
-  (* A growable, timestamp-free event log owned by exactly one Par
-     worker.  During a parallel region each worker redirects its chunk's
-     emissions into its own buffer; after the barrier the orchestrator
-     replays the buffers in worker order — which the solvers arrange to
-     equal ascending session/trial order, i.e. the serial emission
-     order.  Timestamps are assigned at replay by the receiving sink
-     (a Trace stamps on write), so the merged trace stays monotone and
-     the recorded event sequence is independent of [-j]. *)
-  type t = {
-    mutable ints : int array;     (* stride 2: kind code, session *)
-    mutable floats : float array; (* stride 2: a, b *)
-    mutable n : int;
-    mutable as_sink : Sink.t;
-  }
-
-  let create ?(capacity = 128) () =
-    if capacity <= 0 then
-      invalid_arg "Obs.Event_buffer.create: capacity must be > 0";
-    let t =
-      {
-        ints = Array.make (2 * capacity) (-1);
-        floats = Array.make (2 * capacity) 0.0;
-        n = 0;
-        as_sink = Sink.null;
-      }
-    in
-    let write kind session a b =
-      let cap = Array.length t.ints / 2 in
-      if t.n = cap then begin
-        let ints = Array.make (4 * cap) (-1) in
-        let floats = Array.make (4 * cap) 0.0 in
-        Array.blit t.ints 0 ints 0 (2 * cap);
-        Array.blit t.floats 0 floats 0 (2 * cap);
-        t.ints <- ints;
-        t.floats <- floats
-      end;
-      let i = t.n in
-      t.ints.(2 * i) <- kind_code kind;
-      t.ints.((2 * i) + 1) <- session;
-      t.floats.(2 * i) <- a;
-      t.floats.((2 * i) + 1) <- b;
-      t.n <- i + 1
-    in
-    t.as_sink <- { Sink.on = true; write };
-    t
-
-  let sink t = t.as_sink
-  let length t = t.n
-
-  let replay t target =
-    for i = 0 to t.n - 1 do
-      Sink.emit target
-        (kind_of_code t.ints.(2 * i))
-        ~session:t.ints.((2 * i) + 1)
-        ~a:t.floats.(2 * i)
-        ~b:t.floats.((2 * i) + 1)
-    done
-
-  let clear t = t.n <- 0
 end
 
 (* --- spans -------------------------------------------------------------- *)

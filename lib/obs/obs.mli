@@ -39,10 +39,7 @@
     counter tallies and gauge values are [Atomic] cells (concurrent
     increments are never lost), and the name/metric/flag registries are
     mutex-protected.  A {!Sink} — in particular a {!Trace} ring — is
-    single-domain by contract: solvers running a parallel region give
-    each worker a private {!Event_buffer} and replay the buffers into
-    the main sink in worker order after the barrier, which keeps the
-    recorded event sequence identical to the serial run's. *)
+    single-domain by contract. *)
 
 (** {1 Monotonic clock} *)
 
@@ -73,8 +70,7 @@ end
 module Counter : sig
   (** A named monotone integer counter, registered globally.  Cheap
       enough for hot loops: {!incr} is one atomic fetch-and-add, so
-      totals stay exact when Par workers bump the same counter from
-      several domains. *)
+      totals stay exact when several domains bump the same counter. *)
   type t
 
   (** [make ?doc name] returns the registered counter called [name],
@@ -422,9 +418,7 @@ module Trace : sig
       {!create} as packed scalar arrays (no per-event allocation, no
       GC pressure in solver loops); once full, new events overwrite the
       oldest ([dropped] counts them), so tracing an arbitrarily long
-      run is safe.  A trace is single-domain: parallel solver regions
-      route worker events through per-worker {!Event_buffer}s and
-      replay them here from the orchestrating domain. *)
+      run is safe.  A trace is single-domain. *)
   type t
 
   (** [create ?capacity ()] preallocates a trace ring.  [capacity]
@@ -459,42 +453,6 @@ module Trace : sig
 
   (** [clear t] forgets all events and resets the depth and emission
       counters (capacity is kept). *)
-  val clear : t -> unit
-end
-
-(** {1 Per-worker event buffers} *)
-
-module Event_buffer : sig
-  (** A growable, timestamp-free event log for parallel regions.  Each
-      [Par] worker records its chunk's events into a private buffer
-      through {!sink}; after the region's barrier the orchestrator
-      {!replay}s the buffers in worker order into the run's real sink.
-      Because the solvers assign chunks in ascending session/trial
-      order, the replayed sequence equals the serial emission order —
-      the trace a user sees is bit-identical at every [-j].
-
-      Events are stored without timestamps; the receiving sink stamps
-      them at replay time (a {!Trace} stamps on write), preserving the
-      trace's monotonic-time promise.  A buffer must only ever be
-      written by one domain at a time. *)
-  type t
-
-  (** [create ?capacity ()] — initial capacity (default 128 events);
-      the buffer doubles as needed.  Must be positive. *)
-  val create : ?capacity:int -> unit -> t
-
-  (** [sink t] is the buffer's recording sink (always enabled). *)
-  val sink : t -> Sink.t
-
-  (** [length t] is the number of buffered events. *)
-  val length : t -> int
-
-  (** [replay t target] re-emits the buffered events into [target] in
-      recording order.  The buffer is left intact; {!clear} it for
-      reuse. *)
-  val replay : t -> Sink.t -> unit
-
-  (** [clear t] empties the buffer, keeping its storage. *)
   val clear : t -> unit
 end
 

@@ -26,11 +26,10 @@ type case = {
   session_size : int;
   trees_per_session : int;
   epsilon : float;
-  jobs : int;
   instance_seed : int;
 }
 
-let gen ~algo ~family ~mode ~jobs rng =
+let gen ~algo ~family ~mode rng =
   let open Prop.Gen in
   {
     algo;
@@ -42,14 +41,12 @@ let gen ~algo ~family ~mode ~jobs rng =
     trees_per_session = int_range 1 4 rng;
     (* coarse palette, valid for MaxFlow (< 1/2) and MCF (< 1/3) *)
     epsilon = choose [ 0.3; 0.25; 0.15 ] rng;
-    jobs;
     instance_seed = int_range 0 999_983 rng;
   }
 
 let shrink c =
   let candidates = ref [] in
   let add c' = candidates := c' :: !candidates in
-  if c.jobs > 1 then add { c with jobs = 1 };
   if c.trees_per_session > 1 then
     add { c with trees_per_session = c.trees_per_session - 1 };
   if c.session_size > 3 then add { c with session_size = c.session_size - 1 };
@@ -68,10 +65,9 @@ let mode_name = function Overlay.Ip -> "ip" | Overlay.Arbitrary -> "arbitrary"
 
 let case_to_string c =
   Printf.sprintf
-    "algo=%s,family=%s,mode=%s,nodes=%d,sessions=%d,size=%d,trees=%d,eps=%g,jobs=%d,seed=%d"
+    "algo=%s,family=%s,mode=%s,nodes=%d,sessions=%d,size=%d,trees=%d,eps=%g,seed=%d"
     (algorithm_name c.algo) (family_name c.family) (mode_name c.mode) c.nodes
-    c.n_sessions c.session_size c.trees_per_session c.epsilon c.jobs
-    c.instance_seed
+    c.n_sessions c.session_size c.trees_per_session c.epsilon c.instance_seed
 
 let case_of_string s =
   let default =
@@ -84,7 +80,6 @@ let case_of_string s =
       session_size = 3;
       trees_per_session = 1;
       epsilon = 0.25;
-      jobs = 1;
       instance_seed = 0;
     }
   in
@@ -126,7 +121,6 @@ let case_of_string s =
           match float_of_string_opt v with
           | Some e -> Ok { c with epsilon = e }
           | None -> Error (Printf.sprintf "field eps: %S is not a float" v))
-        | "jobs" -> int_field (fun n -> { c with jobs = n })
         | "seed" -> int_field (fun n -> { c with instance_seed = n })
         | _ -> Error (Printf.sprintf "unknown field %S" key)))
   in
@@ -154,68 +148,57 @@ let instance c =
   in
   (g, sessions)
 
-let with_pool c f =
-  if c.jobs <= 1 then f Par.serial
-  else begin
-    let pool = Par.create ~jobs:c.jobs () in
-    Fun.protect ~finally:(fun () -> Par.shutdown pool) (fun () -> f pool)
-  end
-
 let solve_case ?(inspect = fun _ _ -> ()) c =
   let g, sessions = instance c in
   let fresh () = Array.map (Overlay.create g c.mode) sessions in
-  with_pool c (fun par ->
-      match c.algo with
-      | Maxflow ->
-        let overlays = fresh () in
-        let r = Max_flow.solve ~par g overlays ~epsilon:c.epsilon in
-        inspect g r.Max_flow.solution;
-        Check.certify_max_flow g overlays r
-      | Mcf ->
-        let overlays = fresh () in
-        let scaling =
-          if c.instance_seed land 1 = 0 then
-            Max_concurrent_flow.Maxflow_weighted
-          else Max_concurrent_flow.Proportional
-        in
-        let r =
-          Max_concurrent_flow.solve ~par g overlays ~epsilon:c.epsilon ~scaling
-        in
-        inspect g r.Max_concurrent_flow.solution;
-        Check.certify_mcf g overlays ~scaling r
-      | Rounding ->
-        let r =
-          Max_concurrent_flow.solve ~par g (fresh ()) ~epsilon:c.epsilon
-            ~scaling:Max_concurrent_flow.Proportional
-        in
-        let rounded =
-          Random_rounding.round
-            (Rng.create (c.instance_seed + 1))
-            g
-            ~fractional:r.Max_concurrent_flow.solution
-            ~trees_per_session:c.trees_per_session
-        in
-        inspect g rounded.Random_rounding.solution;
-        Check.certify g rounded.Random_rounding.solution
-      | Online ->
-        let r = Online.solve g (fresh ()) ~sigma:20.0 in
-        inspect g r.Online.solution;
-        Check.certify g r.Online.solution
-      | Single_tree ->
-        let r = Baseline.single_tree g (fresh ()) in
-        inspect g r.Baseline.solution;
-        Check.certify g r.Baseline.solution
-      | Refinement ->
-        let r =
-          Refinement.improve g (fresh ())
-            {
-              Refinement.trees_per_session = c.trees_per_session;
-              rounds = 2;
-              sigma = 20.0;
-            }
-        in
-        inspect g r.Refinement.solution;
-        Check.certify g r.Refinement.solution)
+  match c.algo with
+  | Maxflow ->
+    let overlays = fresh () in
+    let r = Max_flow.solve g overlays ~epsilon:c.epsilon in
+    inspect g r.Max_flow.solution;
+    Check.certify_max_flow g overlays r
+  | Mcf ->
+    let overlays = fresh () in
+    let scaling =
+      if c.instance_seed land 1 = 0 then Max_concurrent_flow.Maxflow_weighted
+      else Max_concurrent_flow.Proportional
+    in
+    let r = Max_concurrent_flow.solve g overlays ~epsilon:c.epsilon ~scaling in
+    inspect g r.Max_concurrent_flow.solution;
+    Check.certify_mcf g overlays ~scaling r
+  | Rounding ->
+    let r =
+      Max_concurrent_flow.solve g (fresh ()) ~epsilon:c.epsilon
+        ~scaling:Max_concurrent_flow.Proportional
+    in
+    let rounded =
+      Random_rounding.round
+        (Rng.create (c.instance_seed + 1))
+        g
+        ~fractional:r.Max_concurrent_flow.solution
+        ~trees_per_session:c.trees_per_session
+    in
+    inspect g rounded.Random_rounding.solution;
+    Check.certify g rounded.Random_rounding.solution
+  | Online ->
+    let r = Online.solve g (fresh ()) ~sigma:20.0 in
+    inspect g r.Online.solution;
+    Check.certify g r.Online.solution
+  | Single_tree ->
+    let r = Baseline.single_tree g (fresh ()) in
+    inspect g r.Baseline.solution;
+    Check.certify g r.Baseline.solution
+  | Refinement ->
+    let r =
+      Refinement.improve g (fresh ())
+        {
+          Refinement.trees_per_session = c.trees_per_session;
+          rounds = 2;
+          sigma = 20.0;
+        }
+    in
+    inspect g r.Refinement.solution;
+    Check.certify g r.Refinement.solution
 
 (* --- sparsification soundness ----------------------------------------- *)
 
@@ -260,23 +243,22 @@ let sparsify_sound c ~spec =
     | exception Failure msg -> Error msg
   in
   let solve overlays =
-    with_pool c (fun par ->
-        match c.algo with
-        | Maxflow ->
-          let r = Max_flow.solve ~par g overlays ~epsilon:c.epsilon in
-          ( r.Max_flow.iterations,
-            solution_fingerprint r.Max_flow.solution,
-            Check.certify_max_flow g overlays r )
-        | Mcf ->
-          let r =
-            Max_concurrent_flow.solve ~par g overlays ~epsilon:c.epsilon
-              ~scaling:Max_concurrent_flow.Proportional
-          in
-          ( r.Max_concurrent_flow.phases,
-            solution_fingerprint r.Max_concurrent_flow.solution,
-            Check.certify_mcf g overlays
-              ~scaling:Max_concurrent_flow.Proportional r )
-        | _ -> invalid_arg "Prop_overlay.sparsify_sound: FPTAS algorithms only")
+    match c.algo with
+    | Maxflow ->
+      let r = Max_flow.solve g overlays ~epsilon:c.epsilon in
+      ( r.Max_flow.iterations,
+        solution_fingerprint r.Max_flow.solution,
+        Check.certify_max_flow g overlays r )
+    | Mcf ->
+      let r =
+        Max_concurrent_flow.solve g overlays ~epsilon:c.epsilon
+          ~scaling:Max_concurrent_flow.Proportional
+      in
+      ( r.Max_concurrent_flow.phases,
+        solution_fingerprint r.Max_concurrent_flow.solution,
+        Check.certify_mcf g overlays ~scaling:Max_concurrent_flow.Proportional
+          r )
+    | _ -> invalid_arg "Prop_overlay.sparsify_sound: FPTAS algorithms only"
   in
   let iters, fp, verdict = solve overlays in
   let* () =
@@ -314,110 +296,102 @@ let warm_consistent c =
   (* event randomness is split from the instance stream so shrinking
      [nodes]/[sessions] does not scramble the churn sequence *)
   let rng = Rng.create (c.instance_seed + 1) in
-  with_pool c (fun par ->
-      let solver =
-        match c.algo with
-        | Maxflow -> Engine.Maxflow
-        | Mcf ->
-          (* Paper variant: the Fleischer adaptation can fail its own
-             duality certificate even cold (documented in
-             test_engine.ml), which would make every run ladder out *)
-          Engine.Mcf
-            {
-              variant = Max_concurrent_flow.Paper;
-              scaling = Max_concurrent_flow.Proportional;
-            }
-        | _ -> assert false
-      in
-      let config =
+  let solver =
+    match c.algo with
+    | Maxflow -> Engine.Maxflow
+    | Mcf ->
+      (* Paper variant: the Fleischer adaptation can fail its own
+         duality certificate even cold (documented in
+         test_engine.ml), which would make every run ladder out *)
+      Engine.Mcf
         {
-          Engine.default_config with
-          epsilon = c.epsilon;
-          solver;
-          mode = c.mode;
-          par;
+          variant = Max_concurrent_flow.Paper;
+          scaling = Max_concurrent_flow.Proportional;
         }
-      in
-      let t = Engine.create ~config g sessions in
-      let join id =
-        let s =
-          Session.random rng ~id ~topology_size:n ~size
-            ~demand:(0.5 +. Rng.float rng 2.0)
-        in
-        Churn.Session_join
-          { id; members = s.Session.members; demand = s.Session.demand }
-      in
-      let capacity_change () =
-        let edge = Rng.int rng (Graph.n_edges g) in
-        let factor = 0.6 +. Rng.float rng 0.8 in
-        Churn.Capacity_change
-          { edge; capacity = factor *. Graph.capacity g edge }
-      in
-      (* fresh ids from 1000 up; base sessions keep ids 0 .. k-1.  The
-         sequence exercises every repair path: join (new overlay),
-         demand change (routing state reused), capacity change (dual
-         repair), leave (duals untouched). *)
-      let events =
-        [
-          join 1000;
-          Churn.Demand_change
-            { id = Rng.int rng c.n_sessions; demand = 0.5 +. Rng.float rng 2.0 };
-          capacity_change ();
-          join 1001;
-          Churn.Session_leave { id = 1000 };
-          Churn.Demand_change { id = 1001; demand = 0.5 +. Rng.float rng 2.0 };
-        ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc (i, event) ->
-            let* () = acc in
-            let report = Engine.apply t { Churn.at = float_of_int i; event } in
-            if report.Engine.certified then Ok ()
-            else
-              Error
-                (Printf.sprintf "event %d (%s) accepted uncertified" i
-                   (Churn.event_to_string event)))
-          (Ok ())
-          (List.mapi (fun i e -> (i, e)) events)
-      in
-      (* the surviving instance — mutated capacities included — must
-         match a from-scratch batch solve up to the FPTAS guarantee *)
-      let live = Engine.sessions t in
-      let overlays = Array.map (Overlay.create g c.mode) live in
-      let* cold_obj, factor =
-        let checked verdict obj factor =
-          if Check.ok verdict then Ok (obj, factor)
-          else
-            Error
-              (Format.asprintf "cold reference fails certification: %a"
-                 Check.pp_verdict verdict)
-        in
-        match c.algo with
-        | Maxflow ->
-          let r = Max_flow.solve ~par g overlays ~epsilon:c.epsilon in
-          checked
-            (Check.certify_max_flow g overlays r)
-            (Solution.overall_throughput r.Max_flow.solution)
-            2.0
-        | Mcf ->
-          let scaling = Max_concurrent_flow.Proportional in
-          let r =
-            Max_concurrent_flow.solve ~par g overlays ~epsilon:c.epsilon
-              ~variant:Max_concurrent_flow.Paper ~scaling
-          in
-          checked (Check.certify_mcf g overlays ~scaling r)
-            (Solution.concurrent_ratio r.Max_concurrent_flow.solution)
-            3.0
-        | _ -> assert false
-      in
-      let warm_obj = Engine.objective t in
-      let band = 1.0 -. (factor *. c.epsilon) -. Check.default_tol in
-      if cold_obj <= 0.0 then
-        Error (Printf.sprintf "cold reference objective is %g" cold_obj)
-      else if warm_obj < band *. cold_obj then
+    | _ -> assert false
+  in
+  let config =
+    { Engine.default_config with epsilon = c.epsilon; solver; mode = c.mode }
+  in
+  let t = Engine.create ~config g sessions in
+  let join id =
+    let s =
+      Session.random rng ~id ~topology_size:n ~size
+        ~demand:(0.5 +. Rng.float rng 2.0)
+    in
+    Churn.Session_join
+      { id; members = s.Session.members; demand = s.Session.demand }
+  in
+  let capacity_change () =
+    let edge = Rng.int rng (Graph.n_edges g) in
+    let factor = 0.6 +. Rng.float rng 0.8 in
+    Churn.Capacity_change { edge; capacity = factor *. Graph.capacity g edge }
+  in
+  (* fresh ids from 1000 up; base sessions keep ids 0 .. k-1.  The
+     sequence exercises every repair path: join (new overlay),
+     demand change (routing state reused), capacity change (dual
+     repair), leave (duals untouched). *)
+  let events =
+    [
+      join 1000;
+      Churn.Demand_change
+        { id = Rng.int rng c.n_sessions; demand = 0.5 +. Rng.float rng 2.0 };
+      capacity_change ();
+      join 1001;
+      Churn.Session_leave { id = 1000 };
+      Churn.Demand_change { id = 1001; demand = 0.5 +. Rng.float rng 2.0 };
+    ]
+  in
+  let* () =
+    List.fold_left
+      (fun acc (i, event) ->
+        let* () = acc in
+        let report = Engine.apply t { Churn.at = float_of_int i; event } in
+        if report.Engine.certified then Ok ()
+        else
+          Error
+            (Printf.sprintf "event %d (%s) accepted uncertified" i
+               (Churn.event_to_string event)))
+      (Ok ())
+      (List.mapi (fun i e -> (i, e)) events)
+  in
+  (* the surviving instance — mutated capacities included — must
+     match a from-scratch batch solve up to the FPTAS guarantee *)
+  let live = Engine.sessions t in
+  let overlays = Array.map (Overlay.create g c.mode) live in
+  let* cold_obj, factor =
+    let checked verdict obj factor =
+      if Check.ok verdict then Ok (obj, factor)
+      else
         Error
-          (Printf.sprintf
-             "engine objective %g below guarantee band: %g * cold %g" warm_obj
-             band cold_obj)
-      else Ok ())
+          (Format.asprintf "cold reference fails certification: %a"
+             Check.pp_verdict verdict)
+    in
+    match c.algo with
+    | Maxflow ->
+      let r = Max_flow.solve g overlays ~epsilon:c.epsilon in
+      checked
+        (Check.certify_max_flow g overlays r)
+        (Solution.overall_throughput r.Max_flow.solution)
+        2.0
+    | Mcf ->
+      let scaling = Max_concurrent_flow.Proportional in
+      let r =
+        Max_concurrent_flow.solve g overlays ~epsilon:c.epsilon
+          ~variant:Max_concurrent_flow.Paper ~scaling
+      in
+      checked (Check.certify_mcf g overlays ~scaling r)
+        (Solution.concurrent_ratio r.Max_concurrent_flow.solution)
+        3.0
+    | _ -> assert false
+  in
+  let warm_obj = Engine.objective t in
+  let band = 1.0 -. (factor *. c.epsilon) -. Check.default_tol in
+  if cold_obj <= 0.0 then
+    Error (Printf.sprintf "cold reference objective is %g" cold_obj)
+  else if warm_obj < band *. cold_obj then
+    Error
+      (Printf.sprintf
+         "engine objective %g below guarantee band: %g * cold %g" warm_obj
+         band cold_obj)
+  else Ok ()

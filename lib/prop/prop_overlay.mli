@@ -1,12 +1,11 @@
 (** Domain generators for the certification property suite.
 
     A {!case} is a fully-specified random solver run — algorithm,
-    topology family, routing mode, instance sizes, epsilon, worker
-    count, instance seed — compact enough to print on one line and
-    re-parse, which is what makes the [OVERLAY_PROP_CASE] replay
-    workflow possible.  {!solve_case} materializes the instance, runs
-    the algorithm (on a domain pool when [jobs > 1]) and hands the
-    result to the {!Check} certification kernel. *)
+    topology family, routing mode, instance sizes, epsilon, instance
+    seed — compact enough to print on one line and re-parse, which is
+    what makes the [OVERLAY_PROP_CASE] replay workflow possible.
+    {!solve_case} materializes the instance, runs the algorithm and
+    hands the result to the {!Check} certification kernel. *)
 
 type algorithm = Maxflow | Mcf | Rounding | Online | Single_tree | Refinement
 type family = Waxman | Barabasi | Two_level
@@ -25,11 +24,10 @@ type case = {
   session_size : int;       (** >= 3; clamped to the topology size *)
   trees_per_session : int;  (** budget for rounding/refinement (>= 1) *)
   epsilon : float;          (** FPTAS epsilon where applicable *)
-  jobs : int;               (** domain-pool workers; 1 = serial *)
   instance_seed : int;      (** seed for topology + session draw *)
 }
 
-(** [gen ~algo ~family ~mode ~jobs] draws the remaining case fields:
+(** [gen ~algo ~family ~mode] draws the remaining case fields:
     nodes in [10, 24], 1–3 sessions of size 3–5, tree budget 1–4,
     epsilon from a coarse palette valid for both FPTAS solvers, and a
     fresh instance seed. *)
@@ -37,12 +35,11 @@ val gen :
   algo:algorithm ->
   family:family ->
   mode:Overlay.mode ->
-  jobs:int ->
   case Prop.Gen.t
 
 (** [shrink c] proposes strictly smaller cases, in replay priority
-    order: node count first, then session count, session size, tree
-    budget, and finally worker count. *)
+    order: node count first, then session count, session size, and
+    finally tree budget. *)
 val shrink : case -> case list
 
 (** [case_to_string c] is the one-line [key=value,...] form used by the
@@ -60,9 +57,9 @@ val instance : case -> Graph.t * Session.t array
     result from scratch: {!Check.certify_max_flow} for [Maxflow],
     {!Check.certify_mcf} for [Mcf] (scaling policy chosen by the
     instance seed's parity), and the structural {!Check.certify} for
-    the four tree-based heuristics.  Any pool created for [jobs > 1] is
-    shut down before returning.  [inspect] (default: nothing) is called
-    with the graph and the solution just before certification. *)
+    the four tree-based heuristics.  [inspect] (default: nothing) is
+    called with the graph and the solution just before
+    certification. *)
 val solve_case :
   ?inspect:(Graph.t -> Solution.t -> unit) -> case -> Check.verdict
 

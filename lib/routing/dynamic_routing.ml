@@ -5,15 +5,13 @@ type snapshot = {
   dists : float array array;
 }
 
-(* Reusable snapshot-construction state: per-worker Dijkstra workspaces
-   plus the dense vertex->slot array and a grow-once member buffer.
-   The arbitrary-routing mode rebuilds a snapshot per MST operation
-   (k Dijkstras), so all O(n) scratch state is hoisted out of the
-   per-operation path.  Slot 0 always exists (the serial path); extra
-   Dijkstra workspaces appear the first time a snapshot runs on a
-   wider Par pool. *)
+(* Reusable snapshot-construction state: a Dijkstra workspace plus the
+   dense vertex->slot array and a grow-once member buffer.  The
+   arbitrary-routing mode rebuilds a snapshot per MST operation (k
+   Dijkstras), so all O(n) scratch state is hoisted out of the
+   per-operation path. *)
 type workspace = {
-  dijs : Dijkstra.workspace Par.Slots.t;
+  dij : Dijkstra.workspace;
   slots : int array;
   installed : int array;  (* members whose slots are currently set... *)
   mutable n_installed : int;  (* ...living in installed.(0 .. n_installed-1) *)
@@ -21,10 +19,8 @@ type workspace = {
 
 let workspace g =
   let n = Graph.n_vertices g in
-  let dijs = Par.Slots.make (fun _ -> Dijkstra.workspace ~n) in
-  Par.Slots.ensure dijs 1;
   {
-    dijs;
+    dij = Dijkstra.workspace ~n;
     slots = Array.make (max n 1) (-1);
     (* a member set never exceeds the vertex count (duplicates are
        rejected), so the buffer never needs to grow *)
@@ -36,7 +32,7 @@ let c_snapshots =
   Obs.Counter.make ~doc:"arbitrary-routing snapshots (k Dijkstras each)"
     "routing.snapshots"
 
-let routes_ws ?(par = Par.serial) ws g ~members ~length =
+let routes_ws ws g ~members ~length =
   Obs.Counter.incr c_snapshots;
   let k = Array.length members in
   if Array.length ws.slots < Graph.n_vertices g then
@@ -60,15 +56,13 @@ let routes_ws ?(par = Par.serial) ws g ~members ~length =
   Dijkstra.validate_lengths g ~length;
   let routes = Array.make_matrix k k None in
   let dists = Array.make_matrix k k 0.0 in
-  (* The k single-source trees are independent; sources are chunked
-     over the pool in ascending order.  Worker [w] only writes cells
-     owned by its sources: row [i] of [routes], and [dists.(i).(j)] /
-     [dists.(j).(i)] for [j > i] — each cell has exactly one writer
-     (the task with the smaller endpoint), so plain array stores are
-     race-free.  Per-worker Dijkstra workspaces come from [ws.dijs]. *)
-  let run_source worker i =
-    let dij = Par.Slots.get ws.dijs worker in
-    let tree = Dijkstra.shortest_path_tree_ws dij g ~length ~source:members.(i) in
+  (* one single-source tree per member, in ascending order; source [i]
+     fills row [i] of [routes] and [dists.(i).(j)] / [dists.(j).(i)]
+     for [j > i] *)
+  for i = 0 to k - 1 do
+    let tree =
+      Dijkstra.shortest_path_tree_ws ws.dij g ~length ~source:members.(i)
+    in
     for j = i + 1 to k - 1 do
       match Dijkstra.path_edges tree members.(j) with
       | None -> failwith "Dynamic_routing.routes: member pair disconnected"
@@ -77,17 +71,7 @@ let routes_ws ?(par = Par.serial) ws g ~members ~length =
         dists.(i).(j) <- tree.Dijkstra.dist.(members.(j));
         dists.(j).(i) <- dists.(i).(j)
     done
-  in
-  let par = if k > 1 then par else Par.serial in
-  Par.Slots.ensure ws.dijs (Par.jobs par);
-  (* A source Dijkstra on the session-scale graphs here costs a few µs
-     to a few tens of µs — comparable to a pool dispatch — so small
-     member sets (the paper's setups have k <= 7) run inline and only
-     genuinely wide sessions fan out. *)
-  Par.parallel_for ~min_chunk:8 par ~n:k (fun ~worker ~lo ~hi ->
-      for i = lo to hi - 1 do
-        run_source worker i
-      done);
+  done;
   (* the snapshot borrows [ws.slots]; it stays correct until the next
      [routes_ws] on the same workspace *)
   { member_list = Array.copy members; slot_of = ws.slots; routes; dists }

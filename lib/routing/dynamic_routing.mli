@@ -32,16 +32,8 @@ val routes : Graph.t -> members:int array -> length:(int -> float) -> snapshot
     installed-member buffer live in [ws].  The returned snapshot
     borrows the slot table, so it is only valid until the next
     [routes_ws] call on the same workspace.  Lengths are validated
-    once per call, not once per member.
-
-    [par] (default {!Par.serial}) runs the [k] independent source
-    Dijkstras on the pool, chunked over sources in ascending order with
-    one private Dijkstra workspace per worker (grown on first use and
-    kept in [ws]).  The snapshot is identical at any [-j]: every
-    route/distance cell has exactly one writing source, and each
-    source's tree is computed by exactly one worker. *)
+    once per call, not once per member. *)
 val routes_ws :
-  ?par:Par.t ->
   workspace -> Graph.t -> members:int array -> length:(int -> float) -> snapshot
 
 (** [route s u v] is the route between two member vertices in this

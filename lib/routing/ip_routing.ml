@@ -108,7 +108,8 @@ let slot t v =
    shortest-path tree from the lower slot's member — the same source
    orientation [compute] uses, so the stored route is bit-identical to
    what a dense table would hold.  The lock serializes table mutation
-   (replicas share one table across domains in the winner sweep). *)
+   ([Overlay.with_session] replicas share one table, which may be read
+   from several domains). *)
 let sparse_route t s ~a ~b =
   let k = Array.length t.member_list in
   let key = (a * k) + b in

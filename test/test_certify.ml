@@ -213,6 +213,9 @@ let certify_both g solution =
 let master_seed = Prop.seed_from_env ~default:2026
 let cases_per_combo = Prop.count_from_env ~default:3
 
+(* Two case streams per (family, mode).  The second once ran on a
+   2-domain pool; its seed indices are kept, so each master seed still
+   certifies the same instances. *)
 let property_for algo () =
   let combo = ref 0 in
   List.iter
@@ -220,22 +223,22 @@ let property_for algo () =
       List.iter
         (fun mode ->
           List.iter
-            (fun jobs ->
+            (fun stream ->
               incr combo;
               (* distinct master seed per combo, derived so combo
                  ordering never aliases case streams *)
               let seed = Prop.case_seed ~seed:master_seed (1000 + !combo) in
               Prop.check
                 ~name:
-                  (Printf.sprintf "certify %s/%s/%s/j%d"
+                  (Printf.sprintf "certify %s/%s/%s/%d"
                      (Prop_overlay.algorithm_name algo)
                      (Prop_overlay.family_name family)
                      (match mode with
                      | Overlay.Ip -> "ip"
                      | Overlay.Arbitrary -> "arbitrary")
-                     jobs)
+                     stream)
                 ~count:cases_per_combo ~seed
-                ~gen:(Prop_overlay.gen ~algo ~family ~mode ~jobs)
+                ~gen:(Prop_overlay.gen ~algo ~family ~mode)
                 ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
                 (fun case ->
                   let differs = ref None in
@@ -285,7 +288,7 @@ let sparsify_property_for algo () =
                      | Overlay.Ip -> "ip"
                      | Overlay.Arbitrary -> "arbitrary"))
                 ~count:cases_per_combo ~seed
-                ~gen:(Prop_overlay.gen ~algo ~family ~mode ~jobs:1)
+                ~gen:(Prop_overlay.gen ~algo ~family ~mode)
                 ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
                 (fun case -> Prop_overlay.sparsify_sound case ~spec))
             [ Overlay.Ip; Overlay.Arbitrary ])
@@ -315,7 +318,7 @@ let warm_property_for algo () =
                  | Overlay.Ip -> "ip"
                  | Overlay.Arbitrary -> "arbitrary"))
             ~count:cases_per_combo ~seed
-            ~gen:(Prop_overlay.gen ~algo ~family ~mode ~jobs:1)
+            ~gen:(Prop_overlay.gen ~algo ~family ~mode)
             ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
             Prop_overlay.warm_consistent)
         [ Overlay.Ip; Overlay.Arbitrary ])
@@ -367,7 +370,6 @@ let base_case =
     session_size = 4;
     trees_per_session = 2;
     epsilon = 0.15;
-    jobs = 1;
     instance_seed = 424242;
   }
 
@@ -698,9 +700,7 @@ let test_case_roundtrip () =
         (fun family ->
           List.iter
             (fun mode ->
-              let case =
-                Prop_overlay.gen ~algo ~family ~mode ~jobs:2 (Rng.create 5)
-              in
+              let case = Prop_overlay.gen ~algo ~family ~mode (Rng.create 5) in
               match Prop_overlay.case_of_string
                       (Prop_overlay.case_to_string case)
               with
@@ -717,14 +717,20 @@ let test_case_roundtrip () =
   (match Prop_overlay.case_of_string "algo=bogus" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bogus algo accepted");
-  match Prop_overlay.case_of_string "nodes=twelve" with
+  (match Prop_overlay.case_of_string "nodes=twelve" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-numeric field accepted"
+  | Ok _ -> Alcotest.fail "non-numeric field accepted");
+  (* the worker count is no longer part of a case *)
+  match Prop_overlay.case_of_string "algo=maxflow,jobs=2,seed=7" with
+  | Error msg ->
+    Alcotest.(check string)
+      "jobs is an unknown field" "unknown field \"jobs\"" msg
+  | Ok _ -> Alcotest.fail "jobs=2 accepted"
 
 let test_shrink_priority () =
   let c =
     { base_case with Prop_overlay.nodes = 20; n_sessions = 3; session_size = 5;
-      trees_per_session = 3; jobs = 2 }
+      trees_per_session = 3 }
   in
   match Prop_overlay.shrink c with
   | first :: _ ->

@@ -20,8 +20,6 @@ let () =
       ("obs", Test_obs.suite);
       ("histogram", Test_histogram.suite);
       ("trace-analysis", Test_trace_analysis.suite);
-      ("par", Test_par.suite);
-      ("par-determinism", Test_par_determinism.suite);
       ("io-and-protocols", Test_io_protocol.suite);
       ("certify", Test_certify.suite);
       ("flat", Test_flat.suite);

@@ -56,6 +56,25 @@ let test_counter_registry () =
   Obs.Counter.reset c;
   checki "reset zeroes" 0 (Obs.Counter.value c)
 
+(* A counter bumped from several domains must equal the serial tally
+   exactly: the tally is an Atomic. *)
+let test_atomic_counter_totals () =
+  let c = Obs.Counter.make "test_obs.atomic_counter" in
+  Obs.Counter.reset c;
+  for _i = 1 to 1000 do
+    Obs.Counter.incr c
+  done;
+  let serial = Obs.Counter.value c in
+  Obs.Counter.reset c;
+  List.iter Domain.join
+    (List.init 4 (fun _ ->
+         Domain.spawn (fun () ->
+             for _i = 1 to 250 do
+               Obs.Counter.incr c
+             done)));
+  checki "parallel counter total matches serial" serial (Obs.Counter.value c);
+  checki "counter total is exact" 1000 (Obs.Counter.value c)
+
 let test_gauge () =
   let g = Obs.Gauge.make ~doc:"test gauge" "test_obs.gauge" in
   checkb "make is idempotent by name" true (g == Obs.Gauge.make "test_obs.gauge");
@@ -345,6 +364,8 @@ let suite =
   [
     Alcotest.test_case "interned names" `Quick test_names;
     Alcotest.test_case "counter registry semantics" `Quick test_counter_registry;
+    Alcotest.test_case "atomic counter totals match serial" `Quick
+      test_atomic_counter_totals;
     Alcotest.test_case "gauge semantics" `Quick test_gauge;
     Alcotest.test_case "debug flags" `Quick test_debug_flags;
     Alcotest.test_case "monotonic clock" `Quick test_clock_monotone;

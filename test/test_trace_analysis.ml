@@ -3,8 +3,7 @@
    reader (Obs_export.read_trace over both schemas, including
    ring-wraparound and truncated streams), and the lib/analysis
    reports, checked against hand-built event arrays with known
-   answers.  Ends with the parallel contract: a stream captured at
-   -j 2 matches the -j 1 stream event for event modulo timestamps. *)
+   answers. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -477,59 +476,6 @@ let test_diff () =
 
 (* ---------- parallel streams ---------- *)
 
-(* The acceptance contract from DESIGN.md §5 + lib/par: the JSONL
-   stream of a -j 2 run equals the -j 1 stream event for event —
-   same seq, kind, session and payloads — modulo timestamps (and span
-   payloads, which are wall-clock durations). *)
-let test_stream_parallel_deterministic () =
-  let rng = Rng.create 7 in
-  let topo = Waxman.generate rng { Waxman.default_params with Waxman.n = 30 } in
-  let g = topo.Topology.graph in
-  let mk id size =
-    Session.random rng ~id ~topology_size:(Topology.n_nodes topo) ~size
-      ~demand:10.0
-  in
-  let sessions = [| mk 0 5; mk 1 4 |] in
-  let solve ~par path =
-    let (r : Max_flow.result), emitted =
-      Obs_stream.with_file path (fun sink ->
-          Max_flow.solve ~obs:sink ~par g
-            (Array.map (fun s -> Overlay.create g Overlay.Ip s) sessions)
-            ~epsilon:0.05)
-    in
-    (r, emitted)
-  in
-  let signature path =
-    let r = ok_exn (Obs_export.read_trace path) in
-    checkb "stream parses clean" true (r.Obs_export.r_issues = []);
-    checki "stream drops nothing" 0 r.Obs_export.r_dropped;
-    Array.map
-      (fun e ->
-        let a, b =
-          match e.Obs.Event.kind with
-          | Obs.Span_open | Obs.Span_close -> (0.0, 0.0)
-          | _ -> (e.Obs.Event.a, e.Obs.Event.b)
-        in
-        (e.Obs.Event.seq, Obs.kind_name e.Obs.Event.kind, e.Obs.Event.session, a, b))
-      r.Obs_export.r_events
-  in
-  with_tmp (fun path1 ->
-      with_tmp (fun path2 ->
-          let r1, n1 = solve ~par:Par.serial path1 in
-          let par = Par.create ~jobs:2 () in
-          let r2, n2 =
-            Fun.protect
-              ~finally:(fun () -> Par.shutdown par)
-              (fun () -> solve ~par path2)
-          in
-          checki "same event count" n1 n2;
-          checki "same iterations" r1.Max_flow.iterations r2.Max_flow.iterations;
-          checkb "identical rates" true
-            (Solution.rates r1.Max_flow.solution
-            = Solution.rates r2.Max_flow.solution);
-          checkb "-j 2 stream = -j 1 stream modulo timestamps" true
-            (signature path1 = signature path2)))
-
 let suite =
   [
     Alcotest.test_case "schema-1 round trip" `Quick test_roundtrip_schema1;
@@ -543,6 +489,4 @@ let suite =
     Alcotest.test_case "span profile" `Quick test_span_profile;
     Alcotest.test_case "mst efficiency" `Quick test_mst_efficiency;
     Alcotest.test_case "two-trace diff" `Quick test_diff;
-    Alcotest.test_case "parallel stream determinism" `Quick
-      test_stream_parallel_deterministic;
   ]
