@@ -291,7 +291,8 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
     | None ->
     Obs.Span.with_ obs preprocess_span (fun () ->
         Array.map
-          (fun o -> fst (Max_flow.solve_single ~incremental ~obs graph o ~epsilon))
+          (fun o ->
+            fst (Max_flow.solve_single ~incremental ~obs graph o ~epsilon))
           overlays)
   in
   let pre_mst_operations = Overlay.total_mst_operations overlays in

@@ -71,9 +71,8 @@ type t = {
   sparsify : Sparsify.t;               (* spec the overlay was built under *)
   ip : ip_engine option;                       (* Some iff mode = Ip *)
   dyn_ws : Dynamic_routing.workspace option;   (* Some iff mode = Arbitrary *)
-  overlay_graph : Graph.t;             (* member-slot graph (complete iff full) *)
   pair_of_oedge : (int * int) array;   (* overlay edge id -> member slots *)
-  ocsr : Flat.Csr.t;                   (* flat view of [overlay_graph] *)
+  ocsr : Flat.Csr.t;                   (* overlay graph (complete iff full) *)
   prim_ws : Flat.Prim.ws;              (* reusable Prim working set *)
   tree_buf : int array;                (* k-1 scratch: Prim output buffer *)
   mutable ops : int;
@@ -257,7 +256,6 @@ let create ?(sparsify = Sparsify.full) graph mode session =
     sparsify;
     ip;
     dyn_ws;
-    overlay_graph;
     pair_of_oedge;
     ocsr = Flat.Csr.of_graph overlay_graph;
     prim_ws = Flat.Prim.ws ~n:k;

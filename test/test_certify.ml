@@ -213,9 +213,8 @@ let certify_both g solution =
 let master_seed = Prop.seed_from_env ~default:2026
 let cases_per_combo = Prop.count_from_env ~default:3
 
-(* Two case streams per (family, mode).  The second once ran on a
-   2-domain pool; its seed indices are kept, so each master seed still
-   certifies the same instances. *)
+(* Two case streams per (family, mode), each seeded by its own combo
+   index. *)
 let property_for algo () =
   let combo = ref 0 in
   List.iter
@@ -720,7 +719,7 @@ let test_case_roundtrip () =
   (match Prop_overlay.case_of_string "nodes=twelve" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-numeric field accepted");
-  (* the worker count is no longer part of a case *)
+  (* jobs is not a case field *)
   match Prop_overlay.case_of_string "algo=maxflow,jobs=2,seed=7" with
   | Error msg ->
     Alcotest.(check string)

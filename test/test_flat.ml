@@ -142,7 +142,8 @@ let test_prim_into_errors () =
   (* one single-edge route per edge of [g] *)
   let routes g =
     Flat.Routes.of_routes
-      (Array.init (Graph.n_edges g) (fun id -> Route.make ~src:0 ~dst:1 [| id |]))
+      (Array.init (Graph.n_edges g) (fun id ->
+           Route.make ~src:0 ~dst:1 [| id |]))
   in
   expect_failure "lazy_routes_into" "Mst.prim: graph is disconnected"
     (fun () ->
@@ -208,7 +209,8 @@ let test_prim_lazy_routes_matches () =
       Flat.Prim.lazy_routes_into ws csr ~w ~dirty ~routes ~lens ~edges
     in
     let mst = Mst.prim g ~length:(fun id -> exact.(id)) in
-    checkb "edge picks = Mst.prim on exact lengths" true (mst.Mst.edges = edges);
+    checkb "edge picks = Mst.prim on exact lengths" true
+      (mst.Mst.edges = edges);
     let same_bits a b =
       Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
     in
@@ -216,9 +218,12 @@ let test_prim_lazy_routes_matches () =
     for id = 0 to m - 1 do
       if was_dirty.(id) && not dirty.(id) then begin
         incr cleared;
-        checkb "refreshed edge holds exact bits" true (same_bits exact.(id) w.(id))
+        checkb "refreshed edge holds exact bits" true
+          (same_bits exact.(id) w.(id))
       end
-      else checkb "untouched edge keeps its value" true (same_bits stale.(id) w.(id))
+      else
+        checkb "untouched edge keeps its value" true
+          (same_bits stale.(id) w.(id))
     done;
     checki "refresh count = cleared flags" !cleared refreshed;
     (* laziness is real: a clean cache refreshes nothing *)

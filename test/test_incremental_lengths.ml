@@ -350,8 +350,6 @@ let suite =
       test_ip_monotone_skip_matches_scratch;
     Alcotest.test_case "ip decreasing updates = scratch (property)" `Quick
       test_ip_decreasing_updates_match_scratch;
-    Alcotest.test_case "ip notify_usage on two overlays = scratch (property)"
-      `Quick test_ip_notify_usage_matches_scratch;
     Alcotest.test_case "arbitrary workspace = scratch (property)" `Quick
       test_arbitrary_workspace_matches_scratch;
     Alcotest.test_case "cross-check catches missed notification" `Quick
@@ -362,4 +360,6 @@ let suite =
       test_monotone_skip_weight_exact;
     Alcotest.test_case "best-first sweep over 6 sessions = every session"
       `Quick test_sweep_many_sessions;
+    Alcotest.test_case "ip notify_usage on two overlays = scratch (property)"
+      `Quick test_ip_notify_usage_matches_scratch;
   ]

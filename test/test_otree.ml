@@ -224,7 +224,8 @@ let reference_tree o ~length =
   Array.iter (fun (a, b) -> ignore (Graph.add_edge og a b ~capacity:1.0)) pairs;
   let routes =
     Array.map
-      (fun p -> (Overlay.tree_of_pairs o ~pairs:[| p |] ~length).Otree.routes.(0))
+      (fun p ->
+        (Overlay.tree_of_pairs o ~pairs:[| p |] ~length).Otree.routes.(0))
       pairs
   in
   let mst = Mst.prim og ~length:(fun oe -> Route.weight routes.(oe) ~length) in
