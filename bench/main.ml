@@ -601,21 +601,11 @@ let mst_workload ~incremental =
    objective bits and the same per-session (tree, rate) lists. *)
 let same_solver_output a b =
   let sa = a.Max_flow.solution and sb = b.Max_flow.solution in
-  let k = Array.length (Solution.sessions sa) in
-  let tree_list s i =
-    Solution.trees s i
-    |> List.map (fun (t, rate) -> (Otree.key t, rate))
-    |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
-  in
   a.Max_flow.iterations = b.Max_flow.iterations
   && Int64.equal
        (Int64.bits_of_float (Solution.overall_throughput sa))
        (Int64.bits_of_float (Solution.overall_throughput sb))
-  &&
-  let rec loop i =
-    i >= k || (tree_list sa i = tree_list sb i && loop (i + 1))
-  in
-  loop 0
+  && Solution.equal sa sb
 
 (* Steady-state allocation: length increases confined to covered edges
    {e outside} the winning tree keep that tree minimal (cut property),

@@ -61,14 +61,13 @@ let aggregate_replicated_rates solution ~original_of_slot ~originals =
 
 let aggregate_replicated_trees solution ~original_of_slot ~originals =
   check_mapping "aggregate_replicated_trees" solution ~original_of_slot ~originals;
-  let keys = Array.init originals (fun _ -> Hashtbl.create 16) in
+  let seen = Array.init originals (fun _ -> Otree.Tbl.create 16) in
   Array.iteri
     (fun slot original ->
       List.iter
         (fun (tree, _) ->
-          (* identify trees across replicas by shape + routes, ignoring
-             the differing replica session ids *)
-          Hashtbl.replace keys.(original) (Otree.key tree) ())
+          (* [Otree.equal] ignores the differing replica session ids *)
+          Otree.Tbl.replace seen.(original) tree ())
         (Solution.trees solution slot))
     original_of_slot;
-  Array.map Hashtbl.length keys
+  Array.map Otree.Tbl.length seen

@@ -39,6 +39,7 @@ val aggregate_replicated_rates :
 
 (** [aggregate_replicated_trees solution ~original_of_slot ~originals]
     counts distinct trees per original session across its replicas
-    (a tree selected by several replicas counts once, as in Fig. 6). *)
+    (a tree selected by several replicas counts once, as in Fig. 6):
+    trees are told apart by {!Otree.equal}. *)
 val aggregate_replicated_trees :
   Solution.t -> original_of_slot:int array -> originals:int -> int array

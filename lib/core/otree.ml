@@ -3,7 +3,6 @@ type t = {
   pairs : (int * int) array;
   routes : Route.t array;
   usage : (int * int) array;
-  mutable key_cache : string;
 }
 
 (* The sign of [compare_pairs] equals that of polymorphic [compare] on
@@ -68,7 +67,7 @@ let build ~session_id ~pairs ~routes =
   end;
   let pairs = Array.map (fun i -> normalized.(i)) order in
   let routes = Array.map (fun i -> routes.(i)) order in
-  { session_id; pairs; routes; usage = usage_of_routes routes; key_cache = "" }
+  { session_id; pairs; routes; usage = usage_of_routes routes }
 
 (* --- linear-time construction from canonical pairs ---------------------- *)
 
@@ -123,7 +122,7 @@ let build_sorted s ~session_id ~pairs ~routes =
     usage.(u) <- (id, counts.(id));
     counts.(id) <- 0
   done;
-  { session_id; pairs; routes; usage; key_cache = "" }
+  { session_id; pairs; routes; usage }
 
 let n_e t edge_id =
   let lo = ref 0 and hi = ref (Array.length t.usage - 1) in
@@ -174,55 +173,48 @@ let bottleneck_arr t caps =
   done;
   !acc
 
-(* --- identity strings ---------------------------------------------------
+(* --- identity ------------------------------------------------------------
 
-   The key is ["a,b;" per pair] ^ "|" ^ [route edge ids, unseparated,
-   then "/" per route], every integer in decimal as [string_of_int]
-   prints it.  Digits go straight into one [Buffer]; member slots and
-   edge ids are never negative. *)
+   Top-level functions only: without flambda a local recursive function
+   allocates its closure on every call, and [Solution.add] of a known
+   tree must allocate nothing. *)
 
-(* appends [n >= 0] in decimal *)
-let rec add_int buf n =
-  if n < 0 then invalid_arg "Otree: negative slot or edge id";
-  if n >= 10 then add_int buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+(* equal lengths, and [eq] holds index by index *)
+let same_arrays eq a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && eq a.(!i) b.(!i) do
+    incr i
+  done;
+  !i = n
 
-let add_pairs buf pairs =
-  Array.iter
-    (fun (a, b) ->
-      add_int buf a;
-      Buffer.add_char buf ',';
-      add_int buf b;
-      Buffer.add_char buf ';')
-    pairs
+let same_pair ((a1 : int), (b1 : int)) (a2, b2) = a1 = a2 && b1 = b2
 
-let build_key t =
-  let buf = Buffer.create 64 in
-  add_pairs buf t.pairs;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun r ->
-      Array.iter (add_int buf) r.Route.edges;
-      Buffer.add_char buf '/')
-    t.routes;
-  Buffer.contents buf
+let same_route r1 r2 =
+  r1 == r2 || same_arrays Int.equal r1.Route.edges r2.Route.edges
 
-(* A key is never empty (it always holds the '|'), so [""] marks an
-   unfilled cache.  Racing fills from several domains each write an
-   equal string; either one may stay. *)
-let key t =
-  let k = t.key_cache in
-  if String.length k > 0 then k
-  else begin
-    let k = build_key t in
-    t.key_cache <- k;
-    k
-  end
+let equal a b =
+  a == b
+  || same_arrays same_pair a.pairs b.pairs
+     && same_arrays same_route a.routes b.routes
 
-let shape_key t =
-  let buf = Buffer.create 64 in
-  add_pairs buf t.pairs;
-  Buffer.contents buf
+let hash t =
+  let h = ref 0 in
+  let pairs = t.pairs in
+  for i = 0 to Array.length pairs - 1 do
+    let a, b = pairs.(i) in
+    h := (((!h * 31) + a) * 31) + b
+  done;
+  Hashtbl.hash !h
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
 
 let n_overlay_edges t = Array.length t.pairs
 

@@ -14,9 +14,6 @@ type t = {
   routes : Route.t array;  (** physical realization, aligned with [pairs] *)
   usage : (int * int) array;
   (** (physical edge id, n_e) pairs, sorted by edge id, n_e >= 1 *)
-  mutable key_cache : string;
-  (** {!key}'s memo: [""] until the first {!key} call fills it.  Never
-      written by callers; see {!key} for what it relies on. *)
 }
 
 (** [build ~session_id ~pairs ~routes] canonicalizes and derives the
@@ -84,35 +81,23 @@ val weight_arr : t -> float array -> float
     allocation-free. *)
 val bottleneck_arr : t -> float array -> float
 
-(** [key t] is a canonical identity string: the overlay shape plus the
-    physical realization.  Two trees with equal keys are the same tree
-    (needed to count distinct trees under arbitrary routing, where one
-    overlay shape can be realized by different routes over time).
+(** [equal a b] is tree identity: the same overlay shape realized by
+    the same routes.  It holds when [a == b], or when [a] and [b] have
+    equal [pairs] and, index by index, routes that are physically equal
+    or have equal edge-id arrays.  [session_id] is ignored, so one tree
+    chosen by several sessions compares equal; [usage] follows from the
+    routes.  Under arbitrary routing one shape can be realized by
+    different routes over time, and those realizations are different
+    trees.  Allocates nothing. *)
+val equal : t -> t -> bool
 
-    The string is ["a,b;"] for each pair, then ["|"], then for each
-    route its edge ids in decimal with no separator and a closing
-    ["/"].  Without a separator, routes whose edge ids print the same
-    digits ([[1; 23]] and [[12; 3]] both give ["123/"]) share a key.
+(** [hash t] reads only [pairs]: within one IP overlay the pairs fix the
+    routes, and in arbitrary mode the realizations of one shape share a
+    hash, which {!equal} tells apart.  Allocates nothing. *)
+val hash : t -> int
 
-    Raises [Invalid_argument] on a negative slot or edge id, which no
-    tree built from a session and a graph has.
-
-    {b Cache.}  The first call builds the string in one [Buffer] and
-    stores it in [t.key_cache]; every later call returns it without
-    allocating.  This relies on two conditions:
-    - [key] depends only on [pairs] and [routes], and a record copy
-      carries the cache along.  A copy [{ t with ... }] may therefore
-      change only [session_id] and [usage]; a copy that changed
-      [pairs] or [routes] would report the original's key.
-    - A tree shared between domains may have its cache filled by
-      several domains at once.  Each computes an equal string, and
-      whichever write lands last is kept, so readers always see a
-      correct key. *)
-val key : t -> string
-
-(** [shape_key t] identifies only the overlay shape (member pairs),
-    ignoring routes: the part of {!key} before ["|"]. *)
-val shape_key : t -> string
+(** Hash tables keyed by tree value ({!equal}, {!hash}). *)
+module Tbl : Hashtbl.S with type key = t
 
 (** [n_overlay_edges t] is the number of overlay edges, [|S_i| - 1]. *)
 val n_overlay_edges : t -> int

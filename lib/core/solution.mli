@@ -1,8 +1,14 @@
 (** Multi-tree flow assignments: the output format of every algorithm.
 
     A solution maps each session to a set of overlay trees with rates
-    [f_j^i >= 0].  Rates on the same tree (same physical realization)
-    accumulate, which is how the paper counts "number of trees". *)
+    [f_j^i >= 0].  Rates on the same tree accumulate, which is how the
+    paper counts "number of trees"; "the same tree" is {!Otree.equal},
+    the same overlay shape realized by the same routes.
+
+    Each session keeps its trees in first-add order: the order in which
+    {!add} first saw them.  Every per-session walk below ({!session_rate},
+    {!trees}, {!tree_rates}, {!link_load}, {!scale}, {!merge_from},
+    {!copy}) follows that order, so each sum has one documented order. *)
 
 type t
 
@@ -12,8 +18,10 @@ val create : Session.t array -> t
 (** [sessions t] is the underlying session array (not copied). *)
 val sessions : t -> Session.t array
 
-(** [add t tree rate] adds [rate] to tree [tree] of its session.
-    Negative rates are rejected. *)
+(** [add t tree rate] adds [rate] to tree [tree] of its session.  A
+    tree not yet in the session ({!Otree.equal}) takes the next slot;
+    a zero rate adds nothing.  Negative rates are rejected.  Adding to
+    a known tree allocates nothing. *)
 val add : t -> Otree.t -> float -> unit
 
 (** [scale t factor] multiplies every rate. *)
@@ -22,7 +30,8 @@ val scale : t -> float -> unit
 (** [scale_session t i factor] multiplies the rates of session [i]. *)
 val scale_session : t -> int -> float -> unit
 
-(** [session_rate t i] is [sum_j f_j^i]. *)
+(** [session_rate t i] is [sum_j f_j^i], summed from [0.0] in
+    first-add order. *)
 val session_rate : t -> int -> float
 
 (** [rates t] is the per-session rate vector. *)
@@ -43,12 +52,18 @@ val concurrent_ratio : t -> float
     session [i]. *)
 val n_trees : t -> int -> int
 
-(** [tree_rates t i] lists the positive rates of session [i]'s trees
-    (unsorted). *)
+(** [tree_rates t i] lists the positive rates of session [i]'s trees,
+    in first-add order. *)
 val tree_rates : t -> int -> float array
 
 (** [trees t i] lists session [i]'s (tree, rate) pairs with positive
-    rate. *)
+    rate, in first-add order. *)
+
+(** [equal a b] holds when [a] and [b] have as many sessions and each
+    session lists the same {!trees}, in the same order: trees
+    {!Otree.equal}, rates equal bit for bit.  It is the exact
+    solver-output comparison. *)
+val equal : t -> t -> bool
 val trees : t -> int -> (Otree.t * float) list
 
 (** [link_load t g] is the physical load per edge id:
@@ -69,9 +84,10 @@ val max_congestion : t -> Graph.t -> float
     [Check.certify] to re-derive loads from the routes instead. *)
 val is_feasible : t -> Graph.t -> tol:float -> bool
 
-(** [merge_from t other] adds all of [other]'s tree rates into [t]
-    (session arrays must agree in ids/order). *)
+(** [merge_from t other] adds all of [other]'s tree rates into [t], in
+    [other]'s first-add order (session arrays must agree in ids/order). *)
 val merge_from : t -> t -> unit
 
-(** [copy t] deep-copies the solution. *)
+(** [copy t] deep-copies the solution; the copy keeps [t]'s first-add
+    order. *)
 val copy : t -> t

@@ -202,19 +202,6 @@ let solve_case ?(inspect = fun _ _ -> ()) c =
 
 (* --- sparsification soundness ----------------------------------------- *)
 
-(* (tree key, rate) multisets per session, compared with exact float
-   equality *)
-let solution_fingerprint solution =
-  let sessions = Solution.sessions solution in
-  Array.to_list
-    (Array.mapi
-       (fun i _ ->
-         List.sort compare
-           (List.map
-              (fun (t, r) -> (Otree.key t, r))
-              (Solution.trees solution i)))
-       sessions)
-
 let check_pruned_connected overlays =
   Array.iteri
     (fun slot o ->
@@ -247,7 +234,7 @@ let sparsify_sound c ~spec =
     | Maxflow ->
       let r = Max_flow.solve g overlays ~epsilon:c.epsilon in
       ( r.Max_flow.iterations,
-        solution_fingerprint r.Max_flow.solution,
+        r.Max_flow.solution,
         Check.certify_max_flow g overlays r )
     | Mcf ->
       let r =
@@ -255,12 +242,12 @@ let sparsify_sound c ~spec =
           ~scaling:Max_concurrent_flow.Proportional
       in
       ( r.Max_concurrent_flow.phases,
-        solution_fingerprint r.Max_concurrent_flow.solution,
+        r.Max_concurrent_flow.solution,
         Check.certify_mcf g overlays ~scaling:Max_concurrent_flow.Proportional
           r )
     | _ -> invalid_arg "Prop_overlay.sparsify_sound: FPTAS algorithms only"
   in
-  let iters, fp, verdict = solve overlays in
+  let iters, solution, verdict = solve overlays in
   let* () =
     if Check.ok verdict then Ok ()
     else
@@ -272,14 +259,14 @@ let sparsify_sound c ~spec =
   else begin
     (* a full spec must be indistinguishable from a build without one *)
     let plain = Array.map (Overlay.create g c.mode) sessions in
-    let iters', fp', _ = solve plain in
+    let iters', solution', _ = solve plain in
     if iters <> iters' then
       Error
         (Printf.sprintf
            "full spec diverges from plain build: %d vs %d iterations" iters
            iters')
-    else if fp <> fp' then
-      Error "full spec diverges from plain build: tree/rate multisets differ"
+    else if not (Solution.equal solution solution') then
+      Error "full spec diverges from plain build: tree/rate lists differ"
     else Ok ()
   end
 

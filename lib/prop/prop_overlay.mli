@@ -73,9 +73,9 @@ val solve_case :
       {!Check} certificate (duality gap included — certified against
       the pruned candidate space, the only sound reference);
     - when [Sparsify.is_full spec], the run is bit-identical to a plain
-      build without a spec (equal iteration/phase counts, equal
-      per-session (tree key, rate) multisets under exact float
-      equality).
+      build without a spec (equal iteration/phase counts, and
+      {!Solution.equal}: the same per-session (tree, rate) lists in
+      first-add order, rates equal bit for bit).
 
     Only meaningful for the FPTAS solvers ([Maxflow]/[Mcf], MCF under
     [Proportional] scaling); raises [Invalid_argument] otherwise. *)

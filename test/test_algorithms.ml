@@ -198,18 +198,16 @@ let test_rounding_respects_fractional_support () =
   let rng = Rng.create 101 in
   let r = Random_rounding.round rng g ~fractional ~trees_per_session:5 in
   (* every selected tree must exist in the fractional support *)
-  let support = Hashtbl.create 64 in
-  Array.iteri
-    (fun i _ ->
-      List.iter
-        (fun (t, _) -> Hashtbl.replace support (Otree.key t) ())
-        (Solution.trees fractional i))
-    (Solution.sessions fractional);
+  let support =
+    List.concat_map
+      (fun i -> List.map fst (Solution.trees fractional i))
+      (List.init (Array.length (Solution.sessions fractional)) Fun.id)
+  in
   Array.iteri
     (fun i _ ->
       List.iter
         (fun (t, _) ->
-          checkb "tree from support" true (Hashtbl.mem support (Otree.key t)))
+          checkb "tree from support" true (List.exists (Otree.equal t) support))
         (Solution.trees r.Random_rounding.solution i))
     (Solution.sessions r.Random_rounding.solution)
 

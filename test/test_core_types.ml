@@ -88,12 +88,10 @@ let test_otree_canonicalization () =
       ~pairs:[| (0, 1); (0, 2) |]
       ~routes:[| route_03 (); route_02 () |]
   in
-  Alcotest.(check string) "same key" (Otree.key b) (Otree.key a);
-  Alcotest.(check string) "same shape key" (Otree.shape_key b) (Otree.shape_key a)
+  checkb "same tree" true (Otree.equal a b);
+  checkb "same pairs" true (a.Otree.pairs = b.Otree.pairs)
 
-let test_otree_key_distinguishes_routes () =
-  let alt_route_03 = Route.make ~src:0 ~dst:3 [| 2; 1; 0 |] in
-  ignore alt_route_03;
+let test_otree_identity_distinguishes_routes () =
   let a =
     Otree.build ~session_id:0 ~pairs:[| (0, 1) |] ~routes:[| route_03 () |]
   in
@@ -101,8 +99,9 @@ let test_otree_key_distinguishes_routes () =
     Otree.build ~session_id:0 ~pairs:[| (0, 1) |]
       ~routes:[| Route.make ~src:0 ~dst:3 [| 0; 1 |] |]
   in
-  checkb "different realization, different key" false (Otree.key a = Otree.key b);
-  Alcotest.(check string) "same shape" (Otree.shape_key a) (Otree.shape_key b)
+  checkb "different realization, different tree" false (Otree.equal a b);
+  checkb "same shape" true (a.Otree.pairs = b.Otree.pairs);
+  checki "one shape, one hash" (Otree.hash a) (Otree.hash b)
 
 let test_otree_spanning () =
   let t =
@@ -188,7 +187,7 @@ let test_overlay_with_session_shares_routes () =
   (* identical member set -> identical trees, fresh op counter, new id *)
   let t1 = Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length in
   let t2 = Overlay.min_spanning_tree shared ~length:Dijkstra.hop_length in
-  Alcotest.(check string) "same shape" (Otree.shape_key t1) (Otree.shape_key t2);
+  checkb "same tree" true (Otree.equal t1 t2);
   checki "replica session id" 7 t2.Otree.session_id;
   checki "counters independent" 1 (Overlay.mst_operations shared);
   (* different members rejected *)
@@ -341,7 +340,8 @@ let suite =
     Alcotest.test_case "otree usage counts" `Quick test_otree_usage_counts;
     Alcotest.test_case "otree weight/bottleneck" `Quick test_otree_weight_bottleneck;
     Alcotest.test_case "otree canonicalization" `Quick test_otree_canonicalization;
-    Alcotest.test_case "otree key vs routes" `Quick test_otree_key_distinguishes_routes;
+    Alcotest.test_case "otree identity vs routes" `Quick
+      test_otree_identity_distinguishes_routes;
     Alcotest.test_case "otree spanning" `Quick test_otree_spanning;
     Alcotest.test_case "overlay mst minimal" `Quick test_overlay_mst_is_minimal;
     Alcotest.test_case "overlay ops counter" `Quick test_overlay_ops_counter;

@@ -6,7 +6,6 @@
    the engine off) — in both Ip and Arbitrary modes. *)
 
 let checkb = Alcotest.(check bool)
-let checks = Alcotest.(check string)
 let checkf = Alcotest.(check (float 0.0))  (* exact equality *)
 
 (* Two mathematically equal sums computed in different association
@@ -101,9 +100,9 @@ let run_ip_schedule ~cross_check ~monotone ?(decreases = false)
         let t_inc = Overlay.min_spanning_tree inc ~length in
         let t_scr = Overlay.min_spanning_tree scr ~length in
         winner := t_inc.Otree.usage;
-        checks
+        checkb
           (Printf.sprintf "seed %d step %d: same tree" seed step)
-          (Otree.key t_scr) (Otree.key t_inc);
+          true (Otree.equal t_scr t_inc);
         checkf
           (Printf.sprintf "seed %d step %d: same tree weight" seed step)
           (Otree.weight t_scr ~length)
@@ -162,9 +161,9 @@ let run_arbitrary_schedule seed =
       done;
     let t1 = Overlay.min_spanning_tree o1 ~length in
     let t2 = Overlay.min_spanning_tree o2 ~length in
-    checks
+    checkb
       (Printf.sprintf "seed %d step %d: same arbitrary tree" seed step)
-      (Otree.key t1) (Otree.key t2);
+      true (Otree.equal t1 t2);
     checkf
       (Printf.sprintf "seed %d step %d: same arbitrary weight" seed step)
       (Otree.weight t1 ~length) (Otree.weight t2 ~length);
@@ -217,19 +216,15 @@ let test_solver_output_invariant () =
   checkf "same rate"
     (Solution.session_rate b.Max_flow.solution 0)
     (Solution.session_rate a.Max_flow.solution 0);
-  let trees r =
-    Solution.trees r.Max_flow.solution 0
-    |> List.map (fun (t, rate) -> (Otree.key t, rate))
-    |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
-  in
-  checkb "same trees and rates" true (trees a = trees b)
+  checkb "same trees and rates" true
+    (Solution.equal a.Max_flow.solution b.Max_flow.solution)
 
 (* The monotone skip is weight-exact, not tree-exact.  With every length
    1.0, doubling a covered edge that lies on no route of the current
    tree leaves that tree minimum, and the skip returns it; a fresh Prim
    breaks the ties of the new weights its own way and may return another
    tree of the same weight (seed 275 does, at weight 8, and seed 379, at
-   weight 11).  So the weights are compared, not the keys. *)
+   weight 11).  So the weights are compared, not the trees. *)
 let test_monotone_skip_weight_exact () =
   let was = Overlay.cross_check_enabled () in
   Overlay.set_cross_check false;
@@ -320,17 +315,8 @@ let test_sweep_many_sessions () =
                (Solution.overall_throughput b.Max_flow.solution))
             (Int64.bits_of_float
                (Solution.overall_throughput a.Max_flow.solution));
-          for slot = 0 to Array.length sessions - 1 do
-            let trees r =
-              Solution.trees r.Max_flow.solution slot
-              |> List.map (fun (t, rate) -> (Otree.key t, rate))
-              |> List.sort compare
-            in
-            checkb
-              (Printf.sprintf "%s: session %d trees and rates" what slot)
-              true
-              (trees a = trees b)
-          done;
+          checkb (what ^ ": trees and rates") true
+            (Solution.equal a.Max_flow.solution b.Max_flow.solution);
           let ratio =
             float_of_int a.Max_flow.mst_operations
             /. float_of_int b.Max_flow.mst_operations

@@ -1,18 +1,15 @@
 (* Otree against a reference oracle: [Reference] is the straightforward
    construction (polymorphic sort of the normalized pairs, Hashtbl
-   multiplicity counts, Printf key), kept here so the production
-   [Otree.build] / [Otree.key] can be checked field by field and byte
-   by byte on random trees, degenerate pair lists, and the record
-   copies callers make.  [Otree.build_sorted], the overlay's
-   linear-time constructor, is checked against [Otree.build] on the
-   trees the flat IP path builds, and on its own contract.  Allocation
-   gates pin the key cache (a read key is never rebuilt, so
-   [Solution.add] of a known tree costs the same for every tree size)
-   and the construction (a memo miss allocates the tree and the memo's
-   own entry, nothing else). *)
+   multiplicity counts), kept here so the production [Otree.build] can
+   be checked field by field on random trees and degenerate pair lists.
+   [Otree.build_sorted], the overlay's linear-time constructor, is
+   checked against [Otree.build] on the trees the flat IP path builds,
+   and on its own contract.  Allocation gates pin [Solution.add] of a
+   known tree (tree identity by value costs no allocation) and the
+   construction (a memo miss allocates the tree and the memo's own
+   entry, nothing else). *)
 
 let checkb = Alcotest.(check bool)
-let checks = Alcotest.(check string)
 
 module Reference = struct
   let build ~pairs ~routes =
@@ -35,20 +32,6 @@ module Reference = struct
       |> List.sort compare |> Array.of_list
     in
     (pairs, routes, usage)
-
-  let key ~pairs ~routes =
-    let buf = Buffer.create 64 in
-    Array.iter
-      (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "%d,%d;" a b))
-      pairs;
-    Buffer.add_char buf '|';
-    Array.iter
-      (fun r ->
-        Route.iter_edges r (fun id ->
-            Buffer.add_string buf (string_of_int id));
-        Buffer.add_char buf '/')
-      routes;
-    Buffer.contents buf
 end
 
 (* routes are built as records so degenerate shapes (repeated edges,
@@ -82,9 +65,6 @@ let check_against_oracle ~what ~pairs ~routes =
     (Array.length tree.Otree.routes = Array.length ref_routes
     && Array.for_all2 ( == ) tree.Otree.routes ref_routes);
   checkb (what ^ ": usage") true (tree.Otree.usage = ref_usage);
-  checks (what ^ ": key")
-    (Reference.key ~pairs:ref_pairs ~routes:ref_routes)
-    (Otree.key tree);
   tree
 
 let test_random_trees () =
@@ -104,7 +84,7 @@ let test_random_trees () =
 
 (* pair lists that are not trees: duplicated and reversed duplicates
    with distinct routes put ties into the sort, and wide slots and
-   edge ids exercise the digit widths of the key *)
+   edge ids reach the usage table unchanged *)
 let test_degenerate_pair_lists () =
   let rng = Rng.create 77 in
   let r edges = { Route.src = 0; dst = 1; edges } in
@@ -124,17 +104,6 @@ let test_degenerate_pair_lists () =
     (fun (what, pairs, routes) ->
       ignore (check_against_oracle ~what ~pairs ~routes))
     fixed;
-  (* slots and edge ids are never negative; the key refuses them *)
-  List.iter
-    (fun (what, pairs, routes) ->
-      let tree = Otree.build ~session_id:0 ~pairs ~routes in
-      Alcotest.check_raises what
-        (Invalid_argument "Otree: negative slot or edge id") (fun () ->
-          ignore (Otree.key tree)))
-    [
-      ("negative slot", [| (-3, 7) |], [| r [| 0 |] |]);
-      ("negative edge id", [| (0, 1) |], [| r [| 4; -2 |] |]);
-    ];
   for case = 1 to 200 do
     let n = Rng.int rng 12 in
     let slots = 1 + Rng.int rng 4 in
@@ -150,8 +119,8 @@ let test_degenerate_pair_lists () =
          ~pairs ~routes)
   done
 
-(* one overlay shape realized by two different route sets: same shape
-   key, different keys, each equal to the oracle *)
+(* one overlay shape realized by two different route sets: same pairs
+   and hash, two different trees, each equal to the oracle *)
 let test_one_shape_two_realizations () =
   let rng = Rng.create 5 in
   for case = 1 to 50 do
@@ -168,41 +137,10 @@ let test_one_shape_two_realizations () =
     let what = Printf.sprintf "case %d" case in
     let a = check_against_oracle ~what:(what ^ " a") ~pairs ~routes:routes_a in
     let b = check_against_oracle ~what:(what ^ " b") ~pairs ~routes:routes_b in
-    checks (what ^ ": same shape") (Otree.shape_key a) (Otree.shape_key b);
-    checkb (what ^ ": different keys") false (Otree.key a = Otree.key b)
+    checkb (what ^ ": same shape") true (a.Otree.pairs = b.Otree.pairs);
+    Alcotest.(check int) (what ^ ": same hash") (Otree.hash a) (Otree.hash b);
+    checkb (what ^ ": different trees") false (Otree.equal a b)
   done
-
-(* the key is stable across repeated reads and survives the record
-   copies that change fields outside it, whether the copy is taken
-   before or after the original's key was first read *)
-let test_key_stable_under_copies () =
-  let rng = Rng.create 11 in
-  let pairs = random_tree_pairs rng 9 in
-  let routes =
-    Array.map (fun (a, b) -> random_route rng ~src:a ~dst:b ~pool:40) pairs
-  in
-  let expected =
-    let ref_pairs, ref_routes, _ = Reference.build ~pairs ~routes in
-    Reference.key ~pairs:ref_pairs ~routes:ref_routes
-  in
-  let tree = Otree.build ~session_id:0 ~pairs ~routes in
-  let early_sid = { tree with Otree.session_id = 1 } in
-  let early_usage =
-    { tree with Otree.usage = Array.map (fun (id, c) -> (id, c + 1)) tree.Otree.usage }
-  in
-  checks "first read" expected (Otree.key tree);
-  checks "second read" expected (Otree.key tree);
-  checks "copy with session_id, taken before the first read" expected
-    (Otree.key early_sid);
-  checks "copy with usage, taken before the first read" expected
-    (Otree.key early_usage);
-  let late_sid = { tree with Otree.session_id = 2 } in
-  let late_usage = { tree with Otree.usage = [||] } in
-  checks "copy with session_id, taken after the first read" expected
-    (Otree.key late_sid);
-  checks "copy with usage, taken after the first read" expected
-    (Otree.key late_usage);
-  checks "original unchanged by the copies" expected (Otree.key tree)
 
 (* --- the IP path's construction ------------------------------------------- *)
 
@@ -212,7 +150,7 @@ let same_tree ~what (a : Otree.t) (b : Otree.t) =
     (Array.length a.Otree.routes = Array.length b.Otree.routes
     && Array.for_all2 ( == ) a.Otree.routes b.Otree.routes);
   checkb (what ^ ": usage") true (a.Otree.usage = b.Otree.usage);
-  checks (what ^ ": key") (Otree.key a) (Otree.key b)
+  checkb (what ^ ": equal") true (Otree.equal a b)
 
 (* The reference tree, from public pieces only: the overlay graph over
    the candidate pairs (edge id = pair index, as the overlay builds it),
@@ -328,26 +266,9 @@ let random_tree rng ~k ~session_id =
 
 let sizes = [ 3; 30; 300 ]
 
-(* once read, a key is returned from the cache: no string is rebuilt *)
-let test_cached_key_allocates_nothing () =
-  let rng = Rng.create 19 in
-  List.iter
-    (fun k ->
-      let tree = random_tree rng ~k ~session_id:0 in
-      ignore (Otree.key tree);
-      let words =
-        Obs.Alloc.measure ~warmup:10 ~iters:1000 (fun () ->
-            ignore (Sys.opaque_identity (Otree.key tree)))
-      in
-      if words <> 0.0 then
-        Alcotest.failf "cached key of a %d-member tree allocates %.2f words"
-          k words)
-    sizes
-
-(* Adding a tree that is already in the solution, but is not the
-   session's last-added tree, costs the table lookup only: the words
-   allocated per add are a small constant, the same for every tree
-   size. *)
+(* Adding a tree that is already in the solution costs the index
+   lookup only: the words allocated per add are a small constant, the
+   same for every tree size. *)
 let test_solution_add_constant_alloc () =
   let rng = Rng.create 23 in
   let per_add =
@@ -361,7 +282,6 @@ let test_solution_add_constant_alloc () =
         let sol = Solution.create [| session |] in
         Solution.add sol a 1.0;
         Solution.add sol b 1.0;
-        (* alternating adds defeat the last-added shortcut every time *)
         let words =
           Obs.Alloc.measure ~warmup:10 ~iters:1000 (fun () ->
               Solution.add sol a 1.0;
@@ -407,7 +327,7 @@ let test_memo_miss_allocates_the_tree () =
       let length _ = 1.0 in
       (* up to 24 lengths arrays whose trees are pairwise distinct *)
       let probe = Overlay.create g Overlay.Ip session in
-      let seen = Hashtbl.create 32 in
+      let seen = Otree.Tbl.create 32 in
       let picked =
         List.filter_map
           (fun _ ->
@@ -416,10 +336,10 @@ let test_memo_miss_allocates_the_tree () =
             in
             Overlay.begin_incremental probe lens;
             let tree = Overlay.min_spanning_tree probe ~length in
-            if Hashtbl.length seen >= 24 || Hashtbl.mem seen (Otree.key tree)
+            if Otree.Tbl.length seen >= 24 || Otree.Tbl.mem seen tree
             then None
             else begin
-              Hashtbl.add seen (Otree.key tree) ();
+              Otree.Tbl.add seen tree ();
               Some (lens, tree)
             end)
           (List.init 60 Fun.id)
@@ -431,7 +351,7 @@ let test_memo_miss_allocates_the_tree () =
           (fun acc (_, (t : Otree.t)) ->
             let n = Array.length t.Otree.pairs
             and d = Array.length t.Otree.usage in
-            let tree = 6 + (n + 1) + (n + 1) + (d + 1) + (3 * d)
+            let tree = 5 + (n + 1) + (n + 1) + (d + 1) + (3 * d)
             and entry = (n + 1) + 4 in
             acc + tree + entry)
           0 picked
@@ -502,16 +422,12 @@ let test_refresh_allocates_nothing () =
 
 let suite =
   [
-    Alcotest.test_case "build and key match the oracle on random trees"
-      `Quick test_random_trees;
-    Alcotest.test_case "build and key match the oracle on degenerate pairs"
-      `Quick test_degenerate_pair_lists;
+    Alcotest.test_case "build matches the oracle on random trees" `Quick
+      test_random_trees;
+    Alcotest.test_case "build matches the oracle on degenerate pairs" `Quick
+      test_degenerate_pair_lists;
     Alcotest.test_case "one shape, two realizations" `Quick
       test_one_shape_two_realizations;
-    Alcotest.test_case "key stable across reads and record copies" `Quick
-      test_key_stable_under_copies;
-    Alcotest.test_case "cached key allocates nothing" `Quick
-      test_cached_key_allocates_nothing;
     Alcotest.test_case "Solution.add of a known tree: constant allocation"
       `Quick test_solution_add_constant_alloc;
     Alcotest.test_case "flat IP builds equal Otree.build of Prim's output"
