@@ -363,9 +363,8 @@ let dual_objective g lens =
     0.0
 
 let min_tree_weight overlay lens =
-  let length id = lens.(id) in
-  let tree = Overlay.min_spanning_tree overlay ~length in
-  Otree.weight tree ~length
+  let tree = Overlay.min_spanning_tree overlay ~length:(fun id -> lens.(id)) in
+  Otree.weight tree lens
 
 (* [primal >= claimed * ub] certifies the approximation factor because
    [ub >= OPT] by weak duality; [primal <= ub] is weak duality itself.

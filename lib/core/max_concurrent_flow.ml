@@ -128,7 +128,7 @@ let route obs st overlays solution tree c =
 
 (* ln of the tree's real length (weight in lens units times base). *)
 let ln_tree_length st tree =
-  let w = Otree.weight_arr tree st.lens in
+  let w = Otree.weight tree st.lens in
   if w <= 0.0 then neg_infinity else log w +. st.ln_base
 
 (* --- the paper's Table III main loop ------------------------------- *)
@@ -156,7 +156,7 @@ let run_paper obs st overlays working solution =
       let remaining = ref working.(i) in
       while (not !finished) && !remaining > 1e-15 do
         let tree = Overlay.min_spanning_tree overlays.(i) ~length in
-        let bottleneck = Otree.bottleneck_arr tree st.caps in
+        let bottleneck = Otree.bottleneck tree st.caps in
         let c = Float.min !remaining bottleneck in
         if c <= 0.0 || c = infinity then remaining := 0.0
         else begin
@@ -226,7 +226,7 @@ let run_fleischer obs st overlays working solution =
         match tree with
         | None -> commodity_done := true
         | Some tree ->
-          let bottleneck = Otree.bottleneck_arr tree st.caps in
+          let bottleneck = Otree.bottleneck tree st.caps in
           let c = Float.min remaining.(i) bottleneck in
           if c <= 0.0 || c = infinity then commodity_done := true
           else begin

@@ -147,9 +147,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
       let trees = Array.make k None in
       let eval i =
         let tree = Overlay.min_spanning_tree overlays.(i) ~length in
-        (* [weight_arr] is the closure fold in array form: same operand
-           order, bit-identical weight, no per-edge call *)
-        low_w.(i) <- Otree.weight_arr tree lens *. norm.(i);
+        low_w.(i) <- Otree.weight tree lens *. norm.(i);
         match trees.(i) with
         | Some prev when prev == tree -> ()
         | _ -> trees.(i) <- Some tree
@@ -211,7 +209,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
             if Obs.Sink.enabled obs then
               Obs.Sink.emit obs Obs.Iter_start ~session:winner
                 ~a:(float_of_int !iterations) ~b:0.0;
-            let c = Otree.bottleneck_arr tree caps in
+            let c = Otree.bottleneck tree caps in
             if c <= 0.0 || c = infinity then stop := true
             else begin
               Solution.add solution tree c;

@@ -141,21 +141,10 @@ let n_e t edge_id =
 
 let iter_usage t f = Array.iter (fun (id, c) -> f id c) t.usage
 
-let weight t ~length =
-  Array.fold_left
-    (fun acc (id, c) -> acc +. (float_of_int c *. length id))
-    0.0 t.usage
+(* Plain loops over [usage]: the accumulator stays an unboxed local, and
+   there is no closure call per edge. *)
 
-let bottleneck t ~capacity =
-  Array.fold_left
-    (fun acc (id, c) -> Float.min acc (capacity id /. float_of_int c))
-    infinity t.usage
-
-(* Array-indexed twins of [weight]/[bottleneck]: same operation order
-   (bit-identical results), but no closure call per edge and no boxed
-   fold accumulator — the local refs stay unboxed. *)
-
-let weight_arr t lens =
+let weight t lens =
   let acc = ref 0.0 in
   let usage = t.usage in
   for i = 0 to Array.length usage - 1 do
@@ -164,7 +153,7 @@ let weight_arr t lens =
   done;
   !acc
 
-let bottleneck_arr t caps =
+let bottleneck t caps =
   let acc = ref infinity in
   let usage = t.usage in
   for i = 0 to Array.length usage - 1 do

@@ -62,24 +62,14 @@ val n_e : t -> int -> int
     edge the tree touches. *)
 val iter_usage : t -> (int -> int -> unit) -> unit
 
-(** [weight t ~length] is [sum_e n_e(t) * length e] — the tree length
-    under dual variables. *)
-val weight : t -> length:(int -> float) -> float
+(** [weight t lens] is [sum_e n_e(t) * lens.(e)], summed over [usage]
+    in edge-id order: the tree length under dual variables.  Allocates
+    nothing. *)
+val weight : t -> float array -> float
 
-(** [bottleneck t ~capacity] is [min_e capacity(e) / n_e(t)] — the
-    maximum rate the tree can carry alone (Table I line 10). *)
-val bottleneck : t -> capacity:(int -> float) -> float
-
-(** [weight_arr t lens] is [weight t ~length:(fun id -> lens.(id))],
-    bit-identical, but reads the edge-indexed array directly: no
-    closure per edge, no allocation.  Hot-path variant for the flat
-    FPTAS kernel. *)
-val weight_arr : t -> float array -> float
-
-(** [bottleneck_arr t caps] is
-    [bottleneck t ~capacity:(fun id -> caps.(id))], bit-identical,
-    allocation-free. *)
-val bottleneck_arr : t -> float array -> float
+(** [bottleneck t caps] is [min_e caps.(e) / n_e(t)], the maximum rate
+    the tree can carry alone (Table I line 10).  Allocates nothing. *)
+val bottleneck : t -> float array -> float
 
 (** [equal a b] is tree identity: the same overlay shape realized by
     the same routes.  It holds when [a == b], or when [a] and [b] have

@@ -73,9 +73,10 @@ let test_otree_weight_bottleneck () =
       ~routes:[| route_03 (); route_02 () |]
   in
   (* weight under unit lengths = total physical traversals = 3 + 2 *)
-  checkf "weight" 5.0 (Otree.weight t ~length:Dijkstra.hop_length);
+  checkf "weight" 5.0 (Otree.weight t (Array.make (Graph.n_edges g) 1.0));
   (* bottleneck: edge 1 has capacity 4 used twice -> 2.0 *)
-  checkf "bottleneck" 2.0 (Otree.bottleneck t ~capacity:(Graph.capacity g))
+  checkf "bottleneck" 2.0
+    (Otree.bottleneck t (Array.init (Graph.n_edges g) (Graph.capacity g)))
 
 let test_otree_canonicalization () =
   let a =
@@ -129,11 +130,11 @@ let test_overlay_mst_is_minimal () =
   let lens = Array.init (Graph.n_edges g) (fun i -> 0.3 +. float_of_int ((i * 7) mod 5)) in
   let length i = lens.(i) in
   let mst = Overlay.min_spanning_tree overlay ~length in
-  let w_mst = Otree.weight mst ~length in
+  let w_mst = Otree.weight mst lens in
   List.iter
     (fun tree_pairs ->
       let t = Overlay.tree_of_pairs overlay ~pairs:(Array.of_list tree_pairs) ~length in
-      checkb "mst minimal" true (Otree.weight t ~length >= w_mst -. 1e-9))
+      checkb "mst minimal" true (Otree.weight t lens >= w_mst -. 1e-9))
     (Prufer.enumerate 5)
 
 let test_overlay_ops_counter () =
@@ -160,8 +161,8 @@ let test_overlay_modes_agree_on_uniform_lengths () =
   let arb = Overlay.create g Overlay.Arbitrary s in
   let t_ip = Overlay.min_spanning_tree ip ~length:Dijkstra.hop_length in
   let t_arb = Overlay.min_spanning_tree arb ~length:Dijkstra.hop_length in
-  checkf6 "same weight" (Otree.weight t_ip ~length:Dijkstra.hop_length)
-    (Otree.weight t_arb ~length:Dijkstra.hop_length)
+  let hops = Array.make (Graph.n_edges g) 1.0 in
+  checkf6 "same weight" (Otree.weight t_ip hops) (Otree.weight t_arb hops)
 
 let test_overlay_tree_spans () =
   let topo = small_topo () in

@@ -105,12 +105,12 @@ let run_ip_schedule ~cross_check ~monotone ?(decreases = false)
           true (Otree.equal t_scr t_inc);
         checkf
           (Printf.sprintf "seed %d step %d: same tree weight" seed step)
-          (Otree.weight t_scr ~length)
-          (Otree.weight t_inc ~length);
+          (Otree.weight t_scr lens)
+          (Otree.weight t_inc lens);
         check_close
           (Printf.sprintf "seed %d step %d: tree weight vs scratch" seed step)
           (scratch_tree_weight t_scr ~length)
-          (Otree.weight t_inc ~length)
+          (Otree.weight t_inc lens)
       done;
       (* the engine must also have done strictly less re-weighing *)
       checkb
@@ -166,11 +166,11 @@ let run_arbitrary_schedule seed =
       true (Otree.equal t1 t2);
     checkf
       (Printf.sprintf "seed %d step %d: same arbitrary weight" seed step)
-      (Otree.weight t1 ~length) (Otree.weight t2 ~length);
+      (Otree.weight t1 lens) (Otree.weight t2 lens);
     check_close
       (Printf.sprintf "seed %d step %d: arbitrary weight vs scratch" seed step)
       (scratch_tree_weight t1 ~length)
-      (Otree.weight t1 ~length)
+      (Otree.weight t1 lens)
   done
 
 let test_arbitrary_workspace_matches_scratch () =
@@ -267,7 +267,7 @@ let test_monotone_skip_weight_exact () =
               true (skipped == before);
             checkf
               (Printf.sprintf "seed %d edge %d: a fresh overlay's weight" seed e)
-              (Otree.weight fresh ~length) (Otree.weight skipped ~length)
+              (Otree.weight fresh lens) (Otree.weight skipped lens)
           end)
         (Overlay.covered_edges probe))
     [ 275; 379 ]
