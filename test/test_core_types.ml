@@ -269,6 +269,54 @@ let test_solution_copy_merge () =
   Solution.merge_from sol dup;
   checkf "merged" 6.0 (Solution.session_rate sol 0)
 
+(* Trees are listed in the order [add] first saw them, whatever their
+   later rates; a copy keeps that order, and [merge_from] appends the
+   other solution's new trees in its order. *)
+let test_solution_first_add_order () =
+  let session = Session.create ~id:0 ~members:[| 0; 1; 2 |] ~demand:1.0 in
+  let tree e =
+    tree_for 0 [| (0, 1); (1, 2) |]
+      [|
+        { Route.src = 0; dst = 1; edges = [| e |] };
+        { Route.src = 1; dst = 2; edges = [| 9 |] };
+      |]
+  in
+  let ts = Array.map tree [| 5; 2; 7; 0 |] in
+  let sol = Solution.create [| session |] in
+  List.iter
+    (fun (i, rate) -> Solution.add sol ts.(i) rate)
+    [ (0, 1.0); (1, 2.0); (0, 4.0); (2, 8.0); (3, 16.0); (1, 32.0) ];
+  let check_order what sol order rates =
+    checkb (what ^ ": trees") true
+      (List.equal Otree.equal
+         (List.map fst (Solution.trees sol 0))
+         (List.map (fun i -> ts.(i)) order));
+    Alcotest.(check (array (float 0.0)))
+      (what ^ ": tree_rates") rates (Solution.tree_rates sol 0)
+  in
+  check_order "added" sol [ 0; 1; 2; 3 ] [| 5.0; 34.0; 8.0; 16.0 |];
+  check_order "copy" (Solution.copy sol) [ 0; 1; 2; 3 ]
+    [| 5.0; 34.0; 8.0; 16.0 |];
+  let merged = Solution.create [| session |] in
+  Solution.add merged ts.(2) 1.0;
+  Solution.merge_from merged sol;
+  check_order "merged" merged [ 2; 0; 1; 3 ] [| 9.0; 5.0; 34.0; 16.0 |]
+
+(* Routes [1; 23] and [12; 3] on one pair print the same digits, but
+   they are two trees: each keeps its own rate, and Metrics counts two. *)
+let test_solution_lookalike_routes () =
+  let session = Session.create ~id:0 ~members:[| 0; 1 |] ~demand:1.0 in
+  let tree edges = tree_for 0 [| (0, 1) |] [| { Route.src = 0; dst = 1; edges } |] in
+  let sol = Solution.create [| session |] in
+  Solution.add sol (tree [| 1; 23 |]) 1.0;
+  Solution.add sol (tree [| 12; 3 |]) 2.0;
+  checki "two trees" 2 (Solution.n_trees sol 0);
+  Alcotest.(check (array (float 0.0)))
+    "each keeps its rate" [| 1.0; 2.0 |] (Solution.tree_rates sol 0);
+  checki "Metrics counts two trees" 2
+    (Metrics.aggregate_replicated_trees sol ~original_of_slot:[| 0 |]
+       ~originals:1).(0)
+
 let test_solution_rejects_unknown_session () =
   let _, sessions = two_sessions () in
   let sol = Solution.create sessions in
@@ -357,6 +405,10 @@ let suite =
       test_solution_link_load_and_congestion;
     Alcotest.test_case "solution scale session" `Quick test_solution_scale_session;
     Alcotest.test_case "solution copy/merge" `Quick test_solution_copy_merge;
+    Alcotest.test_case "solution first-add order" `Quick
+      test_solution_first_add_order;
+    Alcotest.test_case "solution look-alike routes stay two trees" `Quick
+      test_solution_lookalike_routes;
     Alcotest.test_case "solution unknown session" `Quick
       test_solution_rejects_unknown_session;
     Alcotest.test_case "metrics utilization" `Quick test_metrics_utilization;
