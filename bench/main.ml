@@ -1497,173 +1497,13 @@ let run_warm_bench ~smoke =
     (a_eq && ts_eq);
   if !fail then exit 1
 
-(* ------------------------------------------------------------- *)
-(* Control-plane daemon: overlay-wire/1 replay vs in-process      *)
-(* ------------------------------------------------------------- *)
-
-(* The daemon wraps the same engine the library exposes, so a churn
-   trace replayed over the wire must land on the exact same state as
-   Engine.replay in-process — bit-identical objective, every event
-   certified.  The price of the wire (encode, select, decode, reply)
-   is measured as loopback round-trip latency and sustained event
-   rate over a Unix-domain socket, driven in-process through
-   Daemon.poll so the measurement is single-threaded and
-   deterministic. *)
-let run_daemon_bench ~smoke =
-  section "Control-plane daemon: wire replay vs in-process engine";
-  let graph_of () =
-    let rng = Rng.create 7 in
-    (Waxman.generate rng { Waxman.default_params with n = 40 }).Topology.graph
-  in
-  let horizon = if smoke then 4.0 else 10.0 in
-  let trace =
-    let graph = graph_of () in
-    let config =
-      {
-        Churn.default_config with
-        Churn.arrival_rate = 1.5;
-        mean_holding_time = 8.0;
-        size_min = 3;
-        size_max = 5;
-        horizon;
-      }
-    in
-    Churn.poisson_trace (Rng.create 8) graph config ~first_id:0
-    |> Churn.with_perturbations (Rng.create 9) graph ~p_demand:0.15
-         ~p_capacity:0.05
-  in
-  let n_events = List.length trace in
-  (* in-process reference: same engine configuration, replayed directly *)
-  let inproc_engine = Engine.create (graph_of ()) [||] in
-  let inproc_reports, inproc_dt =
-    elapsed (fun () -> Engine.replay inproc_engine trace)
-  in
-  let inproc_certified =
-    List.for_all (fun (r : Engine.report) -> r.Engine.certified) inproc_reports
-  in
-  (* daemon on a Unix-domain socket in the temp dir, same workload *)
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench_daemon_%d.sock" (Unix.getpid ()))
-  in
-  let daemon =
-    Daemon.create ~engine:(Engine.create (graph_of ()) [||])
-      [ Unix.ADDR_UNIX sock ]
-  in
-  let client = Wire_client.connect (Unix.ADDR_UNIX sock) in
-  let lat = Array.make (Int.max n_events 1) 0.0 in
-  let uncertified = ref 0 and rejected = ref 0 in
-  let replay_wire () =
-    (match Daemon.drive daemon client (Wire.Hello { version = Wire.version }) with
-    | Ok (Wire.Hello_ack _) -> ()
-    | Ok f -> failwith ("handshake: unexpected " ^ Wire.frame_name f)
-    | Error msg -> failwith ("handshake: " ^ msg));
-    List.iteri
-      (fun i te ->
-        let t0 = Unix.gettimeofday () in
-        match Daemon.drive daemon client (Wire_event.to_frame te) with
-        | Ok (Wire.Solve_report { certified; _ }) ->
-          lat.(i) <- Unix.gettimeofday () -. t0;
-          if not certified then incr uncertified
-        | Ok (Wire.Error { code; message }) ->
-          incr rejected;
-          Printf.printf "  daemon rejected event %d: %s %s\n" i
-            (Wire.error_code_name code)
-            message
-        | Ok f ->
-          incr rejected;
-          Printf.printf "  unexpected reply to event %d: %s\n" i
-            (Wire.frame_name f)
-        | Error msg ->
-          incr rejected;
-          Printf.printf "  wire failure on event %d: %s\n" i msg)
-      trace
-  in
-  let (), wire_dt = elapsed replay_wire in
-  let wire_objective = Engine.objective (Daemon.engine daemon) in
-  let inproc_objective = Engine.objective inproc_engine in
-  let objective_identical =
-    Int64.equal
-      (Int64.bits_of_float wire_objective)
-      (Int64.bits_of_float inproc_objective)
-  in
-  let dstats = Daemon.stats daemon in
-  Wire_client.close client;
-  Daemon.stop daemon;
-  (try Sys.remove sock with Sys_error _ -> ());
-  let events_per_s = float_of_int n_events /. wire_dt in
-  let p50 = Stats.percentile lat 50.0 and p99 = Stats.percentile lat 99.0 in
-  let wire_overhead = (wire_dt -. inproc_dt) /. inproc_dt in
-  Printf.printf
-    "wire replay, %d events over unix socket: %.3fs (%.1f events/s \
-     sustained)\n\
-    \  round-trip p50 %.2fms  p99 %.2fms\n\
-    \  in-process replay %.3fs  wire overhead %.1f%%\n\
-    \  applied %d  uncertified %d  rejected %d  objective_identical=%b\n"
-    n_events wire_dt events_per_s (p50 *. 1e3) (p99 *. 1e3) inproc_dt
-    (100.0 *. wire_overhead)
-    dstats.Daemon.events_applied !uncertified !rejected objective_identical;
-  if not smoke then begin
-    let json =
-      Json_export.Object_
-        [
-          ( "setup",
-            Json_export.String
-              "40-node Waxman (seed 7), Poisson trace seed 8 horizon 10, 15% \
-               demand / 5% capacity perturbations, replayed over a \
-               Unix-domain socket vs Engine.replay in-process" );
-          host_json;
-          ("events", Json_export.Number (float_of_int n_events));
-          ("wire_replay_s", Json_export.Number wire_dt);
-          ("inprocess_replay_s", Json_export.Number inproc_dt);
-          ("wire_overhead_fraction", Json_export.Number wire_overhead);
-          ("events_per_s", Json_export.Number events_per_s);
-          ("round_trip_p50_s", Json_export.Number p50);
-          ("round_trip_p99_s", Json_export.Number p99);
-          ("uncertified", Json_export.Number (float_of_int !uncertified));
-          ("rejected", Json_export.Number (float_of_int !rejected));
-          ("objective_identical", Json_export.Bool objective_identical);
-          ("wire_objective", Json_export.Number wire_objective);
-          ("inprocess_objective", Json_export.Number inproc_objective);
-        ]
-    in
-    Json_export.to_file "BENCH_daemon.json" json;
-    Printf.printf "wrote BENCH_daemon.json\n"
-  end;
-  (* hard gates: the wire must be a transparent transport — every
-     event certified end to end, final engine state bit-identical to
-     the in-process replay *)
-  let fail = ref false in
-  let check name ok =
-    if not ok then begin
-      Printf.printf "FAIL: %s\n" name;
-      fail := true
-    end
-  in
-  check "in-process reference replay fully certified" inproc_certified;
-  check "every wire-replayed event certified" (!uncertified = 0);
-  check "no wire-replayed event rejected" (!rejected = 0);
-  check
-    (Printf.sprintf "daemon applied all %d events (got %d)" n_events
-       dstats.Daemon.events_applied)
-    (dstats.Daemon.events_applied = n_events);
-  check "final objective bit-identical to the in-process engine"
-    objective_identical;
-  if !fail then exit 1
-
 let mst_only = Array.exists (fun a -> a = "--mst") Sys.argv
 let obs_only = Array.exists (fun a -> a = "--obs") Sys.argv
 let scale_only = Array.exists (fun a -> a = "--scale") Sys.argv
 let warm_only = Array.exists (fun a -> a = "--warm") Sys.argv
-let daemon_only = Array.exists (fun a -> a = "--daemon") Sys.argv
 let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
 
 let () =
-  if daemon_only then begin
-    run_daemon_bench ~smoke;
-    exit 0
-  end;
   if scale_only then begin
     run_scale_bench ~smoke;
     exit 0
@@ -1707,7 +1547,6 @@ let () =
         run_robustness ();
         run_bechamel ();
         run_mst_bench ~smoke;
-        run_obs_bench ();
-        run_daemon_bench ~smoke)
+        run_obs_bench ())
   in
   Printf.printf "\nTotal bench time: %.1fs\n" dt

@@ -150,6 +150,8 @@ let test_wire_replay_matches_inprocess () =
       let c = connected d path in
       List.iter2
         (fun te (r : Engine.report) ->
+          Alcotest.(check bool) "in-process reference certified" true
+            r.Engine.certified;
           match Daemon.drive d c (Wire_event.to_frame te) with
           | Ok (Wire.Solve_report { certified; k; warm; objective; _ }) ->
             Alcotest.(check bool) "event certified over the wire" true
