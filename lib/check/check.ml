@@ -362,9 +362,97 @@ let dual_objective g lens =
       else acc)
     0.0
 
+(* Kruskal's visiting order is ascending [(w.(oe), oe)], drawn from a
+   binary min-heap of overlay edge ids: building it is linear, and the
+   pops stop as soon as the tree spans, usually well before the last
+   candidate. *)
+let[@inline] heap_less (w : float array) x y = w.(x) < w.(y) || (w.(x) = w.(y) && x < y)
+
+(* sifts [x] down from the hole at [i] of [heap.(0 .. n-1)] *)
+let rec sift_down w heap n i x =
+  let l = (2 * i) + 1 in
+  if l >= n then heap.(i) <- x
+  else begin
+    let c =
+      if l + 1 < n && heap_less w heap.(l + 1) heap.(l) then l + 1 else l
+    in
+    let y = heap.(c) in
+    if heap_less w y x then begin
+      heap.(i) <- y;
+      sift_down w heap n c x
+    end
+    else heap.(i) <- x
+  end
+
+(* The candidate pairs' weights under [lens]: in IP mode each fixed
+   route summed left to right; in arbitrary mode the shortest-path
+   distance, from one Dijkstra per slot that opens a pair (the pairs
+   are sorted by first slot). *)
+let pair_weights overlay pairs lens =
+  let w = Array.make (Array.length pairs) 0.0 in
+  (match Overlay.mode overlay with
+  | Overlay.Ip ->
+    for oe = 0 to Array.length pairs - 1 do
+      let edges = (Overlay.candidate_route overlay oe).Route.edges in
+      let acc = ref 0.0 in
+      for i = 0 to Array.length edges - 1 do
+        acc := !acc +. lens.(edges.(i))
+      done;
+      w.(oe) <- !acc
+    done
+  | Overlay.Arbitrary ->
+    let g = Overlay.graph overlay in
+    let members = (Overlay.session overlay).Session.members in
+    let length id = lens.(id) in
+    Dijkstra.validate_lengths g ~length;
+    let ws = Dijkstra.workspace ~n:(Graph.n_vertices g) in
+    let source = ref (-1) and dist = ref [||] in
+    Array.iteri
+      (fun oe (a, b) ->
+        if a <> !source then begin
+          source := a;
+          dist :=
+            (Dijkstra.shortest_path_tree_ws ws g ~length ~source:members.(a))
+              .Dijkstra.dist
+        end;
+        w.(oe) <- !dist.(members.(b)))
+      pairs);
+  w
+
+(* alpha(d)'s per-session term, from no solver code: Kruskal over the
+   overlay's candidate pairs on this module's union-find, each pair
+   weighed by [pair_weights].  [infinity] when the pairs do not span
+   the members. *)
 let min_tree_weight overlay lens =
-  let tree = Overlay.min_spanning_tree overlay ~length:(fun id -> lens.(id)) in
-  Otree.weight tree lens
+  let pairs = Overlay.overlay_pairs overlay in
+  let w = pair_weights overlay pairs lens in
+  let n_pairs = Array.length pairs in
+  let heap = Array.make n_pairs 0 in
+  for oe = 0 to n_pairs - 1 do
+    heap.(oe) <- oe
+  done;
+  for i = (n_pairs / 2) - 1 downto 0 do
+    sift_down w heap n_pairs i heap.(i)
+  done;
+  let n = Session.size (Overlay.session overlay) in
+  let parent = Array.make (max n 1) 0 in
+  for i = 0 to n - 1 do
+    parent.(i) <- i
+  done;
+  let total = ref 0.0 and joined = ref 0 and left = ref n_pairs in
+  while !joined < n - 1 && !left > 0 do
+    let oe = heap.(0) in
+    decr left;
+    sift_down w heap !left 0 heap.(!left);
+    let a, b = pairs.(oe) in
+    let ra = find parent a and rb = find parent b in
+    if ra <> rb then begin
+      parent.(ra) <- rb;
+      total := !total +. w.(oe);
+      incr joined
+    end
+  done;
+  if !joined < n - 1 then infinity else !total
 
 (* [primal >= claimed * ub] certifies the approximation factor because
    [ub >= OPT] by weak duality; [primal <= ub] is weak duality itself.
@@ -404,8 +492,8 @@ let certify_max_flow ?(tol = default_tol) g overlays (r : Max_flow.result) =
   in
   let lens = r.Max_flow.dual_lengths in
   let s_obj = dual_objective g lens in
-  (* alpha(d): minimum normalized overlay-spanning-tree length, from a
-     from-scratch MST per session under the final lengths *)
+  (* alpha(d): minimum normalized overlay-spanning-tree length, from
+     this module's own MST per session under the final lengths *)
   let alpha = ref infinity in
   Array.iteri
     (fun i o ->

@@ -27,6 +27,10 @@
       [primal >= (1 - O(eps)) * dual_bound] certifies the claimed
       approximation factor against an {e independently computable}
       optimum bound, and [primal <= dual_bound] is weak duality itself.
+      [alpha] comes from this module's own minimum spanning tree
+      ({!min_tree_weight}), never from the solvers' MST engine, so a
+      solver that returned heavier trees than the minimum could not
+      lower the bound it is measured against.
 
     The result is a structured verdict naming each violation rather
     than a bool, so failures are actionable and testable. *)
@@ -117,6 +121,19 @@ val violation_name : violation -> string
     solution and does not raise. *)
 val certify : ?tol:float -> Graph.t -> Solution.t -> verdict
 
+(** [min_tree_weight overlay lens] is the minimum, over the spanning
+    trees of [overlay]'s candidate pairs ({!Overlay.overlay_pairs}), of
+    the tree's length under the physical edge lengths [lens]: the sum,
+    over the tree's pairs, of each pair's route length.  In [Ip] mode a
+    pair's route is its fixed route ({!Overlay.candidate_route}),
+    summed left to right; in [Arbitrary] mode it is the shortest path
+    under [lens], from {!Dijkstra}.  Kruskal on this module's
+    union-find, sharing no code with the overlay's Prim or its tree
+    memo, and no MST operation is counted.  [infinity] when the pairs
+    do not span the members.  Raises [Invalid_argument] on a negative
+    length in [Arbitrary] mode. *)
+val min_tree_weight : Overlay.t -> float array -> float
+
 (** [certify_max_flow graph overlays result] runs {!certify} and then
     checks the weak-duality certificate of a {!Max_flow.solve} run: the
     dual bound is [sum_e c_e d_e / alpha(d)] with [alpha(d)] the
@@ -127,8 +144,8 @@ val certify : ?tol:float -> Graph.t -> Solution.t -> verdict
     [primal <= dual_bound] and [primal >= (1 - 2 eps) * dual_bound].
     [overlays] must be the contexts the run solved (same sessions, same
     routing mode); their MSTs under the final lengths are recomputed
-    here, from scratch.  Raises [Invalid_argument] when overlays and
-    solution disagree on the session set. *)
+    here by {!min_tree_weight}.  Raises [Invalid_argument] when
+    overlays and solution disagree on the session set. *)
 val certify_max_flow :
   ?tol:float -> Graph.t -> Overlay.t array -> Max_flow.result -> verdict
 

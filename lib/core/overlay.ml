@@ -318,6 +318,11 @@ let sparsify t = t.sparsify
 let n_overlay_edges t = Array.length t.pair_of_oedge
 let overlay_pairs t = Array.copy t.pair_of_oedge
 
+let candidate_route t oe =
+  match t.ip with
+  | Some eng -> eng.oroutes.(oe)
+  | None -> invalid_arg "Overlay.candidate_route: arbitrary mode"
+
 let resparsify t spec =
   if Sparsify.equal spec t.sparsify then t
   else create ~sparsify:spec t.graph t.mode t.session

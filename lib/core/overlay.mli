@@ -92,6 +92,14 @@ val n_overlay_edges : t -> int
     id.  Property tests use it to check pruned connectivity. *)
 val overlay_pairs : t -> (int * int) array
 
+(** [candidate_route t oe] is the fixed IP route of candidate overlay
+    edge [oe]: the route between the members of slots [a] and [b],
+    where [(a, b) = (overlay_pairs t).(oe)].  The route is the
+    overlay's own, shared and not copied:
+    read it, never mutate it.  Raises [Invalid_argument] in [Arbitrary]
+    mode, whose routes depend on the lengths of each query. *)
+val candidate_route : t -> int -> Route.t
+
 (** [resparsify t spec] rebuilds the context under [spec] on the same
     graph, mode and session; returns [t] itself when [spec] equals the
     current one.  A rebuild recomputes routing state from scratch

@@ -601,6 +601,68 @@ let test_violation_names_stable () =
         (String.length (Format.asprintf "%a" Check.pp_violation v) > 0))
     all
 
+(* --- alpha(d): Check's own MST against every spanning tree ------------- *)
+
+(* [Check.min_tree_weight] equals the minimum length over every
+   labelled spanning tree of the session ([Prufer.enumerate]) whose
+   pairs are all candidates, each tree realized by the overlay
+   ([Overlay.tree_of_pairs]: fixed routes in IP mode, shortest paths
+   under the lengths in arbitrary mode) and weighed by
+   [Otree.weight]. *)
+let test_min_tree_weight_enumerated () =
+  let rng = Rng.create 9301 in
+  List.iter
+    (fun (mode, spec, size, seed) ->
+      let g, sessions =
+        Prop_overlay.instance
+          { base_case with
+            Prop_overlay.mode; nodes = 18; n_sessions = 1;
+            session_size = size; instance_seed = seed }
+      in
+      let o = Overlay.create ~sparsify:spec g mode sessions.(0) in
+      let candidate = Hashtbl.create 16 in
+      Array.iter (fun p -> Hashtbl.replace candidate p ()) (Overlay.overlay_pairs o);
+      let k = Session.size sessions.(0) in
+      let trees = Prufer.enumerate k in
+      (* random lengths, then small integers so that many trees tie *)
+      List.iter
+        (fun draw ->
+          let lens = Array.init (Graph.n_edges g) (fun _ -> draw ()) in
+          let length id = lens.(id) in
+          let brute =
+            List.fold_left
+              (fun acc edges ->
+                let pairs =
+                  Array.of_list
+                    (List.map (fun (a, b) -> (min a b, max a b)) edges)
+                in
+                if Array.for_all (Hashtbl.mem candidate) pairs then
+                  Float.min acc
+                    (Otree.weight (Overlay.tree_of_pairs o ~pairs ~length) lens)
+                else acc)
+              infinity trees
+          in
+          let alpha = Check.min_tree_weight o lens in
+          checkb
+            (Printf.sprintf "%s %s k=%d: alpha %.17g = enumerated minimum %.17g"
+               (match mode with Overlay.Ip -> "ip" | Overlay.Arbitrary -> "arbitrary")
+               (Sparsify.to_string spec) k alpha brute)
+            true
+            (Float.is_finite brute
+            && Float.abs (alpha -. brute) <= 1e-12 *. brute))
+        [
+          (fun () -> 0.1 +. Rng.float rng 10.0);
+          (fun () -> float_of_int (1 + Rng.int rng 3));
+        ])
+    [
+      (Overlay.Ip, Sparsify.full, 6, 11);
+      (Overlay.Ip, Sparsify.k_nearest 2, 6, 12);
+      (Overlay.Ip, Sparsify.full, 4, 13);
+      (Overlay.Arbitrary, Sparsify.full, 6, 14);
+      (Overlay.Arbitrary, Sparsify.k_nearest 2, 6, 15);
+      (Overlay.Arbitrary, Sparsify.k_nearest 1, 5, 16);
+    ]
+
 (* --- allocation ------------------------------------------------------------ *)
 
 (* [n_sessions] sessions of [k] members spaced [spacing] apart on a
@@ -803,6 +865,8 @@ let suite =
         test_mcf_honest_and_scaling_violations;
       Alcotest.test_case "violation names are stable" `Quick
         test_violation_names_stable;
+      Alcotest.test_case "alpha(d) = minimum over enumerated trees" `Quick
+        test_min_tree_weight_enumerated;
       Alcotest.test_case "certify allocates a constant per tree" `Quick
         test_certify_alloc_per_tree;
       Alcotest.test_case "prop: case-0 seed replays the master" `Quick
