@@ -17,6 +17,8 @@ type warm_start = {
   room : float;
 }
 
+type stop = Threshold | Certificate
+
 (* Lengths are represented as d_e = exp(ln_base) * lens.(e).  Only ratios
    of lengths matter to the MST and to the update rule; ln_base enters
    solely through the stop test and is adjusted whenever the stored
@@ -35,11 +37,40 @@ let c_iterations =
 let c_rescales =
   Obs.Counter.make ~doc:"MaxFlow dual-length renormalizations" "maxflow.rescales"
 
+let c_certified_stops =
+  Obs.Counter.make
+    ~doc:
+      "MaxFlow runs ended by their duality certificate, before room or the \
+       a-priori threshold"
+    "maxflow.certified_stops"
+
+(* The running certificate of a [Certificate] run, in the units of
+   [lens]: [dual] = D(d) = sum over capacitated edges of c_e * lens_e,
+   [primal] = the raw flow's objective sum_i (|S_i|-1) f_i / (|S_max|-1),
+   and [congestion] = the raw flow's maximum load / capacity.  All
+   fields are floats, so the record is flat and writes allocate
+   nothing. *)
+type certificate = {
+  mutable dual : float;
+  mutable primal : float;
+  mutable congestion : float;
+}
+
+(* D(d) from scratch, in edge order, skipping zero-capacity edges as
+   [Check.dual_objective] does *)
+let dual_objective (caps : float array) (lens : float array) =
+  let acc = ref 0.0 in
+  for e = 0 to Array.length caps - 1 do
+    if caps.(e) > 0.0 then acc := !acc +. (caps.(e) *. lens.(e))
+  done;
+  !acc
+
 (* [(w.(a), a)] precedes [(w.(b), b)] lexicographically *)
 let lex_less (w : float array) a b = w.(a) < w.(b) || (w.(a) = w.(b) && a < b)
 
 let solve ?(incremental = true) ?(obs = Obs.Sink.null)
-    ?(sparsify = Sparsify.full) ?warm_start graph overlays ~epsilon =
+    ?(sparsify = Sparsify.full) ?warm_start ?(stop = Threshold) graph overlays
+    ~epsilon =
   if epsilon <= 0.0 || epsilon >= 0.5 then
     invalid_arg "Max_flow.solve: epsilon out of (0, 0.5)";
   (* convenience rebuild: with the default (full) spec this is the
@@ -113,6 +144,20 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
   let norm =
     Array.init k (fun i -> smax /. float_of_int (Session.receivers sessions.(i)))
   in
+  (* [Certificate]: weak duality bounds OPT by D(d)/alpha(d), and the
+     raw flow divided by its congestion is feasible, so the run may stop
+     once primal / congestion >= (1 - eps) * D(d) / alpha(d) *)
+  let certificate = stop = Certificate in
+  let target = 1.0 -. epsilon in
+  let cert =
+    {
+      dual = (if certificate then dual_objective caps lens else 0.0);
+      primal = 0.0;
+      congestion = 0.0;
+    }
+  in
+  let loads = if certificate then Array.make m 0.0 else [||] in
+  let certified = ref false in
   Obs.Counter.incr c_runs;
   Obs.Sink.emit obs Obs.Run_start ~session:run_name ~a:(float_of_int k)
     ~b:epsilon;
@@ -127,7 +172,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
       if incremental then Array.iter Overlay.end_incremental overlays;
       if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays)
     (fun () ->
-      let stop = ref false in
+      let finished = ref false in
       (* Best-first winner sweep.  Dual lengths only grow between
          rescales, so each session's normalized MST weight is
          non-decreasing and its last computed value [low_w] is a lower
@@ -173,7 +218,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
         done;
         if Float.is_finite !w_min && !w_min > 0.0 then
           ln_base := -.w.room -. log !w_min);
-      while not !stop do
+      while not !finished do
         for p = 1 to k - 1 do
           let i = order.(p) in
           let q = ref (p - 1) in
@@ -202,7 +247,20 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
         in
         begin
           (* normalized length in real units: w * exp(ln_base) >= 1 ? *)
-          if w <= 0.0 || log w +. !ln_base >= 0.0 then stop := true
+          if w <= 0.0 || log w +. !ln_base >= 0.0 then finished := true
+          else if
+            (* [w] is alpha(d) here: the sweep has just found the
+               minimum; the running D is confirmed by a fresh sum *)
+            certificate && cert.primal > 0.0
+            && cert.primal *. w >= target *. cert.congestion *. cert.dual
+            && begin
+                 cert.dual <- dual_objective caps lens;
+                 cert.primal *. w >= target *. cert.congestion *. cert.dual
+               end
+          then begin
+            certified := true;
+            finished := true
+          end
           else begin
             incr iterations;
             Obs.Counter.incr c_iterations;
@@ -210,9 +268,10 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
               Obs.Sink.emit obs Obs.Iter_start ~session:winner
                 ~a:(float_of_int !iterations) ~b:0.0;
             let c = Otree.bottleneck tree caps in
-            if c <= 0.0 || c = infinity then stop := true
+            if c <= 0.0 || c = infinity then finished := true
             else begin
               Solution.add solution tree c;
+              if certificate then cert.primal <- cert.primal +. (c /. norm.(winner));
               (* batched dual update: one pass over the winning tree's
                  physical edges writing [lens], then one notify pass
                  through the solve's merged incidence index.  Identical
@@ -226,7 +285,15 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
                 let growth =
                   1.0 +. (epsilon *. float_of_int count *. c /. caps.(id))
                 in
-                lens.(id) <- lens.(id) *. growth;
+                let before = lens.(id) in
+                lens.(id) <- before *. growth;
+                if certificate then begin
+                  cert.dual <- cert.dual +. (caps.(id) *. (lens.(id) -. before));
+                  let load = loads.(id) +. (float_of_int count *. c) in
+                  loads.(id) <- load;
+                  if load /. caps.(id) > cert.congestion then
+                    cert.congestion <- load /. caps.(id)
+                end;
                 if lens.(id) > renorm_threshold then needs_renorm := true
               done;
               Overlay.notify_usage notify usage;
@@ -235,6 +302,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
                 for id = 0 to m - 1 do
                   lens.(id) <- lens.(id) *. scale
                 done;
+                cert.dual <- cert.dual *. scale;
                 Array.iter Overlay.notify_rescale overlays;
                 Array.fill low_w 0 k neg_infinity;
                 ln_base := !ln_base +. log renorm_threshold;
@@ -248,14 +316,15 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
           end
         end
       done);
-  (match warm_start with
-  | None ->
+  if !certified then Obs.Counter.incr c_certified_stops;
+  (match (warm_start, stop) with
+  | None, Threshold ->
     (* Feasibility scaling: divide by log_{1+eps} ((1+eps)/delta). *)
     let scale_factor =
       (log (1.0 +. epsilon) -. ln_delta) /. log (1.0 +. epsilon)
     in
     if scale_factor > 0.0 then Solution.scale solution (1.0 /. scale_factor)
-  | Some _ ->
+  | Some _, _ | None, Certificate ->
     (* Measured feasibility scaling: normalize the raw flow to exact
        link saturation.  (The GK per-edge growth bound — flow on edge
        e is at most [c_e log_{1+eps} (d_e^final / d_e^0)] for ANY

@@ -8,7 +8,9 @@
     physical edges by [1 + eps * n_e(t) * c / c_e].  The algorithm stops
     when the minimum normalized tree length reaches 1; the accumulated
     flow scaled by [log_{1+eps} ((1+eps)/delta)] is feasible and at
-    least [(1 - 2 eps)] of optimal (Lemmas 1–3).
+    least [(1 - 2 eps)] of optimal (Lemmas 1–3).  That is the default
+    rule, {!Threshold}; {!Certificate} stops as soon as the run's own
+    weak-duality certificate reaches [1 - eps] (see {!stop}).
 
     Lengths are maintained as [base * d'_e] with [log base] tracked
     separately, because the prescribed [delta] underflows doubles for
@@ -73,11 +75,41 @@ type warm_start = {
           solver renormalizes, so only the shape of [prev_lens]
           matters *)
   room : float;
-      (** dual headroom in nats ([> 0]): the warm run stops once the
-          minimum normalized tree length has grown by [exp room].
+      (** dual headroom in nats ([> 0]): the warm run stops at the
+          latest once the minimum normalized tree length has grown by
+          [exp room] (under {!Certificate} it may stop earlier).
           Small values (1–4) give the largest speedups; too small a
           room under-converges and fails the certificate. *)
 }
+
+(** The stopping rule of a run.
+
+    - [Threshold] (the default) is the paper's a-priori rule: a cold
+      run stops when the minimum normalized tree length reaches 1 and
+      scales its flow by [log_{1+eps} ((1+eps)/delta)]; a warm run
+      stops after [room] nats and scales by measured congestion.
+    - [Certificate] keeps both of those as upper bounds, and also
+      stops once the run's own weak-duality certificate reaches
+      [1 - eps]: right after each winner sweep, where the winner's
+      normalized tree length is exactly [alpha(d)], the run stops if
+      [primal / congestion >= (1 - eps) * D(d) / alpha(d)].  [primal]
+      is the raw flow's objective, [congestion] its maximum
+      load/capacity, and [D(d) = sum_e c_e d_e] over the edges of
+      positive capacity; all three are kept up to date on the winning
+      tree's edges only, and [D(d)] is re-summed from scratch before
+      the run commits to a stop.  The test runs before routing, so the
+      returned [dual_lengths] are the lengths it tested.  Cold or warm,
+      the flow is then scaled by its measured congestion, so it is
+      feasible and, by weak duality, at least [(1 - eps)] of optimal
+      against [Check.certify_max_flow]'s bound up to rounding: within
+      the [(1 - 2 eps)] that Check certifies.  A run that reaches its
+      threshold or [room] first ends as under [Threshold], except for
+      the measured scaling.  The target is [1 - eps], not the claimed
+      [1 - 2 eps]: a run stopped at [1 - 2 eps] is guaranteed only
+      that, and its objective would sit visibly below a cold
+      [Threshold] run's.  Registry counter [maxflow.certified_stops]
+      counts the runs the certificate ended. *)
+type stop = Threshold | Certificate
 
 (** [solve graph overlays ~epsilon] runs MaxFlow over sessions sharing
     one physical graph.  All overlays must be built on [graph].
@@ -126,12 +158,18 @@ type warm_start = {
     builds predating the knob) seeds the duals from a previous run and
     replaces the a-priori feasibility scaling with the measured one;
     see {!warm_start} for the contract and the certification
-    obligation. *)
+    obligation.
+
+    [stop] (default {!Threshold}, the paper's rule, which the paper
+    tables, [overlay_cli solve] and every from-scratch reference use)
+    picks the stopping rule; {!Engine} passes {!Certificate} on every
+    MaxFlow run. *)
 val solve :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
   ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
+  ?stop:stop ->
   Graph.t ->
   Overlay.t array ->
   epsilon:float ->
@@ -140,7 +178,8 @@ val solve :
 (** [solve_single graph overlay ~epsilon] runs the single-session
     special case and returns the session's maximum flow rate (the
     [zeta_i] of the concurrent-flow preprocessing) along with the full
-    result.  [obs], [sparsify] and [warm_start] as in {!solve}. *)
+    result.  [obs], [sparsify] and [warm_start] as in {!solve}; the
+    stopping rule is always {!Threshold}. *)
 val solve_single :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->

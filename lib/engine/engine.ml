@@ -214,7 +214,11 @@ let run_solver t ~warm =
         Some { Max_flow.prev_lens; prev_ln_base = t.ln_base; room }
       | None -> None
     in
-    Run_maxflow (Max_flow.solve ~obs ?warm_start t.graph t.overlays ~epsilon)
+    (* every MaxFlow run, warm or cold, stops on its own certificate;
+       [certify_run] still gates what the engine accepts *)
+    Run_maxflow
+      (Max_flow.solve ~obs ?warm_start ~stop:Max_flow.Certificate t.graph
+         t.overlays ~epsilon)
   | Mcf { variant; scaling } ->
     let warm_start =
       match warm with

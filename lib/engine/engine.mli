@@ -21,6 +21,13 @@
     falls back to a cold from-scratch solve, so an accepted state is
     never worse than what a batch caller would have computed.
 
+    Every MaxFlow run the engine starts — the initial solve, each warm
+    rung, the cold fallback — stops on its own duality certificate
+    ({!Max_flow.stop}: [Certificate], at [1 - eps]), with its room or
+    the a-priori threshold as the upper bound; [Check] still gates
+    what is accepted.  MCF runs, and the zeta MaxFlow of an MCF join,
+    keep the paper's rule.
+
     Overlay contexts — route tables, incidence indexes, flat CSR
     workspaces ({!Flat}), sparsified candidate sets — persist across
     re-solves; only the overlay of a joining session is built, and a
@@ -45,7 +52,9 @@ type config = {
   sparsify : Sparsify.t;  (** candidate overlay edge policy for new sessions *)
   rooms : float array;
       (** warm-start room ladder in nats, tried in order until the
-          certificate passes; empty disables warm starts entirely.  The
+          certificate passes; empty disables warm starts entirely.  A
+          MaxFlow rung's room is its upper bound: the rung may end
+          earlier on its own certificate.  The
           ladder is {e progressive}: each failed rung's final duals
           seed the next rung, so dual repair accumulates while every
           rung's primal restarts clean *)

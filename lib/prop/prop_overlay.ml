@@ -382,3 +382,57 @@ let warm_consistent c =
          "engine objective %g below guarantee band: %g * cold %g" warm_obj
          band cold_obj)
   else Ok ()
+
+(* --- MaxFlow's certificate stop ----------------------------------------- *)
+
+let c_certified_stops = Obs.Counter.make "maxflow.certified_stops"
+
+let certificate_stop c =
+  let ( let* ) = Result.bind in
+  let g, sessions = instance c in
+  let overlays = Array.map (Overlay.create g c.mode) sessions in
+  let floor = 1.0 -. c.epsilon -. Check.default_tol in
+  (* a run the certificate ended must reach [floor]; one that its
+     threshold or room ended first keeps the claimed 1 - 2 eps only *)
+  let solve what ?warm_start () =
+    let before = Obs.Counter.value c_certified_stops in
+    let r =
+      Max_flow.solve ~stop:Max_flow.Certificate ?warm_start g overlays
+        ~epsilon:c.epsilon
+    in
+    let by_certificate = Obs.Counter.value c_certified_stops > before in
+    let v = Check.certify_max_flow g overlays r in
+    match (v.Check.primal, v.Check.dual_bound) with
+    | _ when not (Check.ok v) ->
+      Error
+        (Format.asprintf "%s run fails certification: %a" what
+           Check.pp_verdict v)
+    | Some primal, Some bound when by_certificate && primal /. bound < floor ->
+      Error
+        (Printf.sprintf
+           "%s run stopped by its certificate achieves %.6f of the dual \
+            bound, below 1 - eps"
+           what (primal /. bound))
+    | _ -> Ok r
+  in
+  let* cold = solve "cold" () in
+  (* warm, as the engine re-solves a capacity change: one edge's
+     capacity moves and its dual is repaired by c_old / c_new *)
+  let rng = Rng.create (c.instance_seed + 2) in
+  let edge = Rng.int rng (Graph.n_edges g) in
+  let c_old = Graph.capacity g edge in
+  let c_new = (0.6 +. Rng.float rng 0.8) *. c_old in
+  Graph.set_capacity g edge c_new;
+  let lens = Array.copy cold.Max_flow.dual_lengths in
+  lens.(edge) <- lens.(edge) *. (c_old /. c_new);
+  let* _ =
+    solve "warm"
+      ~warm_start:
+        {
+          Max_flow.prev_lens = lens;
+          prev_ln_base = cold.Max_flow.dual_ln_base;
+          room = 32.0;
+        }
+      ()
+  in
+  Ok ()

@@ -309,6 +309,77 @@ let test_multi_tree_beats_single_tree () =
     true
     (mf_thr >= bl_thr *. 0.95)
 
+(* --- MaxFlow's certificate stop ---------------------------------------- *)
+
+let c_certified_stops = Obs.Counter.make "maxflow.certified_stops"
+
+(* [solve] and how much it moved [maxflow.certified_stops] *)
+let counted_solve ?warm_start ~stop g overlays ~epsilon =
+  let before = Obs.Counter.value c_certified_stops in
+  let r = Max_flow.solve ?warm_start ~stop g overlays ~epsilon in
+  (r, Obs.Counter.value c_certified_stops - before)
+
+(* On [sessions], a cold run, and a warm run from the final duals of a
+   paper-rule cold run with 8 nats of room: under [~stop:Certificate]
+   each certifies, reaches 1 - eps of Check's dual bound, ends on the
+   certificate and takes fewer iterations than the same run under the
+   paper's rule. *)
+let certificate_stop_on ~what g sessions ~epsilon =
+  let overlays = Array.map (Overlay.create g Overlay.Ip) sessions in
+  let prev = Max_flow.solve g overlays ~epsilon in
+  let warm_start =
+    {
+      Max_flow.prev_lens = prev.Max_flow.dual_lengths;
+      prev_ln_base = prev.Max_flow.dual_ln_base;
+      room = 8.0;
+    }
+  in
+  List.iter
+    (fun (path, warm_start) ->
+      let label = Printf.sprintf "%s %s" what path in
+      let paper, paper_stops =
+        counted_solve ?warm_start ~stop:Max_flow.Threshold g overlays ~epsilon
+      in
+      let cert, cert_stops =
+        counted_solve ?warm_start ~stop:Max_flow.Certificate g overlays
+          ~epsilon
+      in
+      let v = Check.certify_max_flow g overlays cert in
+      checkb
+        (Printf.sprintf "%s certifies (%s)" label
+           (Format.asprintf "%a" Check.pp_verdict v))
+        true (Check.ok v);
+      let achieved =
+        Option.get v.Check.primal /. Option.get v.Check.dual_bound
+      in
+      checkb
+        (Printf.sprintf "%s achieves %.4f of the dual bound, >= 1 - eps" label
+           achieved)
+        true
+        (achieved >= 1.0 -. epsilon -. Check.default_tol);
+      checkb
+        (Printf.sprintf "%s: %d iterations < the paper rule's %d" label
+           cert.Max_flow.iterations paper.Max_flow.iterations)
+        true
+        (cert.Max_flow.iterations < paper.Max_flow.iterations);
+      Alcotest.(check int) (label ^ ": certificate run counted") 1 cert_stops;
+      Alcotest.(check int) (label ^ ": paper-rule run not counted") 0
+        paper_stops)
+    [ ("cold", None); ("warm", Some warm_start) ]
+
+let test_certificate_stop_setup_a () =
+  let setup = Setup.make_a ~seed:4 Setup.default_a in
+  certificate_stop_on ~what:"Setup A" setup.Setup.topology.Topology.graph
+    setup.Setup.sessions
+    ~epsilon:(Max_flow.ratio_to_epsilon 0.90)
+
+let test_certificate_stop_waxman () =
+  let g, sessions =
+    make_env ~seed:23 ~n:60 ~sizes:[| 6; 5; 4 |] ~demand:100.0
+  in
+  certificate_stop_on ~what:"Waxman 60" g sessions
+    ~epsilon:(Max_flow.ratio_to_epsilon 0.95)
+
 let suite =
   [
     Alcotest.test_case "maxflow = exact LP (enumerated)" `Slow
@@ -317,6 +388,10 @@ let suite =
     Alcotest.test_case "maxflow single session" `Quick test_maxflow_single_session;
     Alcotest.test_case "maxflow epsilon validation" `Quick
       test_maxflow_epsilon_validation;
+    Alcotest.test_case "maxflow certificate stop: Setup A" `Quick
+      test_certificate_stop_setup_a;
+    Alcotest.test_case "maxflow certificate stop: Waxman 60" `Quick
+      test_certificate_stop_waxman;
     Alcotest.test_case "maxflow ratio monotone-ish" `Quick
       test_maxflow_tightening_ratio_improves;
     Alcotest.test_case "mcf feasible & fair" `Quick test_mcf_feasible_and_fair;

@@ -323,6 +323,32 @@ let warm_property_for algo () =
         [ Overlay.Ip; Overlay.Arbitrary ])
     Prop_overlay.all_families
 
+(* MaxFlow's certificate stop: topology family x routing mode, seed
+   stream offset 6000 (disjoint from every block above and below).
+   Each case runs a cold and a warm certificate-stopped MaxFlow and
+   demands both certify at 1 - eps of their dual bounds. *)
+let certificate_stop_property () =
+  let combo = ref 0 in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun mode ->
+          incr combo;
+          let seed = Prop.case_seed ~seed:master_seed (6000 + !combo) in
+          Prop.check
+            ~name:
+              (Printf.sprintf "certificate-stop maxflow/%s/%s"
+                 (Prop_overlay.family_name family)
+                 (match mode with
+                 | Overlay.Ip -> "ip"
+                 | Overlay.Arbitrary -> "arbitrary"))
+            ~count:cases_per_combo ~seed
+            ~gen:(Prop_overlay.gen ~algo:Prop_overlay.Maxflow ~family ~mode)
+            ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
+            Prop_overlay.certificate_stop)
+        [ Overlay.Ip; Overlay.Arbitrary ])
+    Prop_overlay.all_families
+
 (* wire-codec fuzz: seed stream offsets 5000 (round-trip) and 5100
    (mutation/truncation totality), disjoint from the solver blocks
    above.  Frame cases are microseconds each, so these blocks run far
@@ -835,7 +861,13 @@ let suite =
         wire_mutation_property;
     ]
   in
-  prop_tests @ sparsify_tests @ warm_tests @ wire_tests
+  let certificate_tests =
+    [
+      Alcotest.test_case "property: certificate-stopped maxflow certifies"
+        `Slow certificate_stop_property;
+    ]
+  in
+  prop_tests @ sparsify_tests @ warm_tests @ certificate_tests @ wire_tests
   @ [
       Alcotest.test_case "OVERLAY_PROP_CASE replay hook" `Quick
         test_replay_case;
