@@ -364,9 +364,9 @@ let dual_objective g lens =
 
 (* Kruskal's visiting order is ascending [(w.(oe), oe)], drawn from a
    binary min-heap of overlay edge ids: building it is linear, and the
-   pops stop as soon as the tree spans, usually well before the last
-   candidate. *)
-let[@inline] heap_less (w : float array) x y = w.(x) < w.(y) || (w.(x) = w.(y) && x < y)
+   pops stop as soon as the tree spans. *)
+let[@inline] heap_less (w : float array) x y =
+  w.(x) < w.(y) || (w.(x) = w.(y) && x < y)
 
 (* sifts [x] down from the hole at [i] of [heap.(0 .. n-1)] *)
 let rec sift_down w heap n i x =

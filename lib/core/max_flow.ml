@@ -271,7 +271,8 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
             if c <= 0.0 || c = infinity then finished := true
             else begin
               Solution.add solution tree c;
-              if certificate then cert.primal <- cert.primal +. (c /. norm.(winner));
+              if certificate then
+                cert.primal <- cert.primal +. (c /. norm.(winner));
               (* batched dual update: one pass over the winning tree's
                  physical edges writing [lens], then one notify pass
                  through the solve's merged incidence index.  Identical
