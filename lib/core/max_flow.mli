@@ -100,9 +100,10 @@ type warm_start = {
       the run commits to a stop.  The test runs before routing, so the
       returned [dual_lengths] are the lengths it tested.  Cold or warm,
       the flow is then scaled by its measured congestion, so it is
-      feasible and, by weak duality, at least [(1 - eps)] of optimal
-      against [Check.certify_max_flow]'s bound up to rounding: within
-      the [(1 - 2 eps)] that Check certifies.  A run that reaches its
+      feasible; a run its certificate ended is, by weak duality, at
+      least [(1 - eps)] of optimal against
+      [Check.certify_max_flow]'s bound up to rounding: within the
+      [(1 - 2 eps)] that Check certifies.  A run that reaches its
       threshold or [room] first ends as under [Threshold], except for
       the measured scaling.  The target is [1 - eps], not the claimed
       [1 - 2 eps]: a run stopped at [1 - 2 eps] is guaranteed only
