@@ -4,7 +4,7 @@
    solver-work counter deltas, so any change that moves a single
    iteration of either FPTAS shows up as a line diff against the pin.
 
-   Two pins:
+   Three pins:
    - test/data/poisson_small.fingerprint: the Poisson churn trace on
      the CI instance (Waxman, 40 routers, seed 1, ratio 0.90, full
      overlays of at most 7 members), once with MaxFlow and once with
@@ -14,14 +14,24 @@
      30-member standing session, k_nearest:10, MaxFlow at ratio 0.80),
      driven by a short trace of joins, leaves, demand changes and
      capacity changes, so sparsified overlays and trees of many pairs
-     are pinned too.
+     are pinned too;
+   - test/data/solver_paths.fingerprint: every solver that computes
+     trees outside the engine, once each on one small instance (the
+     CI graph, three sessions): Online, Refinement, both Baselines,
+     Mesh_protocol, Stripe_forest, Unsplittable_exact, Churn.run,
+     MaxFlow with the engine off, and MaxFlow and MCF in arbitrary
+     mode.  A line records the objective's bits, the tree count per
+     session, a digest of every tree (pairs, routes) with its rate
+     bits, and the [overlay.mst_ops] delta.
 
    Regeneration (after an intentional change to solver arithmetic or
    tree ordering — say why in the commit), one pin at a time:
      OVERLAY_FINGERPRINT_REGEN=$PWD/test/data/poisson_small.fingerprint \
        dune exec test/test_main.exe -- test fingerprint 0
      OVERLAY_FINGERPRINT_REGEN=$PWD/test/data/big_session_smoke.fingerprint \
-       dune exec test/test_main.exe -- test fingerprint 1 *)
+       dune exec test/test_main.exe -- test fingerprint 1
+     OVERLAY_FINGERPRINT_REGEN=$PWD/test/data/solver_paths.fingerprint \
+       dune exec test/test_main.exe -- test fingerprint 2 *)
 
 let regen_env = "OVERLAY_FINGERPRINT_REGEN"
 
@@ -133,8 +143,140 @@ let fingerprint_lines pin trace =
         trace)
     pin.solvers
 
-let check_pin pin () =
-  let lines = fingerprint_lines pin (read_trace (data_file pin.trace)) in
+(* --- the solver-paths pin ------------------------------------------------ *)
+
+(* Every (tree, rate) pair per session, in the order given: the
+   overlay pairs, each route's physical edges and the rate's bits *)
+let digest_trees (sessions : (Otree.t * float) list array) =
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i trees ->
+      Printf.bprintf b "s%d" i;
+      List.iter
+        (fun ((t : Otree.t), rate) ->
+          Array.iter (fun (x, y) -> Printf.bprintf b " %d-%d" x y) t.Otree.pairs;
+          Array.iter
+            (fun (r : Route.t) ->
+              Buffer.add_string b " [";
+              Array.iter (Printf.bprintf b " %d") r.Route.edges;
+              Buffer.add_char b ']')
+            t.Otree.routes;
+          Printf.bprintf b " %h;" rate)
+        trees)
+    sessions;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let solution_line name ~obj sol ~mst_ops =
+  let n = Array.length (Solution.sessions sol) in
+  Printf.sprintf "%s obj=%h trees=%s sol=%s mst_ops=%d" name obj
+    (String.concat ","
+       (List.init n (fun i -> string_of_int (Solution.n_trees sol i))))
+    (digest_trees (Array.init n (Solution.trees sol)))
+    mst_ops
+
+(* the poisson_small graph (Waxman, 40 routers, seed 1) and three
+   sessions of 5, 4 and 6 members *)
+let solver_paths_lines () =
+  let graph =
+    (Waxman.generate (Rng.create 1) { Waxman.default_params with n = 40 })
+      .Topology.graph
+  in
+  let rng = Rng.create 22 in
+  let sessions =
+    Array.mapi
+      (fun id size ->
+        Session.random rng ~id ~topology_size:40 ~size ~demand:1.0)
+      [| 5; 4; 6 |]
+  in
+  let overlays mode = Array.map (Overlay.create graph mode) sessions in
+  let throughput name sol =
+    solution_line name ~obj:(Solution.overall_throughput sol) sol
+  in
+  let baseline name (r : Baseline.result) = throughput name r.Baseline.solution in
+  (* each run builds its own overlays; its line gets its mst_ops delta *)
+  let counted run =
+    let mst0 = Obs.Counter.value c_mst_ops in
+    let line = run () in
+    line ~mst_ops:(Obs.Counter.value c_mst_ops - mst0)
+  in
+  List.map counted
+    [
+      (fun () ->
+        let r = Online.solve graph (overlays Overlay.Ip) ~sigma:30.0 in
+        throughput "online" r.Online.solution);
+      (fun () ->
+        let r =
+          Refinement.improve graph (overlays Overlay.Ip)
+            Refinement.default_config
+        in
+        throughput "refinement" r.Refinement.solution);
+      (fun () ->
+        baseline "single_tree" (Baseline.single_tree graph (overlays Overlay.Ip)));
+      (fun () ->
+        baseline "interior_disjoint"
+          (Baseline.interior_disjoint graph (overlays Overlay.Ip)
+             ~trees_per_session:3));
+      (fun () ->
+        baseline "mesh_protocol"
+          (Mesh_protocol.solve (Rng.create 5) graph (overlays Overlay.Ip)
+             Mesh_protocol.default_config));
+      (fun () ->
+        baseline "stripe_forest"
+          (Stripe_forest.solve (Rng.create 6) graph (overlays Overlay.Ip)
+             Stripe_forest.default_config));
+      (fun () ->
+        let r =
+          Unsplittable_exact.solve graph
+            (Array.sub (overlays Overlay.Ip) 0 2)
+        in
+        fun ~mst_ops ->
+          Printf.sprintf
+            "unsplittable_exact obj=%h combinations=%d sol=%s mst_ops=%d"
+            r.Unsplittable_exact.objective r.Unsplittable_exact.combinations
+            (digest_trees
+               (Array.map (fun t -> [ (t, 1.0) ]) r.Unsplittable_exact.trees))
+            mst_ops);
+      (fun () ->
+        let r =
+          Churn.run (Rng.create 7) graph
+            { Churn.default_config with
+              Churn.horizon = 20.0; admission_threshold = 0.02 }
+        in
+        let last = List.nth r.Churn.trace (List.length r.Churn.trace - 1) in
+        let bits =
+          String.concat " "
+            (Array.to_list
+               (Array.map (Printf.sprintf "%h") r.Churn.final_congestion))
+        in
+        fun ~mst_ops ->
+          Printf.sprintf "churn accepted=%d rejected=%d congestion=%s mst_ops=%d"
+            last.Churn.accepted last.Churn.rejected
+            (Digest.to_hex (Digest.string bits))
+            mst_ops);
+      (fun () ->
+        let r =
+          Max_flow.solve ~incremental:false graph (overlays Overlay.Ip)
+            ~epsilon:(Max_flow.ratio_to_epsilon 0.85)
+        in
+        throughput "maxflow_engine_off" r.Max_flow.solution);
+      (fun () ->
+        let r =
+          Max_flow.solve graph (overlays Overlay.Arbitrary)
+            ~epsilon:(Max_flow.ratio_to_epsilon 0.70)
+        in
+        throughput "maxflow_arbitrary" r.Max_flow.solution);
+      (fun () ->
+        let r =
+          Max_concurrent_flow.solve graph (overlays Overlay.Arbitrary)
+            ~epsilon:(Max_concurrent_flow.ratio_to_epsilon 0.60)
+            ~scaling:Max_concurrent_flow.Maxflow_weighted
+        in
+        let sol = r.Max_concurrent_flow.solution in
+        solution_line "mcf_arbitrary" ~obj:(Solution.concurrent_ratio sol) sol);
+    ]
+
+let check_lines ~fingerprint lines () =
+  let lines = lines () in
   match Sys.getenv_opt regen_env with
   | Some path ->
     let oc = open_out path in
@@ -143,12 +285,16 @@ let check_pin pin () =
     Printf.printf "regenerated %d fingerprint lines in %s\n"
       (List.length lines) path
   | None ->
-    let pinned = read_lines (data_file pin.fingerprint) in
+    let pinned = read_lines (data_file fingerprint) in
     Alcotest.(check int) "fingerprint line count" (List.length pinned)
       (List.length lines);
     List.iter2
       (fun want got -> Alcotest.(check string) "fingerprint line" want got)
       pinned lines
+
+let check_pin pin =
+  check_lines ~fingerprint:pin.fingerprint (fun () ->
+      fingerprint_lines pin (read_trace (data_file pin.trace)))
 
 let suite =
   [
@@ -157,4 +303,7 @@ let suite =
     Alcotest.test_case
       "big_session smoke replay matches the pinned fingerprint" `Quick
       (check_pin big_session_smoke);
+    Alcotest.test_case "solvers outside the engine match the pinned fingerprint"
+      `Quick
+      (check_lines ~fingerprint:"solver_paths.fingerprint" solver_paths_lines);
   ]
