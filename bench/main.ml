@@ -529,9 +529,9 @@ let run_bechamel () =
   let tests =
     [
       Test.make ~name:"overlay-mst-ip"
-        (Staged.stage (fun () -> ignore (Overlay.min_spanning_tree ip ~length)));
+        (Staged.stage (fun () -> ignore (Overlay.min_spanning_tree ip lens)));
       Test.make ~name:"overlay-mst-arbitrary"
-        (Staged.stage (fun () -> ignore (Overlay.min_spanning_tree arb ~length)));
+        (Staged.stage (fun () -> ignore (Overlay.min_spanning_tree arb lens)));
       Test.make ~name:"dijkstra-spt-100n"
         (Staged.stage (fun () ->
              ignore (Dijkstra.shortest_path_tree g ~length ~source:0)));
@@ -571,7 +571,7 @@ let run_bechamel () =
    every run grows a handful of covered-edge lengths (with the engine
    notified) and recomputes the tree.  [incremental] selects the engine
    (weight cache over the bound length array, lazy Prim) vs the off
-   state (every weight re-walked through the closure, eager Prim). *)
+   state (every weight re-walked over the array, eager Prim). *)
 let mst_workload ~incremental =
   let g = setup_a.Setup.topology.Topology.graph in
   let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
@@ -579,7 +579,6 @@ let mst_workload ~incremental =
   let nc = Array.length covered in
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
-  let length i = lens.(i) in
   if incremental then Overlay.begin_incremental o lens;
   let step = ref 0 in
   fun () ->
@@ -595,7 +594,7 @@ let mst_workload ~incremental =
       Array.iteri (fun i v -> lens.(i) <- v *. 1e-30) lens;
       if incremental then Overlay.notify_rescale o
     end;
-    ignore (Overlay.min_spanning_tree o ~length)
+    ignore (Overlay.min_spanning_tree o lens)
 
 (* Exact solver-output equality: same iteration count, the same
    objective bits and the same per-session (tree, rate) lists. *)
@@ -616,9 +615,8 @@ let steady_state_words () =
   let o = Overlay.create g Overlay.Ip setup_a.Setup.sessions.(0) in
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
-  let length i = lens.(i) in
   Overlay.begin_incremental o lens;
-  let t0 = Overlay.min_spanning_tree o ~length in
+  let t0 = Overlay.min_spanning_tree o lens in
   let off_tree =
     Array.of_list
       (List.filter
@@ -636,7 +634,7 @@ let steady_state_words () =
           lens.(e) <- lens.(e) *. 1.000001;
           Overlay.notify_length_increase o e
         done;
-        ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+        ignore (Sys.opaque_identity (Overlay.min_spanning_tree o lens)))
   end
 
 (* The micro-benchmark is printed (and recorded in the full run) but

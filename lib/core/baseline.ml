@@ -1,6 +1,7 @@
 type result = { solution : Solution.t; lmax : float }
 
-let unit_length _ = 1.0
+(* every physical link one unit long: fewest-hop trees *)
+let unit_lengths graph = Array.make (Graph.n_edges graph) 1.0
 
 let scale_by_congestion graph sessions assignments =
   (* assignments: per session slot, list of (tree, unscaled rate).
@@ -48,10 +49,11 @@ let of_assignments graph sessions assignments =
 
 let single_tree graph overlays =
   let sessions = Array.map Overlay.session overlays in
+  let lens = unit_lengths graph in
   let assignments =
     Array.mapi
       (fun i overlay ->
-        let tree = Overlay.min_spanning_tree overlay ~length:unit_length in
+        let tree = Overlay.min_spanning_tree overlay lens in
         [ (tree, sessions.(i).Session.demand) ])
       overlays
   in
@@ -66,6 +68,7 @@ let interior_disjoint graph overlays ~trees_per_session =
   if trees_per_session < 1 then
     invalid_arg "Baseline.interior_disjoint: trees_per_session < 1";
   let sessions = Array.map Overlay.session overlays in
+  let lens = unit_lengths graph in
   let assignments =
     Array.mapi
       (fun i overlay ->
@@ -74,7 +77,7 @@ let interior_disjoint graph overlays ~trees_per_session =
         let rate = sessions.(i).Session.demand /. float_of_int budget in
         List.init budget (fun center ->
             let pairs = star_pairs ~size ~center in
-            let tree = Overlay.tree_of_pairs overlay ~pairs ~length:unit_length in
+            let tree = Overlay.tree_of_pairs overlay ~pairs lens in
             (tree, rate)))
       overlays
   in

@@ -61,19 +61,23 @@ let run rng graph config =
   validate graph config;
   let m = Graph.n_edges graph in
   let congestion = Array.make m 0.0 in
-  (* d_e = (1+sigma)^(l_e) / c_e, evaluated lazily per arrival *)
+  (* d_e = (1+sigma)^(l_e) / c_e, rewritten on every edge [apply]
+     touches *)
   let length id =
     let c = Graph.capacity graph id in
     if c <= 0.0 then infinity
     else (1.0 +. config.sigma) ** congestion.(id) /. c
   in
+  let lens = Array.init m length in
   let apply sign (tree : Otree.t) demand =
     Otree.iter_usage tree (fun id count ->
         let c = Graph.capacity graph id in
-        if c > 0.0 then
+        if c > 0.0 then begin
           congestion.(id) <-
             Float.max 0.0
-              (congestion.(id) +. (sign *. float_of_int count *. demand /. c)))
+              (congestion.(id) +. (sign *. float_of_int count *. demand /. c));
+          lens.(id) <- length id
+        end)
   in
   let actives : (int, active) Hashtbl.t = Hashtbl.create 64 in
   let accepted = ref 0 and rejected = ref 0 in
@@ -128,7 +132,7 @@ let run rng graph config =
         ~demand:config.demand
     in
     let overlay = Overlay.create graph Overlay.Ip session in
-    let tree = Overlay.min_spanning_tree overlay ~length in
+    let tree = Overlay.min_spanning_tree overlay lens in
     (* admission check before committing the load *)
     let admit =
       config.admission_threshold = infinity

@@ -135,7 +135,6 @@ let ln_tree_length st tree =
 
 let run_paper obs st overlays working solution =
   let k = Array.length overlays in
-  let length id = st.lens.(id) in
   let phases = ref 0 in
   (* Demand-doubling horizon (Lemma 6 / Sec. III-C): if the loop outlives
      T phases the optimum exceeds 2; doubling demands halves it. *)
@@ -155,7 +154,7 @@ let run_paper obs st overlays working solution =
     for i = 0 to k - 1 do
       let remaining = ref working.(i) in
       while (not !finished) && !remaining > 1e-15 do
-        let tree = Overlay.min_spanning_tree overlays.(i) ~length in
+        let tree = Overlay.min_spanning_tree overlays.(i) st.lens in
         let bottleneck = Otree.bottleneck tree st.caps in
         let c = Float.min !remaining bottleneck in
         if c <= 0.0 || c = infinity then remaining := 0.0
@@ -190,7 +189,6 @@ let run_paper obs st overlays working solution =
 
 let run_fleischer obs st overlays working solution =
   let k = Array.length overlays in
-  let length id = st.lens.(id) in
   let cached : Otree.t option array = Array.make k None in
   let remaining = Array.copy working in
   (* initial alpha: the smallest current tree length across sessions *)
@@ -198,7 +196,7 @@ let run_fleischer obs st overlays working solution =
     ref
       (Array.fold_left
          (fun acc o ->
-           let t = Overlay.min_spanning_tree o ~length in
+           let t = Overlay.min_spanning_tree o st.lens in
            Float.min acc (ln_tree_length st t))
          infinity overlays)
   in
@@ -219,7 +217,7 @@ let run_fleischer obs st overlays working solution =
           match cached.(i) with
           | Some t when tree_ok t -> Some t
           | _ ->
-            let t = Overlay.min_spanning_tree overlays.(i) ~length in
+            let t = Overlay.min_spanning_tree overlays.(i) st.lens in
             cached.(i) <- Some t;
             if tree_ok t then Some t else None
         in
@@ -250,16 +248,9 @@ let run_fleischer obs st overlays working solution =
 (* --- common driver --------------------------------------------------- *)
 
 let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
-    ?(sparsify = Sparsify.full) ?warm_start ?warm_zetas graph overlays ~epsilon
-    ~scaling =
+    ?warm_start ?warm_zetas graph overlays ~epsilon ~scaling =
   if epsilon <= 0.0 || epsilon >= 1.0 /. 3.0 then
     invalid_arg "Max_concurrent_flow.solve: epsilon out of (0, 1/3)";
-  (* convenience rebuild, identity under the default (full) spec; the
-     pruned overlays are used for preprocessing and main loop alike *)
-  let overlays =
-    if Sparsify.is_full sparsify then overlays
-    else Array.map (fun o -> Overlay.resparsify o sparsify) overlays
-  in
   let k = Array.length overlays in
   if k = 0 then invalid_arg "Max_concurrent_flow.solve: no sessions";
   Array.iter
@@ -350,7 +341,6 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
   let solution = Solution.create sessions in
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
-  (* the engine reads [st.lens], which backs the main loop's [length] *)
   if incremental then
     Array.iter (fun o -> Overlay.begin_incremental o st.lens) overlays;
   let phases =

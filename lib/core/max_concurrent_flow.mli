@@ -110,14 +110,12 @@ type warm_start = {
 
     Raises [Invalid_argument] for [epsilon] outside (0, 1/3).
 
-    [sparsify] (default [Sparsify.full]) rebuilds any overlay whose
-    recorded spec differs ({!Overlay.resparsify}) before preprocessing,
-    so both the per-session MaxFlow runs and the main loop price trees
-    over the same pruned candidate space.  Identity under the default
-    spec.  As with {!Max_flow.solve}, callers that certify should build
-    the overlays with [Overlay.create ~sparsify] and pass those same
-    overlays to [Check.certify_mcf] — the duality certificate is
-    relative to the pruned tree space (see SCALING.md).
+    The per-session MaxFlow runs and the main loop price trees over the
+    overlays' own candidate space.  As with {!Max_flow.solve}, a pruned
+    run passes overlays built with [Overlay.create ~sparsify] and
+    certifies against those same overlays with [Check.certify_mcf] —
+    the duality certificate is relative to the pruned tree space (see
+    SCALING.md).
 
     [warm_start] (default absent — the cold path, bit-identical to
     builds predating the knob) seeds the main loop's duals from a
@@ -131,7 +129,6 @@ val solve :
   ?variant:variant ->
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   ?warm_zetas:float array ->
   Graph.t ->

@@ -68,17 +68,10 @@ let dual_objective (caps : float array) (lens : float array) =
 (* [(w.(a), a)] precedes [(w.(b), b)] lexicographically *)
 let lex_less (w : float array) a b = w.(a) < w.(b) || (w.(a) = w.(b) && a < b)
 
-let solve ?(incremental = true) ?(obs = Obs.Sink.null)
-    ?(sparsify = Sparsify.full) ?warm_start ?(stop = Threshold) graph overlays
-    ~epsilon =
+let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?warm_start
+    ?(stop = Threshold) graph overlays ~epsilon =
   if epsilon <= 0.0 || epsilon >= 0.5 then
     invalid_arg "Max_flow.solve: epsilon out of (0, 0.5)";
-  (* convenience rebuild: with the default (full) spec this is the
-     identity, so no historical call site changes behaviour *)
-  let overlays =
-    if Sparsify.is_full sparsify then overlays
-    else Array.map (fun o -> Overlay.resparsify o sparsify) overlays
-  in
   let k = Array.length overlays in
   if k = 0 then invalid_arg "Max_flow.solve: no sessions";
   Array.iter
@@ -137,7 +130,6 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
     for e = 0 to m - 1 do
       if caps.(e) > 0.0 then lens.(e) <- w.prev_lens.(e) *. inv
     done);
-  let length id = lens.(id) in
   let solution = Solution.create sessions in
   let iterations = ref 0 in
   (* per-session normalizers, precomputed like [caps] *)
@@ -163,7 +155,6 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
     ~b:epsilon;
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
-  (* the engine reads [lens], which backs the [length] closure *)
   if incremental then
     Array.iter (fun o -> Overlay.begin_incremental o lens) overlays;
   let notify = Overlay.notify_index overlays in
@@ -191,7 +182,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
       let order = Array.init k Fun.id in
       let trees = Array.make k None in
       let eval i =
-        let tree = Overlay.min_spanning_tree overlays.(i) ~length in
+        let tree = Overlay.min_spanning_tree overlays.(i) lens in
         low_w.(i) <- Otree.weight tree lens *. norm.(i);
         match trees.(i) with
         | Some prev when prev == tree -> ()
@@ -355,11 +346,8 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null)
     dual_ln_base = !ln_base;
   }
 
-let solve_single ?incremental ?obs ?sparsify ?warm_start graph overlay
-    ~epsilon =
-  let result =
-    solve ?incremental ?obs ?sparsify ?warm_start graph [| overlay |] ~epsilon
-  in
+let solve_single ?incremental ?obs ?warm_start graph overlay ~epsilon =
+  let result = solve ?incremental ?obs ?warm_start graph [| overlay |] ~epsilon in
   (* the single session keeps its own id; rate lookup goes through the
      session array of the fresh solution, which has exactly one slot *)
   let sessions = Solution.sessions result.solution in

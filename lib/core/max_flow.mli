@@ -144,16 +144,11 @@ type stop = Threshold | Certificate
     bit-identical to an uninstrumented run.  Raises [Invalid_argument]
     for [epsilon] outside (0, 0.5).
 
-    [sparsify] (default [Sparsify.full]) is a convenience: any overlay
-    whose recorded spec differs is rebuilt via {!Overlay.resparsify}
-    before the run, so callers can prune without touching their overlay
-    construction.  Under the default spec this is the identity — no
-    historical call site changes behaviour.  Callers that certify the
-    result against the overlays they hold should instead build the
-    overlays with [Overlay.create ~sparsify] themselves and pass them
-    here unchanged: the LP-duality certificate is only meaningful
-    against the {e same} (pruned) candidate space the solver optimized
-    over (see SCALING.md).
+    The candidate tree space is the overlays' own: a pruned run passes
+    overlays built with [Overlay.create ~sparsify], and certifies its
+    result against those same overlays, since the LP-duality
+    certificate is only meaningful against the candidate space the
+    solver optimized over (see SCALING.md).
 
     [warm_start] (default absent — the cold path, bit-identical to
     builds predating the knob) seeds the duals from a previous run and
@@ -168,7 +163,6 @@ type stop = Threshold | Certificate
 val solve :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   ?stop:stop ->
   Graph.t ->
@@ -179,12 +173,11 @@ val solve :
 (** [solve_single graph overlay ~epsilon] runs the single-session
     special case and returns the session's maximum flow rate (the
     [zeta_i] of the concurrent-flow preprocessing) along with the full
-    result.  [obs], [sparsify] and [warm_start] as in {!solve}; the
-    stopping rule is always {!Threshold}. *)
+    result.  [obs] and [warm_start] as in {!solve}; the stopping rule
+    is always {!Threshold}. *)
 val solve_single :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
-  ?sparsify:Sparsify.t ->
   ?warm_start:warm_start ->
   Graph.t ->
   Overlay.t ->

@@ -24,7 +24,6 @@ let solve ?(obs = Obs.Sink.null) graph overlays ~sigma =
       if e.Graph.capacity > 0.0 then
         lens.(e.Graph.id) <- sigma /. e.Graph.capacity);
   let congestion = Array.make m 0.0 in
-  let length id = lens.(id) in
   Obs.Counter.incr c_runs;
   Obs.Sink.emit obs Obs.Run_start ~session:run_name ~a:(float_of_int k)
     ~b:sigma;
@@ -40,7 +39,7 @@ let solve ?(obs = Obs.Sink.null) graph overlays ~sigma =
             Obs.Counter.incr c_arrivals;
             Obs.Sink.emit obs Obs.Iter_start ~session:i
               ~a:(float_of_int (i + 1)) ~b:0.0;
-            let tree = Overlay.min_spanning_tree overlay ~length in
+            let tree = Overlay.min_spanning_tree overlay lens in
             let demand = sessions.(i).Session.demand in
             Otree.iter_usage tree (fun id count ->
                 let ce = Graph.capacity graph id in

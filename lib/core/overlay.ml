@@ -1,21 +1,23 @@
 type mode = Ip | Arbitrary
 
-(* Incremental overlay-length engine (IP mode).  Two states:
-   - off: every MST call folds the caller's [length] closure over every
-     route ([Route.weight]) and runs the eager [Flat.Prim.into];
+(* Incremental overlay-length engine (IP mode).  Every MST call reads
+   the caller's length array.  Two states:
+   - off: every overlay edge is dirty on each call: its weight is
+     re-summed over the array, and the eager [Flat.Prim.into] runs;
    - on (between [begin_incremental] and [end_incremental]): the
-     solver's length array is bound, weights are cached, and Prim runs
-     lazily over stale lower bounds ([Flat.Prim.lazy_routes_into]).
+     solver's length array is bound (a call with another array is
+     refused), weights are cached, and Prim runs lazily over stale
+     lower bounds ([Flat.Prim.lazy_routes_into]).
 
    Invariant while on: for every overlay edge [oe] with [dirty.(oe) =
    false] and [all_dirty = false], [cached_w.(oe)] is the sum of
    [lens] over route [oe], left to right.  Length changes are announced
    through [notify_length_update]; the incidence index maps the changed
    physical edge to the overlay edges whose cached weight it
-   invalidates.  Every refresh sums the same edges in the same operand
-   order as [Route.weight]'s fold, so cached weights are bit-identical
-   to a from-scratch recomputation and a Prim run over them returns the
-   tree a fresh overlay would.  The monotone skip below is weight-exact,
+   invalidates.  Every refresh sums the route's edges left to right
+   from [0.0], so cached weights are bit-identical to a from-scratch
+   recomputation and a Prim run over them returns the tree a fresh
+   overlay would.  The monotone skip below is weight-exact,
    not tree-exact: it returns the previous tree, which has the minimum
    weight, where a fresh Prim may break a tie differently. *)
 type ip_engine = {
@@ -24,7 +26,7 @@ type ip_engine = {
   incidence : Incidence.t;     (* physical edge -> incident overlay edges *)
   froutes : Flat.Routes.t;     (* flat view of [oroutes] (CSR edge lists) *)
   finc : Flat.Inc.t;           (* flat view of [incidence] *)
-  cached_w : float array;      (* overlay edge id -> cached Route.weight *)
+  cached_w : float array;      (* overlay edge id -> cached route weight *)
   dirty : bool array;
   (* Otree memo: overlay edge ids of the last built tree (in Prim pick
      order, -1-filled when empty) and the tree itself.  Routes are fixed
@@ -44,9 +46,9 @@ type ip_engine = {
      [Otree.build_sorted]. *)
   oedge_order : Bitset.t;
   tree_scratch : Otree.scratch;
-  (* The solver's dual lengths, bound by [begin_incremental]: the
-     [length] closure of every MST call reads this array, so the
-     refresh reads it directly.  [[||]] while the engine is off. *)
+  (* The solver's dual lengths, bound by [begin_incremental]; every MST
+     call until [end_incremental] must pass this array.  [[||]] while
+     the engine is off. *)
   mutable lens : float array;
   mutable all_dirty : bool;
   mutable incremental : bool;  (* engine on: lengths bound, caller notifies *)
@@ -173,24 +175,19 @@ let sparsify_pairs spec graph session =
   in
   Sparsify.select spec ~k ~salt:session.Session.id ~row
 
-(* Stores overlay edge [oe]'s weight into the cache.  With the engine
-   on, the route is summed over the bound array here, over the same
-   edges in the same left-to-right order as [Flat.Routes.weight]
-   (bit-identical): that function's float result would be boxed on its
-   way across the module boundary, once per refreshed edge.  With the
-   engine off, the closure is folded. *)
-let refresh_one eng ~length oe =
-  if eng.incremental then begin
-    let lens = eng.lens in
-    let off = eng.froutes.Flat.Routes.off
-    and edge = eng.froutes.Flat.Routes.edge in
-    let acc = ref 0.0 in
-    for i = off.(oe) to off.(oe + 1) - 1 do
-      acc := !acc +. lens.(edge.(i))
-    done;
-    eng.cached_w.(oe) <- !acc
-  end
-  else eng.cached_w.(oe) <- Route.weight eng.oroutes.(oe) ~length;
+(* Stores overlay edge [oe]'s weight under [lens] into the cache: the
+   route summed here, over the same edges in the same left-to-right
+   order as [Flat.Routes.weight] (bit-identical), whose float result
+   would be boxed on its way across the module boundary, once per
+   refreshed edge. *)
+let refresh_one eng (lens : float array) oe =
+  let off = eng.froutes.Flat.Routes.off
+  and edge = eng.froutes.Flat.Routes.edge in
+  let acc = ref 0.0 in
+  for i = off.(oe) to off.(oe + 1) - 1 do
+    acc := !acc +. lens.(edge.(i))
+  done;
+  eng.cached_w.(oe) <- !acc;
   eng.dirty.(oe) <- false
 
 let create ?(sparsify = Sparsify.full) graph mode session =
@@ -323,10 +320,6 @@ let candidate_route t oe =
   | Some eng -> eng.oroutes.(oe)
   | None -> invalid_arg "Overlay.candidate_route: arbitrary mode"
 
-let resparsify t spec =
-  if Sparsify.equal spec t.sparsify then t
-  else create ~sparsify:spec t.graph t.mode t.session
-
 let set_sink t sink = t.sink <- sink
 let clear_sink t = t.sink <- Obs.Sink.null
 
@@ -438,8 +431,8 @@ let notify_rescale t =
   match t.ip with
   | None -> ()
   | Some eng ->
-    (* cached_w *. scale would diverge from a fresh [Route.weight] fold
-       in the last ulp; re-derive everything instead (rescales are rare) *)
+    (* cached_w *. scale would diverge from a fresh sum in the last
+       ulp; re-derive everything instead (rescales are rare) *)
     if eng.incremental then eng.all_dirty <- true
 
 (* --- weight refresh --------------------------------------------------- *)
@@ -451,27 +444,34 @@ let count_weight_ops t n =
   t.weight_ops <- t.weight_ops + n;
   Obs.Counter.add c_weight_ops n
 
-let refresh_all t eng ~length =
+let refresh_all t eng lens =
   let n = Array.length eng.cached_w in
   for oe = 0 to n - 1 do
-    refresh_one eng ~length oe
+    refresh_one eng lens oe
   done;
   eng.all_dirty <- false;
   count_weight_ops t n
 
-let refresh_dirty t eng ~length =
+let refresh_dirty t eng lens =
   let n = Array.length eng.cached_w in
   for oe = 0 to n - 1 do
     if eng.dirty.(oe) then begin
-      refresh_one eng ~length oe;
+      refresh_one eng lens oe;
       count_weight_ops t 1
     end
   done
 
-let run_cross_check eng ~length =
+(* every cached weight against a fresh left-to-right sum over the bound
+   array, walking the route itself rather than its flat view *)
+let run_cross_check eng =
+  let lens = eng.lens in
   Array.iteri
-    (fun oe route ->
-      let fresh = Route.weight route ~length in
+    (fun oe (route : Route.t) ->
+      let fresh = ref 0.0 in
+      for i = 0 to Array.length route.Route.edges - 1 do
+        fresh := !fresh +. lens.(route.Route.edges.(i))
+      done;
+      let fresh = !fresh in
       if fresh <> eng.cached_w.(oe) then
         failwith
           (Printf.sprintf
@@ -480,13 +480,13 @@ let run_cross_check eng ~length =
              eng.cached_w.(oe) fresh oe))
     eng.oroutes
 
-let ip_weights t eng ~length =
+let ip_weights t eng lens =
   if eng.incremental then begin
-    if eng.all_dirty then refresh_all t eng ~length
-    else refresh_dirty t eng ~length;
-    if cross_check () then run_cross_check eng ~length
+    if eng.all_dirty then refresh_all t eng lens
+    else refresh_dirty t eng lens;
+    if cross_check () then run_cross_check eng
   end
-  else refresh_all t eng ~length;
+  else refresh_all t eng lens;
   eng.cached_w
 
 (* Top-level recursions (no free variables, hence no closure is
@@ -594,12 +594,16 @@ let ip_tree t eng =
     tree
   end
 
-let min_spanning_tree t ~length =
+let min_spanning_tree t lens =
   t.ops <- t.ops + 1;
   Obs.Counter.incr c_mst_ops;
   match t.mode with
   | Ip ->
     let eng = Option.get t.ip in
+    if eng.incremental && lens != eng.lens then
+      invalid_arg
+        "Overlay.min_spanning_tree: not the length array bound by \
+         begin_incremental";
     let lazy_bounds = lazy_valid eng in
     if lazy_bounds && prev_tree_clean eng then begin
       Obs.Counter.incr c_lazy_skips;
@@ -626,7 +630,7 @@ let min_spanning_tree t ~length =
         if refreshed > 0 then count_weight_ops t refreshed
       end
       else
-        Flat.Prim.into t.prim_ws t.ocsr ~w:(ip_weights t eng ~length)
+        Flat.Prim.into t.prim_ws t.ocsr ~w:(ip_weights t eng lens)
           ~edges:t.tree_buf;
       let tree = ip_tree t eng in
       if eng.incremental then begin
@@ -653,7 +657,8 @@ let min_spanning_tree t ~length =
   | Arbitrary ->
     let ws = Option.get t.dyn_ws in
     let snapshot =
-      Dynamic_routing.routes_ws ws t.graph ~members:(members t) ~length
+      Dynamic_routing.routes_ws ws t.graph ~members:(members t)
+        ~length:(fun id -> lens.(id))
     in
     let ms = members t in
     let weights =
@@ -675,7 +680,7 @@ let min_spanning_tree t ~length =
     in
     build_tree t ~pairs ~routes
 
-let tree_of_pairs t ~pairs ~length =
+let tree_of_pairs t ~pairs lens =
   let ms = members t in
   match t.mode with
   | Ip ->
@@ -683,7 +688,10 @@ let tree_of_pairs t ~pairs ~length =
     build_tree t ~pairs ~routes
   | Arbitrary ->
     let ws = Option.get t.dyn_ws in
-    let snapshot = Dynamic_routing.routes_ws ws t.graph ~members:ms ~length in
+    let snapshot =
+      Dynamic_routing.routes_ws ws t.graph ~members:ms
+        ~length:(fun id -> lens.(id))
+    in
     let routes =
       Array.map (fun (a, b) -> Dynamic_routing.route snapshot ms.(a) ms.(b)) pairs
     in

@@ -11,6 +11,9 @@
       member, the [|S_i| * T_spt] overhead of Sec. V-B) on a reusable
       workspace.
 
+    Lengths are one [float array] indexed by physical edge id, the
+    paper's [d_e]: every MST call reads the caller's array.
+
     {1 Incremental overlay-length engine (IP mode)}
 
     The FPTAS solvers change only the few dual lengths on the winning
@@ -23,15 +26,15 @@
     {!notify_rescale} after a global renormalization), so an MST call
     only re-walks the routes actually invalidated, and a lazy Prim
     re-walks only those whose stale weight is still competitive.
-    Refreshes sum the same edges in the same order as [Route.weight]'s
-    fold, so cached weights stay bit-identical to a from-scratch
-    recomputation.  With the engine off, every MST call folds the
-    [length] closure over every route and runs an eager Prim.  The monotone
-    skip of {!notify_length_increase} keeps a tree of minimum weight but
-    not always the one a fresh Prim would pick among equal-weight trees.
-    A debug cross-check mode
-    ({!set_cross_check}, or environment variable [OVERLAY_CROSS_CHECK=1])
-    verifies that invariant on every MST call. *)
+    Refreshes sum each route's edges left to right, so cached weights
+    stay bit-identical to a from-scratch recomputation.  With the
+    engine off, every overlay edge is dirty on each call: its weight is
+    re-summed over the caller's array and an eager Prim runs.  The
+    monotone skip of {!notify_length_increase} keeps a tree of minimum
+    weight but not always the one a fresh Prim would pick among
+    equal-weight trees.  A debug cross-check mode ({!set_cross_check},
+    or environment variable [OVERLAY_CROSS_CHECK=1]) verifies that
+    invariant on every MST call. *)
 
 type mode = Ip | Arbitrary
 
@@ -100,13 +103,6 @@ val overlay_pairs : t -> (int * int) array
     mode, whose routes depend on the lengths of each query. *)
 val candidate_route : t -> int -> Route.t
 
-(** [resparsify t spec] rebuilds the context under [spec] on the same
-    graph, mode and session; returns [t] itself when [spec] equals the
-    current one.  A rebuild recomputes routing state from scratch
-    (nothing is shared), so prefer building with [~sparsify] up
-    front. *)
-val resparsify : t -> Sparsify.t -> t
-
 (** {2 Telemetry} *)
 
 (** [set_sink t sink] directs this context's trace events
@@ -123,38 +119,39 @@ val set_sink : t -> Obs.Sink.t -> unit
 (** [clear_sink t] resets the sink to [Obs.Sink.null]. *)
 val clear_sink : t -> unit
 
-(** [min_spanning_tree t ~length] computes the minimum overlay spanning
-    tree under the physical edge length function, as an overlay tree
-    with realized routes.  Each call counts as one MST operation.  With
-    the incremental engine on, only overlay edges invalidated since the
-    previous call are re-weighed, and only when Prim reaches them. *)
-val min_spanning_tree : t -> length:(int -> float) -> Otree.t
+(** [min_spanning_tree t lens] computes the minimum overlay spanning
+    tree under the physical edge lengths [lens] (indexed by edge id of
+    [t]'s graph, every entry non-negative), as an overlay tree with
+    realized routes.  Each call counts as one MST operation.  With the
+    engine off, every overlay edge is re-weighed over [lens].  With the
+    incremental engine on, [lens] must be the array bound by
+    {!begin_incremental} (physically; [Invalid_argument] otherwise),
+    and only overlay edges invalidated since the previous call are
+    re-weighed, and only when Prim reaches them. *)
+val min_spanning_tree : t -> float array -> Otree.t
 
-(** [tree_of_pairs t ~pairs ~length] realizes an arbitrary overlay
+(** [tree_of_pairs t ~pairs lens] realizes an arbitrary overlay
     spanning tree shape (member-slot pairs) with routes chosen per the
-    mode; used by baselines and enumeration oracles.  [length] only
-    matters in [Arbitrary] mode. *)
-val tree_of_pairs : t -> pairs:(int * int) array -> length:(int -> float) -> Otree.t
+    mode; used by baselines and enumeration oracles.  [lens] only
+    matters in [Arbitrary] mode, where it prices the shortest
+    paths. *)
+val tree_of_pairs : t -> pairs:(int * int) array -> float array -> Otree.t
 
 (** {2 Incremental engine control} *)
 
 (** [begin_incremental t lens] turns the engine on and binds [lens]:
-    from now until {!end_incremental}, the caller promises that every
-    [length] function it passes to {!min_spanning_tree} satisfies
-    [length id = lens.(id)] for the physical edge ids of [t]'s graph,
-    and that it announces every change to [lens] via
-    {!notify_length_update} / {!notify_rescale}.  The weight refresh
-    reads [lens] directly (one flat array walk per route, bit-identical
-    to the [Route.weight] fold).  All cached weights are invalidated on
-    activation, so any previous length state is forgotten.  The
-    cross-check debug flag ([OVERLAY_CROSS_CHECK]) re-derives weights
-    through the closure and fails loudly if either promise is broken.
-    No-op in [Arbitrary] mode. *)
+    from now until {!end_incremental}, every {!min_spanning_tree} call
+    must pass [lens] itself, and the caller announces every change to
+    [lens] via {!notify_length_update} / {!notify_rescale}.  All cached
+    weights are invalidated on activation, so any previous length state
+    is forgotten.  The cross-check debug flag ([OVERLAY_CROSS_CHECK])
+    re-derives every cached weight by a fresh sum over [lens] and fails
+    loudly on a missed notification.  No-op in [Arbitrary] mode. *)
 val begin_incremental : t -> float array -> unit
 
 (** [end_incremental t] turns the engine off and unbinds the length
-    array; subsequent MST calls recompute every overlay edge weight
-    from the [length] closure. *)
+    array; subsequent MST calls re-weigh every overlay edge over the
+    array they are given. *)
 val end_incremental : t -> unit
 
 (** [notify_length_update t edge] marks the overlay edges whose fixed

@@ -29,18 +29,23 @@ let improve graph overlays config =
   let sessions = Array.map Overlay.session overlays in
   let m = Graph.n_edges graph in
   let congestion = Array.make m 0.0 in
+  (* d_e = (1+sigma)^(l_e) / c_e, rewritten on every edge [apply]
+     touches *)
   let length id =
     let c = Graph.capacity graph id in
     if c <= 0.0 then infinity
     else (1.0 +. config.sigma) ** congestion.(id) /. c
   in
+  let lens = Array.init m length in
   let apply sign tree demand =
     Otree.iter_usage tree (fun id count ->
         let c = Graph.capacity graph id in
-        if c > 0.0 then
+        if c > 0.0 then begin
           congestion.(id) <-
             Float.max 0.0
-              (congestion.(id) +. (sign *. float_of_int count *. demand /. c)))
+              (congestion.(id) +. (sign *. float_of_int count *. demand /. c));
+          lens.(id) <- length id
+        end)
   in
   (* assignment per session: the budgeted trees, each carrying an equal
      share of the demand *)
@@ -51,7 +56,7 @@ let improve graph overlays config =
   let route_session i =
     let trees = ref [] in
     for _ = 1 to config.trees_per_session do
-      let tree = Overlay.min_spanning_tree overlays.(i) ~length in
+      let tree = Overlay.min_spanning_tree overlays.(i) lens in
       apply 1.0 tree (sub_demand i);
       trees := tree :: !trees
     done;

@@ -8,7 +8,9 @@ let solve ?(max_combinations = 200_000) graph overlays =
   let k = Array.length overlays in
   if k = 0 then invalid_arg "Unsplittable_exact.solve: no sessions";
   let sessions = Array.map Overlay.session overlays in
-  (* enumerate each session's realizable trees once *)
+  (* enumerate each session's realizable trees once, on fewest-hop
+     routes *)
+  let lens = Array.make (Graph.n_edges graph) 1.0 in
   let candidates =
     Array.map
       (fun o ->
@@ -18,9 +20,7 @@ let solve ?(max_combinations = 200_000) graph overlays =
         Array.of_list
           (List.map
              (fun edge_list ->
-               Overlay.tree_of_pairs o
-                 ~pairs:(Array.of_list edge_list)
-                 ~length:Dijkstra.hop_length)
+               Overlay.tree_of_pairs o ~pairs:(Array.of_list edge_list) lens)
              (Prufer.enumerate size)))
       overlays
   in

@@ -27,8 +27,10 @@
       same errors, and counts [graph.prim_lazy_runs].
 
     The overlay engine's cross-check debug flag ([OVERLAY_CROSS_CHECK])
-    re-derives every cached weight with {!Route.weight} and fails on
-    any divergence, so a broken flat invariant is caught, not absorbed.
+    re-derives every cached weight by a fresh left-to-right sum over
+    the bound length array, walking the {!Route.t} itself, and fails on
+    any divergence, so a broken flat invariant is caught, not
+    absorbed.
 
     {b Allocation contract.}  Construction ([Csr.of_graph],
     [Routes.of_routes], [Inc.of_incidence], [Prim.ws]) allocates; the

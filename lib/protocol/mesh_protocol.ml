@@ -204,9 +204,8 @@ let build rng graph overlay config =
     depth := max !depth (hops v 0)
   done;
   let tree =
-    Overlay.tree_of_pairs overlay
-      ~pairs:(Array.of_list !pairs)
-      ~length:Dijkstra.hop_length
+    Overlay.tree_of_pairs overlay ~pairs:(Array.of_list !pairs)
+      (Array.make (Graph.n_edges graph) 1.0)
   in
   let total_degree = ref 0 in
   for v = 0 to k - 1 do

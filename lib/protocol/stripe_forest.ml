@@ -25,6 +25,8 @@ let build rng graph overlay config =
   (* stripe ownership: member slot i is interior-eligible in stripe
      (i mod stripes); the source (slot 0) is eligible everywhere *)
   let eligible slot stripe = slot = 0 || slot mod config.stripes = stripe in
+  (* the trees' routes are fewest-hop *)
+  let lens = Array.make (Graph.n_edges graph) 1.0 in
   let violations = ref 0 in
   let max_depth = ref 0 in
   let trees =
@@ -85,7 +87,7 @@ let build rng graph overlay config =
               let v = i + 1 in
               (parent.(v), v))
         in
-        Overlay.tree_of_pairs overlay ~pairs ~length:Dijkstra.hop_length)
+        Overlay.tree_of_pairs overlay ~pairs lens)
   in
   (trees, { max_depth = !max_depth; interior_violations = !violations })
 

@@ -16,8 +16,8 @@
     traversal of every route is recorded):
 
     - {b Delta-update}: an overlay edge whose cache bit is clean has
-      [cached_w = Route.weight route ~length] under the caller's current
-      length function — possible only because every length change
+      [cached_w] equal to the sum of the caller's current length array
+      over its route — possible only because every length change
       reaches every dependent overlay edge through [iter_incident].
     - {b Increase-only laziness}: when the caller promises lengths only
       grew ([Overlay.notify_length_increase]), a stale cached weight is

@@ -41,8 +41,5 @@ let is_valid g t =
     !ok && !at = t.dst
   end
 
-let bottleneck t ~capacity =
-  Array.fold_left (fun acc id -> Float.min acc (capacity id)) infinity t.edges
-
 let pp fmt t =
   Format.fprintf fmt "%d->%d (%d hops)" t.src t.dst (Array.length t.edges)

@@ -33,8 +33,4 @@ val iter_edges : t -> (int -> unit) -> unit
     route invalid; [is_valid] never raises.  O(hops), no allocation. *)
 val is_valid : Graph.t -> t -> bool
 
-(** [bottleneck t ~capacity] is the minimum capacity along the route
-    ([infinity] for the empty route). *)
-val bottleneck : t -> capacity:(int -> float) -> float
-
 val pp : Format.formatter -> t -> unit

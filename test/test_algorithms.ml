@@ -19,15 +19,14 @@ let make_env ~seed ~n ~sizes ~demand =
 let exact_m1_throughput g overlays =
   let sessions = Array.map Overlay.session overlays in
   let smax = float_of_int (Session.max_size sessions - 1) in
+  let hops = Array.make (Graph.n_edges g) 1.0 in
   let trees =
     Array.to_list overlays
     |> List.concat_map (fun o ->
            let k = Session.size (Overlay.session o) in
            List.map
              (fun edge_list ->
-               Overlay.tree_of_pairs o
-                 ~pairs:(Array.of_list edge_list)
-                 ~length:Dijkstra.hop_length)
+               Overlay.tree_of_pairs o ~pairs:(Array.of_list edge_list) hops)
              (Prufer.enumerate k))
   in
   let nvars = List.length trees in

@@ -654,7 +654,6 @@ let test_min_tree_weight_enumerated () =
       List.iter
         (fun draw ->
           let lens = Array.init (Graph.n_edges g) (fun _ -> draw ()) in
-          let length id = lens.(id) in
           let brute =
             List.fold_left
               (fun acc edges ->
@@ -664,7 +663,7 @@ let test_min_tree_weight_enumerated () =
                 in
                 if Array.for_all (Hashtbl.mem candidate) pairs then
                   Float.min acc
-                    (Otree.weight (Overlay.tree_of_pairs o ~pairs ~length) lens)
+                    (Otree.weight (Overlay.tree_of_pairs o ~pairs lens) lens)
                 else acc)
               infinity trees
           in

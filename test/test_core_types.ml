@@ -128,12 +128,11 @@ let test_overlay_mst_is_minimal () =
   let s = Session.random rng ~id:0 ~topology_size:30 ~size:5 ~demand:1.0 in
   let overlay = Overlay.create g Overlay.Ip s in
   let lens = Array.init (Graph.n_edges g) (fun i -> 0.3 +. float_of_int ((i * 7) mod 5)) in
-  let length i = lens.(i) in
-  let mst = Overlay.min_spanning_tree overlay ~length in
+  let mst = Overlay.min_spanning_tree overlay lens in
   let w_mst = Otree.weight mst lens in
   List.iter
     (fun tree_pairs ->
-      let t = Overlay.tree_of_pairs overlay ~pairs:(Array.of_list tree_pairs) ~length in
+      let t = Overlay.tree_of_pairs overlay ~pairs:(Array.of_list tree_pairs) lens in
       checkb "mst minimal" true (Otree.weight t lens >= w_mst -. 1e-9))
     (Prufer.enumerate 5)
 
@@ -144,8 +143,9 @@ let test_overlay_ops_counter () =
   let s = Session.random rng ~id:0 ~topology_size:30 ~size:4 ~demand:1.0 in
   let overlay = Overlay.create g Overlay.Ip s in
   checki "starts at 0" 0 (Overlay.mst_operations overlay);
-  ignore (Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length);
-  ignore (Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length);
+  let hops = Array.make (Graph.n_edges g) 1.0 in
+  ignore (Overlay.min_spanning_tree overlay hops);
+  ignore (Overlay.min_spanning_tree overlay hops);
   checki "counts" 2 (Overlay.mst_operations overlay);
   Overlay.reset_mst_operations overlay;
   checki "reset" 0 (Overlay.mst_operations overlay)
@@ -159,9 +159,9 @@ let test_overlay_modes_agree_on_uniform_lengths () =
   let s = Session.random rng ~id:0 ~topology_size:30 ~size:5 ~demand:1.0 in
   let ip = Overlay.create g Overlay.Ip s in
   let arb = Overlay.create g Overlay.Arbitrary s in
-  let t_ip = Overlay.min_spanning_tree ip ~length:Dijkstra.hop_length in
-  let t_arb = Overlay.min_spanning_tree arb ~length:Dijkstra.hop_length in
   let hops = Array.make (Graph.n_edges g) 1.0 in
+  let t_ip = Overlay.min_spanning_tree ip hops in
+  let t_arb = Overlay.min_spanning_tree arb hops in
   checkf6 "same weight" (Otree.weight t_ip hops) (Otree.weight t_arb hops)
 
 let test_overlay_tree_spans () =
@@ -170,7 +170,7 @@ let test_overlay_tree_spans () =
   let rng = Rng.create 15 in
   let s = Session.random rng ~id:0 ~topology_size:30 ~size:6 ~demand:1.0 in
   let overlay = Overlay.create g Overlay.Ip s in
-  let t = Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length in
+  let t = Overlay.min_spanning_tree overlay (Array.make (Graph.n_edges g) 1.0) in
   checkb "spanning" true (Otree.is_spanning t ~n_members:6);
   (* every route is a valid physical path *)
   Array.iter
@@ -186,8 +186,9 @@ let test_overlay_with_session_shares_routes () =
   let replica = Session.create ~id:7 ~members:s.Session.members ~demand:2.0 in
   let shared = Overlay.with_session overlay replica in
   (* identical member set -> identical trees, fresh op counter, new id *)
-  let t1 = Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length in
-  let t2 = Overlay.min_spanning_tree shared ~length:Dijkstra.hop_length in
+  let hops = Array.make (Graph.n_edges g) 1.0 in
+  let t1 = Overlay.min_spanning_tree overlay hops in
+  let t2 = Overlay.min_spanning_tree shared hops in
   checkb "same tree" true (Otree.equal t1 t2);
   checki "replica session id" 7 t2.Otree.session_id;
   checki "counters independent" 1 (Overlay.mst_operations shared);

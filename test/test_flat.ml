@@ -248,7 +248,9 @@ let overlay_instance seed =
 let test_solution_repeat_tree_accumulates () =
   let _, g, session = overlay_instance 5 in
   let overlay = Overlay.create g Overlay.Ip session in
-  let tree = Overlay.min_spanning_tree overlay ~length:(fun _ -> 1.0) in
+  let tree =
+    Overlay.min_spanning_tree overlay (Array.make (Graph.n_edges g) 1.0)
+  in
   let sol = Solution.create [| session |] in
   (* same physical tree repeatedly: the memoized tail entry must absorb
      the rates into a single tree record *)
@@ -279,17 +281,17 @@ let test_tree_builds_counter () =
     Obs.Counter.value c - before
   in
   let _, g, session = overlay_instance 7 in
-  let length _ = 1.0 in
-  let mst o () = ignore (Overlay.min_spanning_tree o ~length) in
+  let lens = Array.make (Graph.n_edges g) 1.0 in
+  let mst o () = ignore (Overlay.min_spanning_tree o lens) in
   let ip = Overlay.create g Overlay.Ip session in
   checki "ip: first tree is a memo miss" 1 (builds (mst ip));
   checki "ip: the same tree again is a memo hit" 0 (builds (mst ip));
   let arbitrary = Overlay.create g Overlay.Arbitrary session in
   checki "arbitrary: one build per call" 2
     (builds (fun () -> mst arbitrary (); mst arbitrary ()));
-  let pairs = (Overlay.min_spanning_tree ip ~length).Otree.pairs in
+  let pairs = (Overlay.min_spanning_tree ip lens).Otree.pairs in
   checki "tree_of_pairs: one build" 1
-    (builds (fun () -> ignore (Overlay.tree_of_pairs ip ~pairs ~length)))
+    (builds (fun () -> ignore (Overlay.tree_of_pairs ip ~pairs lens)))
 
 (* --- Obs.Alloc --------------------------------------------------------- *)
 

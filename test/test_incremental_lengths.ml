@@ -96,9 +96,10 @@ let run_ip_schedule ~cross_check ~monotone ?(decreases = false)
           Overlay.notify_rescale inc
         end;
         (* cross-check mode already validates every cached weight against
-           a fresh Route.weight inside this call; it raises on mismatch *)
-        let t_inc = Overlay.min_spanning_tree inc ~length in
-        let t_scr = Overlay.min_spanning_tree scr ~length in
+           a fresh sum over [lens] inside this call; it raises on
+           mismatch *)
+        let t_inc = Overlay.min_spanning_tree inc lens in
+        let t_scr = Overlay.min_spanning_tree scr lens in
         winner := t_inc.Otree.usage;
         checkb
           (Printf.sprintf "seed %d step %d: same tree" seed step)
@@ -159,8 +160,8 @@ let run_arbitrary_schedule seed =
       for e = 0 to m - 1 do
         lens.(e) <- lens.(e) *. 0.125
       done;
-    let t1 = Overlay.min_spanning_tree o1 ~length in
-    let t2 = Overlay.min_spanning_tree o2 ~length in
+    let t1 = Overlay.min_spanning_tree o1 lens in
+    let t2 = Overlay.min_spanning_tree o2 lens in
     checkb
       (Printf.sprintf "seed %d step %d: same arbitrary tree" seed step)
       true (Otree.equal t1 t2);
@@ -182,7 +183,6 @@ let test_cross_check_catches_missed_notification () =
   let o = Overlay.create g Overlay.Ip session in
   let m = Graph.n_edges g in
   let lens = Array.make m 1.0 in
-  let length id = lens.(id) in
   Overlay.begin_incremental o lens;
   let was = Overlay.cross_check_enabled () in
   Overlay.set_cross_check true;
@@ -191,17 +191,34 @@ let test_cross_check_catches_missed_notification () =
       Overlay.set_cross_check was;
       Overlay.end_incremental o)
     (fun () ->
-      ignore (Overlay.min_spanning_tree o ~length);
+      ignore (Overlay.min_spanning_tree o lens);
       (* mutate a covered edge without notifying *)
       let covered = Overlay.covered_edges o in
       lens.(covered.(0)) <- 42.0;
       let raised =
         try
-          ignore (Overlay.min_spanning_tree o ~length);
+          ignore (Overlay.min_spanning_tree o lens);
           false
         with Failure _ -> true
       in
       checkb "cross-check detects stale cache" true raised)
+
+(* With the engine on, an MST call must pass the bound array itself: an
+   equal copy is refused too, because the engine reads the bound array
+   and the caller's notifications describe that one.  After
+   [end_incremental] any array is accepted. *)
+let test_engine_refuses_another_array () =
+  let _rng, g, session = instance 6 in
+  let o = Overlay.create g Overlay.Ip session in
+  let lens = Array.make (Graph.n_edges g) 1.0 in
+  Overlay.begin_incremental o lens;
+  let bound = Overlay.min_spanning_tree o lens in
+  (match Overlay.min_spanning_tree o (Array.copy lens) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an equal copy of the bound array was accepted");
+  Overlay.end_incremental o;
+  checkb "engine off: an equal copy gives the same tree" true
+    (Otree.equal bound (Overlay.min_spanning_tree o (Array.copy lens)))
 
 (* The solvers must produce identical output with the engine on or off. *)
 let test_solver_output_invariant () =
@@ -242,24 +259,23 @@ let test_monotone_skip_weight_exact () =
       in
       let m = Graph.n_edges g in
       let lens = Array.make m 1.0 in
-      let length id = lens.(id) in
       let probe = Overlay.create g Overlay.Ip session in
       let on_tree = Array.make m false in
       Array.iter
         (fun (e, _) -> on_tree.(e) <- true)
-        (Overlay.min_spanning_tree probe ~length).Otree.usage;
+        (Overlay.min_spanning_tree probe lens).Otree.usage;
       Array.iter
         (fun e ->
           if not on_tree.(e) then begin
             let inc = Overlay.create g Overlay.Ip session in
             Overlay.begin_incremental inc lens;
-            let before = Overlay.min_spanning_tree inc ~length in
+            let before = Overlay.min_spanning_tree inc lens in
             lens.(e) <- 2.0;
             Overlay.notify_length_increase inc e;
-            let skipped = Overlay.min_spanning_tree inc ~length in
+            let skipped = Overlay.min_spanning_tree inc lens in
             let fresh =
               Overlay.min_spanning_tree (Overlay.create g Overlay.Ip session)
-                ~length
+                lens
             in
             lens.(e) <- 1.0;
             checkb
@@ -340,6 +356,8 @@ let suite =
       test_arbitrary_workspace_matches_scratch;
     Alcotest.test_case "cross-check catches missed notification" `Quick
       test_cross_check_catches_missed_notification;
+    Alcotest.test_case "engine on refuses another length array" `Quick
+      test_engine_refuses_another_array;
     Alcotest.test_case "solver output independent of engine" `Quick
       test_solver_output_invariant;
     Alcotest.test_case "monotone skip keeps a tree of equal weight" `Quick

@@ -76,14 +76,14 @@ let test_invariant_sweep () =
 let exact_m2 g overlays =
   let sessions = Array.map Overlay.session overlays in
   let k = Array.length overlays in
+  let hops = Array.make (Graph.n_edges g) 1.0 in
   let trees_per_session =
     Array.map
       (fun o ->
         let size = Session.size (Overlay.session o) in
         List.map
           (fun edge_list ->
-            Overlay.tree_of_pairs o ~pairs:(Array.of_list edge_list)
-              ~length:Dijkstra.hop_length)
+            Overlay.tree_of_pairs o ~pairs:(Array.of_list edge_list) hops)
           (Prufer.enumerate size))
       overlays
   in

@@ -37,7 +37,9 @@ let test_dot_topology () =
 let test_dot_overlay_tree () =
   let _, g, sessions = env 81 in
   let overlay = Overlay.create g Overlay.Ip sessions.(0) in
-  let tree = Overlay.min_spanning_tree overlay ~length:Dijkstra.hop_length in
+  let tree =
+    Overlay.min_spanning_tree overlay (Array.make (Graph.n_edges g) 1.0)
+  in
   let dot = Dot_export.overlay_tree g tree ~members:sessions.(0).Session.members in
   checkb "source marked" true (contains ~needle:"label=\"src\"" dot);
   checkb "tree links bold" true (contains ~needle:"color=blue" dot)

@@ -156,16 +156,16 @@ let same_tree ~what (a : Otree.t) (b : Otree.t) =
    the candidate pairs (edge id = pair index, as the overlay builds it),
    each pair's fixed route, [Mst.prim] on the [Route.weight]s, and
    [Otree.build] of its picks. *)
-let reference_tree o ~length =
+let reference_tree o lens =
   let pairs = Overlay.overlay_pairs o in
   let og = Graph.create ~n:(Session.size (Overlay.session o)) in
   Array.iter (fun (a, b) -> ignore (Graph.add_edge og a b ~capacity:1.0)) pairs;
   let routes =
     Array.map
-      (fun p ->
-        (Overlay.tree_of_pairs o ~pairs:[| p |] ~length).Otree.routes.(0))
+      (fun p -> (Overlay.tree_of_pairs o ~pairs:[| p |] lens).Otree.routes.(0))
       pairs
   in
+  let length id = lens.(id) in
   let mst = Mst.prim og ~length:(fun oe -> Route.weight routes.(oe) ~length) in
   Otree.build ~session_id:(Overlay.session o).Session.id
     ~pairs:(Array.map (fun id -> pairs.(id)) mst.Mst.edges)
@@ -198,17 +198,16 @@ let test_flat_ip_builds_match_build () =
       let lens =
         Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
       in
-      let length e = lens.(e) in
       let what =
         Printf.sprintf "case %d (%d members, %s) draw %d" case k
           (Sparsify.to_string sparsify) draw
       in
-      let reference = reference_tree off ~length in
+      let reference = reference_tree off lens in
       same_tree ~what:(what ^ ", engine off") reference
-        (Overlay.min_spanning_tree off ~length);
+        (Overlay.min_spanning_tree off lens);
       Overlay.begin_incremental on lens;
       same_tree ~what:(what ^ ", engine on") reference
-        (Overlay.min_spanning_tree on ~length)
+        (Overlay.min_spanning_tree on lens)
     done
   done
 
@@ -318,7 +317,6 @@ let test_memo_miss_allocates_the_tree () =
       let session =
         Session.random rng ~id:0 ~topology_size:60 ~size:k ~demand:1.0
       in
-      let length _ = 1.0 in
       (* up to 24 lengths arrays whose trees are pairwise distinct *)
       let probe = Overlay.create g Overlay.Ip session in
       let seen = Otree.Tbl.create 32 in
@@ -329,7 +327,7 @@ let test_memo_miss_allocates_the_tree () =
               Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
             in
             Overlay.begin_incremental probe lens;
-            let tree = Overlay.min_spanning_tree probe ~length in
+            let tree = Overlay.min_spanning_tree probe lens in
             if Otree.Tbl.length seen >= 24 || Otree.Tbl.mem seen tree
             then None
             else begin
@@ -356,7 +354,7 @@ let test_memo_miss_allocates_the_tree () =
         Array.iter
           (fun lens ->
             Overlay.begin_incremental o lens;
-            ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+            ignore (Sys.opaque_identity (Overlay.min_spanning_tree o lens)))
           draws;
         Obs.Alloc.minor_words () -. w0
       in
@@ -370,14 +368,14 @@ let test_memo_miss_allocates_the_tree () =
           k (Array.length draws) builds expected)
     [ 3; 7; 30 ]
 
-(* With the engine on, the weight refresh of every overlay edge (a call
-   after a rescale, the same refresh as the first call of a solve)
-   allocates nothing, and neither does refreshing the dirty ones after
-   a generic update: on a 30-member full overlay (435 overlay edges), a
-   memo-hit MST call on each of these paths allocates 0 words.  The
-   closure fold of the engine-off state and of cross-check mode
-   allocates by design, so cross-check mode is off for the
-   measurement. *)
+(* The weight refresh allocates nothing, with the engine off (every
+   overlay edge re-weighed on each call) and with the engine on, both
+   for every overlay edge (a call after a rescale, the same refresh as
+   the first call of a solve) and for the dirty ones after a generic
+   update: on a 30-member full overlay (435 overlay edges), a memo-hit
+   MST call on each of these paths allocates 0 words.  Cross-check
+   mode rebuilds trees and formats its failures by design, so it is
+   off for the measurement. *)
 let test_refresh_allocates_nothing () =
   let was_cross_check = Overlay.cross_check_enabled () in
   Overlay.set_cross_check false;
@@ -396,18 +394,18 @@ let test_refresh_allocates_nothing () =
   let lens =
     Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0)
   in
-  let length id = lens.(id) in
   let covered = Overlay.covered_edges o in
   let measure path before =
-    ignore (Overlay.min_spanning_tree o ~length);
+    ignore (Overlay.min_spanning_tree o lens);
     let words =
       Obs.Alloc.measure ~warmup:3 ~iters:200 (fun () ->
           before ();
-          ignore (Sys.opaque_identity (Overlay.min_spanning_tree o ~length)))
+          ignore (Sys.opaque_identity (Overlay.min_spanning_tree o lens)))
     in
     if words <> 0.0 then
       Alcotest.failf "a memo-hit MST call %s allocates %.1f words" path words
   in
+  measure "with the engine off" ignore;
   Overlay.begin_incremental o lens;
   Fun.protect ~finally:(fun () -> Overlay.end_incremental o) @@ fun () ->
   measure "after notify_rescale" (fun () -> Overlay.notify_rescale o);

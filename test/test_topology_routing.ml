@@ -90,8 +90,7 @@ let test_route_basics () =
   checkf "weight" 3.0 (Route.weight r ~length:Dijkstra.hop_length);
   checkb "valid" true (Route.is_valid g r);
   checkb "mem" true (Route.mem r 1);
-  checkb "not mem" false (Route.mem r 9);
-  checkf "bottleneck" 3.0 (Route.bottleneck r ~capacity:(Graph.capacity g))
+  checkb "not mem" false (Route.mem r 9)
 
 let test_route_reverse () =
   let g = path_graph () in
@@ -109,7 +108,7 @@ let test_route_invalid_detected () =
 let test_route_empty () =
   let r = Route.make ~src:2 ~dst:2 [||] in
   checki "zero hops" 0 (Route.hops r);
-  checkf "infinite bottleneck" infinity (Route.bottleneck r ~capacity:(fun _ -> 1.0))
+  checkf "zero weight" 0.0 (Route.weight r ~length:Dijkstra.hop_length)
 
 (* --- Ip_routing ---------------------------------------------------------- *)
 
