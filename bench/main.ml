@@ -424,35 +424,6 @@ let run_ablation_baselines () =
   add "refinement (8 trees)" refined.Refinement.solution;
   Tableau.print t
 
-let run_ablation_fleischer () =
-  section "Ablation: Table III loop vs Fleischer tree reuse";
-  let g = setup_a.Setup.topology.Topology.graph in
-  let t =
-    Tableau.create ~title:"MaxConcurrentFlow variants (ratio 0.95)"
-      [ "variant"; "rate s1"; "rate s2"; "min-rate f"; "main MST ops"; "phases" ]
-  in
-  List.iter
-    (fun (name, variant) ->
-      let r =
-        Max_concurrent_flow.solve ~variant g (Setup.overlays setup_a Overlay.Ip)
-          ~epsilon:0.0167 ~scaling:Max_concurrent_flow.Maxflow_weighted
-      in
-      Tableau.add_row t
-        [
-          name;
-          Printf.sprintf "%.2f" (Solution.session_rate r.Max_concurrent_flow.solution 0);
-          Printf.sprintf "%.2f" (Solution.session_rate r.Max_concurrent_flow.solution 1);
-          Printf.sprintf "%.4f"
-            (Solution.concurrent_ratio r.Max_concurrent_flow.solution);
-          string_of_int r.Max_concurrent_flow.main_mst_operations;
-          string_of_int r.Max_concurrent_flow.phases;
-        ])
-    [
-      ("paper (Table III)", Max_concurrent_flow.Paper);
-      ("fleischer reuse", Max_concurrent_flow.Fleischer);
-    ];
-  Tableau.print t
-
 let run_protocol_comparison () =
   section "Protocol comparison: optimum vs practical overlay constructions";
   (* the paper's stated purpose for its algorithms: a benchmark for
@@ -1540,7 +1511,6 @@ let () =
         run_fig18_19 ();
         run_ablation_sigma ();
         run_ablation_baselines ();
-        run_ablation_fleischer ();
         run_protocol_comparison ();
         run_robustness ();
         run_bechamel ();

@@ -456,8 +456,8 @@ let min_tree_weight overlay lens =
 
 (* [primal >= claimed * ub] certifies the approximation factor because
    [ub >= OPT] by weak duality; [primal <= ub] is weak duality itself.
-   [ln_ub] arrives in log space so the dual scale factor exp(ln_base)
-   never has to be materialized. *)
+   [ln_ub] arrives in log space, computed from the solver's length
+   ratios, so the dual scale factor never has to be materialized. *)
 let duality_checks ~tol ~claimed ~primal ~ln_ub violations =
   let dual_bound = exp ln_ub in
   if not (Float.is_finite dual_bound && dual_bound > 0.0) then
@@ -504,8 +504,8 @@ let certify_max_flow ?(tol = default_tol) g overlays (r : Max_flow.result) =
       alpha := Float.min !alpha w)
     overlays;
   let violations = ref (List.rev base.violations) in
-  (* exp(dual_ln_base) scales numerator and denominator alike, so the
-     ratio D(d)/alpha(d) is computed purely in the lens units *)
+  (* the dual scale factor multiplies numerator and denominator alike,
+     so the ratio D(d)/alpha(d) is computed purely in the lens units *)
   let ln_ub = log s_obj -. log !alpha in
   let claimed = 1.0 -. (2.0 *. r.Max_flow.epsilon) in
   let dual_bound = duality_checks ~tol ~claimed ~primal ~ln_ub violations in

@@ -1,5 +1,5 @@
 type demand_scaling = Maxflow_weighted | Proportional
-type variant = Paper | Fleischer
+type variant = Paper
 
 type result = {
   solution : Solution.t;
@@ -9,7 +9,6 @@ type result = {
   zetas : float array;
   epsilon : float;
   dual_lengths : float array;
-  dual_ln_base : float;
   working_demands : float array;
 }
 
@@ -19,7 +18,6 @@ let ratio_to_epsilon r =
 
 type warm_start = {
   prev_lens : float array;
-  prev_ln_base : float;
   room : float;
 }
 
@@ -32,7 +30,7 @@ let main_span = Obs.Span.make "mcf.main"
 let c_runs = Obs.Counter.make ~doc:"MaxConcurrentFlow solver runs" "mcf.runs"
 
 let c_phases =
-  Obs.Counter.make ~doc:"MaxConcurrentFlow phases / alpha-steps" "mcf.phases"
+  Obs.Counter.make ~doc:"MaxConcurrentFlow demand phases" "mcf.phases"
 
 let c_doublings =
   Obs.Counter.make ~doc:"demand doublings at the T-horizon (Lemma 6)"
@@ -126,11 +124,6 @@ let route obs st overlays solution tree c =
   Overlay.notify_usage st.notify usage;
   if !needs_renorm then renorm obs st overlays
 
-(* ln of the tree's real length (weight in lens units times base). *)
-let ln_tree_length st tree =
-  let w = Otree.weight tree st.lens in
-  if w <= 0.0 then neg_infinity else log w +. st.ln_base
-
 (* --- the paper's Table III main loop ------------------------------- *)
 
 let run_paper obs st overlays working solution =
@@ -178,72 +171,6 @@ let run_paper obs st overlays working solution =
     end
   done;
   !phases
-
-(* --- Fleischer's improvement [12] ----------------------------------- *)
-
-(* Trees are reused while their current length stays below the running
-   lower bound alpha times (1 + eps); minimum-overlay-spanning-tree
-   recomputations happen only when a cached tree expires, which removes
-   the per-step MST from the inner loop.  alpha is tracked in log space
-   like the lengths. *)
-
-let run_fleischer obs st overlays working solution =
-  let k = Array.length overlays in
-  let cached : Otree.t option array = Array.make k None in
-  let remaining = Array.copy working in
-  (* initial alpha: the smallest current tree length across sessions *)
-  let ln_alpha =
-    ref
-      (Array.fold_left
-         (fun acc o ->
-           let t = Overlay.min_spanning_tree o st.lens in
-           Float.min acc (ln_tree_length st t))
-         infinity overlays)
-  in
-  let ln_one_plus_eps = log (1.0 +. st.epsilon) in
-  let alpha_steps = ref 0 in
-  let finished = ref (dual_reached_one st) in
-  while not !finished && !ln_alpha < 0.0 do
-    incr alpha_steps;
-    Obs.Counter.incr c_phases;
-    Obs.Sink.emit obs Obs.Phase_start ~session:(-1)
-      ~a:(float_of_int !alpha_steps) ~b:!ln_alpha;
-    (* sweep commodities, routing while some tree is within alpha(1+eps) *)
-    for i = 0 to k - 1 do
-      let commodity_done = ref false in
-      while (not !finished) && not !commodity_done do
-        let tree_ok t = ln_tree_length st t <= !ln_alpha +. ln_one_plus_eps in
-        let tree =
-          match cached.(i) with
-          | Some t when tree_ok t -> Some t
-          | _ ->
-            let t = Overlay.min_spanning_tree overlays.(i) st.lens in
-            cached.(i) <- Some t;
-            if tree_ok t then Some t else None
-        in
-        match tree with
-        | None -> commodity_done := true
-        | Some tree ->
-          let bottleneck = Otree.bottleneck tree st.caps in
-          let c = Float.min remaining.(i) bottleneck in
-          if c <= 0.0 || c = infinity then commodity_done := true
-          else begin
-            route obs st overlays solution tree c;
-            remaining.(i) <- remaining.(i) -. c;
-            if remaining.(i) <= 1e-15 then
-              (* full demand routed once more; start the next round *)
-              remaining.(i) <- working.(i);
-            if dual_reached_one st then finished := true
-          end
-      done
-    done;
-    refresh_dual st;
-    Obs.Sink.emit obs Obs.Phase_end ~session:(-1)
-      ~a:(float_of_int !alpha_steps) ~b:!ln_alpha;
-    if dual_reached_one st then finished := true
-    else ln_alpha := !ln_alpha +. ln_one_plus_eps
-  done;
-  !alpha_steps
 
 (* --- common driver --------------------------------------------------- *)
 
@@ -351,8 +278,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
       (fun () ->
         Obs.Span.with_ obs main_span (fun () ->
             match variant with
-            | Paper -> run_paper obs st overlays working solution
-            | Fleischer -> run_fleischer obs st overlays working solution))
+            | Paper -> run_paper obs st overlays working solution))
   in
   (match warm_start with
   | None ->
@@ -390,6 +316,5 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
     zetas;
     epsilon;
     dual_lengths = st.lens;
-    dual_ln_base = st.ln_base;
     working_demands = working;
   }

@@ -26,16 +26,15 @@
 
 type demand_scaling = Maxflow_weighted | Proportional
 
-(** The main-loop strategy.
-    - [Paper]: Table III verbatim — one minimum-overlay-spanning-tree
-      computation per routing step.
-    - [Fleischer]: the improvement of Fleischer [12] the paper builds
-      on: a commodity reuses its cached tree while the tree's current
-      length stays within [(1 + eps)] of the running lower bound
-      [alpha], so MST recomputations leave the inner loop.  Same
-      [(1 - 3 eps)] guarantee, far fewer MST operations; the
-      [abl_fleischer] bench quantifies the gap. *)
-type variant = Paper | Fleischer
+(** The main-loop strategy.  [Paper] is Table III verbatim: one
+    minimum-overlay-spanning-tree computation per routing step.  It is
+    the only one: a tree-reuse loop after Fleischer [12] failed its own
+    duality certificate on most small instances and was removed (see
+    EXPERIMENTS.md, "One length representation").  The type, [?variant]
+    on {!solve} and [Engine.Mcf]'s [variant] field stay because the
+    churn benchmark's sources, [churnbench/workloads.ml] and
+    [churnbench/reference.ml], name them. *)
+type variant = Paper
 
 type result = {
   solution : Solution.t;     (** feasible, scaled multi-tree flow *)
@@ -46,12 +45,10 @@ type result = {
   epsilon : float;
   dual_lengths : float array;
   (** final dual length per physical edge id, in the solver's internal
-      scale: [d_e = exp dual_ln_base *. dual_lengths.(e)] (edges of
-      zero capacity hold [infinity]).  As with {!Max_flow.result}, only
-      ratios enter the duality certificate, so the common scale factor
-      never has to be materialized. *)
-  dual_ln_base : float;
-  (** log of the common scale factor of [dual_lengths]. *)
+      scale (edges of zero capacity hold [infinity]).  As with
+      {!Max_flow.result}, only ratios are meaningful and only ratios
+      enter the duality certificate, so the common scale factor is
+      never materialized. *)
   working_demands : float array;
   (** the demand vector the main loop actually routed, per session
       slot: the preprocessing-scaled demands ([Maxflow_weighted] or
@@ -67,8 +64,7 @@ val ratio_to_epsilon : float -> float
 
 (** Warm-start state for incremental re-solves — the concurrent-flow
     analogue of {!Max_flow.warm_start}.  The previous run's dual shape
-    is inherited (renormalized; [prev_ln_base] is provenance only) and
-    the scale re-aimed so the dual objective [sum_e c_e d_e] opens at
+    is inherited (renormalized) and the scale re-aimed so the dual objective [sum_e c_e d_e] opens at
     [exp (-room)], terminating after ~[room] nats of dual growth
     instead of the full [ln (1/delta)] climb.  Feasibility is settled
     post hoc — the raw warm flow is normalized to measured link
@@ -80,14 +76,12 @@ val ratio_to_epsilon : float -> float
     capacitated edges must be finite positive. *)
 type warm_start = {
   prev_lens : float array;  (** previous [result.dual_lengths] *)
-  prev_ln_base : float;     (** previous [result.dual_ln_base] *)
   room : float;             (** dual headroom in nats, [> 0] *)
 }
 
 (** [solve ?variant graph overlays ~epsilon ~scaling] runs the
-    algorithm ([variant] defaults to [Paper]).  [result.phases] counts
-    demand phases in [Paper] mode and alpha-steps in [Fleischer] mode.
-    [incremental] (default [true]) drives the overlays' incremental
+    algorithm ([variant] defaults to [Paper], the only one).
+    [result.phases] counts demand phases.  [incremental] (default [true]) drives the overlays' incremental
     length engine, with the dual-length array bound, in both the
     MaxFlow preprocessing and the main loop; dual updates are batched
     with one notify pass per routing.  [~incremental:false] forces
@@ -99,9 +93,8 @@ type warm_start = {
     a [Span_open]/[Span_close] pair named ["mcf.preprocess"] enclosing
     the per-session MaxFlow runs (which emit their own nested traces);
     a ["mcf.main"] span enclosing the main loop, inside which each
-    phase/alpha-step is bracketed by [Phase_start]/[Phase_end]
-    ([a] = 1-based phase index; [b] = the running [ln alpha] in
-    [Fleischer] mode, [0] in [Paper] mode), with [Rescale] on dual
+    phase is bracketed by [Phase_start]/[Phase_end] ([a] = 1-based
+    phase index, [b] = 0), with [Rescale] on dual
     renormalization and [Demand_double] when the [T]-horizon doubles
     the working demands ([a] = phase index at the doubling); then one
     [Session_rate] per slot and a final [Run_end] ([a] = phases,

@@ -4,7 +4,6 @@ type result = {
   mst_operations : int;
   epsilon : float;
   dual_lengths : float array;
-  dual_ln_base : float;
 }
 
 let ratio_to_epsilon r =
@@ -13,7 +12,6 @@ let ratio_to_epsilon r =
 
 type warm_start = {
   prev_lens : float array;
-  prev_ln_base : float;
   room : float;
 }
 
@@ -101,8 +99,7 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?warm_start
   let ln_base = ref ln_delta in
   (* Warm start seeds the duals with a previous run's shape.  Only
      length ratios enter the MSTs and the update rule, so the stored
-     magnitudes are renormalized (largest finite entry 1) and the
-     previous [exp prev_ln_base] scale is folded away; [ln_base] is
+     magnitudes are renormalized (largest finite entry 1); [ln_base] is
      re-aimed below, once the warmest tree is known, so the run opens
      with [room] nats of dual headroom instead of the full delta range.
      Zero-capacity edges stay at +infinity whatever they inherit. *)
@@ -343,7 +340,6 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?warm_start
     mst_operations = Overlay.total_mst_operations overlays;
     epsilon;
     dual_lengths = lens;
-    dual_ln_base = !ln_base;
   }
 
 let solve_single ?incremental ?obs ?warm_start graph overlay ~epsilon =

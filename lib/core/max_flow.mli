@@ -23,19 +23,16 @@ type result = {
   epsilon : float;            (** the [eps] the run was solved with *)
   dual_lengths : float array;
   (** final dual length per physical edge id, in the solver's internal
-      scale: the real dual variable is
-      [d_e = exp dual_ln_base *. dual_lengths.(e)].  Only length
-      {e ratios} enter the LP-duality certificate (the dual objective
+      scale: the real dual variables are these times one common factor
+      that is not reported.  Only their {e ratios} are meaningful, and
+      only ratios enter the LP-duality certificate (the dual objective
       [sum_e c_e d_e] divided by the minimum normalized tree length),
       so [Check.certify_max_flow] consumes this array directly and the
-      shared [exp dual_ln_base] factor cancels — which is what makes
-      the certificate computable even when [delta] underflows a double
-      (ratio 0.99 and beyond).  Zero-capacity edges hold [infinity]:
-      they can carry no flow, so the solver prices them out of every
-      tree that can avoid them (the certificate's dual objective skips
-      them). *)
-  dual_ln_base : float;
-  (** log of the common scale factor of [dual_lengths] (see above). *)
+      common factor cancels — which is what makes the certificate
+      computable even when [delta] underflows a double (ratio 0.99 and
+      beyond).  Zero-capacity edges hold [infinity]: they can carry no
+      flow, so the solver prices them out of every tree that can avoid
+      them (the certificate's dual objective skips them). *)
 }
 
 (** [ratio_to_epsilon r] maps a target approximation ratio [r] (e.g.
@@ -46,8 +43,7 @@ val ratio_to_epsilon : float -> float
     previous run on (a churn-perturbed version of) the same graph.
 
     The solver only consumes the {e shape} of [prev_lens] — magnitudes
-    are renormalized on entry and [prev_ln_base] is folded away — and
-    re-aims the scale so the minimum normalized tree length starts at
+    are renormalized on entry — and re-aims the scale so the minimum normalized tree length starts at
     [exp (-room)] instead of [delta].  The run then terminates after
     roughly [room / ln (1+eps)] dual doublings rather than the full
     [ln (1/delta) / ln (1+eps)] climb, which is the source of the
@@ -70,10 +66,6 @@ type warm_start = {
           capacity — [infinity] is accepted on zero-capacity edges,
           which the solver prices at [infinity] regardless (read-only,
           copied on entry) *)
-  prev_ln_base : float;
-      (** previous [result.dual_ln_base] — carried for provenance; the
-          solver renormalizes, so only the shape of [prev_lens]
-          matters *)
   room : float;
       (** dual headroom in nats ([> 0]): the warm run stops at the
           latest once the minimum normalized tree length has grown by

@@ -52,7 +52,6 @@ type t = {
   mutable overlays : Overlay.t array;
   mutable zetas : float array; (* parallel to [sessions]; Mcf only *)
   mutable duals : float array; (* engine-owned copy of the last accepted run *)
-  mutable ln_base : float;
   mutable have_duals : bool;
   mutable last : run option;
   mutable resolves : int;
@@ -211,7 +210,7 @@ let run_solver t ~warm =
     let warm_start =
       match warm with
       | Some (prev_lens, room) ->
-        Some { Max_flow.prev_lens; prev_ln_base = t.ln_base; room }
+        Some { Max_flow.prev_lens; room }
       | None -> None
     in
     (* every MaxFlow run, warm or cold, stops on its own certificate;
@@ -223,12 +222,7 @@ let run_solver t ~warm =
     let warm_start =
       match warm with
       | Some (prev_lens, room) ->
-        Some
-          {
-            Max_concurrent_flow.prev_lens;
-            prev_ln_base = t.ln_base;
-            room;
-          }
+        Some { Max_concurrent_flow.prev_lens; room }
       | None -> None
     in
     let warm_zetas =
@@ -264,12 +258,9 @@ let duals_of = function
 
 let accept t run =
   (match run with
-  | Run_maxflow r ->
-    t.duals <- Array.copy r.Max_flow.dual_lengths;
-    t.ln_base <- r.Max_flow.dual_ln_base
+  | Run_maxflow r -> t.duals <- Array.copy r.Max_flow.dual_lengths
   | Run_mcf r ->
     t.duals <- Array.copy r.Max_concurrent_flow.dual_lengths;
-    t.ln_base <- r.Max_concurrent_flow.dual_ln_base;
     t.zetas <- Array.copy r.Max_concurrent_flow.zetas);
   t.have_duals <- true;
   t.last <- Some run
@@ -386,7 +377,6 @@ let create ?(config = default_config) graph sessions =
       overlays;
       zetas = [||];
       duals = [||];
-      ln_base = 0.0;
       have_duals = false;
       last = None;
       resolves = 0;

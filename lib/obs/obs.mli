@@ -298,14 +298,14 @@ end
     - [Run_start]: a solver run begins.  [session] = interned run name
       ({!Name}), [a] = number of sessions, [b] = the run's main
       parameter (epsilon, sigma or tree budget).
-    - [Run_end]: [session] = interned run name, [a] = iterations /
-      phases / alpha-steps performed, [b] = aggregate objective value.
+    - [Run_end]: [session] = interned run name, [a] = iterations or
+      phases performed, [b] = aggregate objective value.
     - [Iter_start] / [Iter_end]: one accepted augmentation of the
       MaxFlow loop (or one per-session routing in Online).  [a] =
       1-based iteration index; on [Iter_end], [session] = winning
       session slot and [b] = flow routed in the step.
-    - [Phase_start] / [Phase_end]: MaxConcurrentFlow phase (Paper
-      variant) or alpha-step (Fleischer).  [a] = 1-based phase index.
+    - [Phase_start] / [Phase_end]: one MaxConcurrentFlow demand phase
+      (Table III).  [a] = 1-based phase index, [b] = 0.
     - [Demand_double]: the T-horizon elapsed and working demands
       doubled (Lemma 6).  [a] = phase index at which it happened.
     - [Rescale]: global renormalization of the dual lengths.  [a] =

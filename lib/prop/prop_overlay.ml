@@ -287,9 +287,6 @@ let warm_consistent c =
     match c.algo with
     | Maxflow -> Engine.Maxflow
     | Mcf ->
-      (* Paper variant: the Fleischer adaptation can fail its own
-         duality certificate even cold (documented in
-         test_engine.ml), which would make every run ladder out *)
       Engine.Mcf
         {
           variant = Max_concurrent_flow.Paper;
@@ -427,12 +424,7 @@ let certificate_stop c =
   lens.(edge) <- lens.(edge) *. (c_old /. c_new);
   let* _ =
     solve "warm"
-      ~warm_start:
-        {
-          Max_flow.prev_lens = lens;
-          prev_ln_base = cold.Max_flow.dual_ln_base;
-          room = 32.0;
-        }
+      ~warm_start:{ Max_flow.prev_lens = lens; room = 32.0 }
       ()
   in
   Ok ()

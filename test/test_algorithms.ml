@@ -355,11 +355,7 @@ let certificate_stop_on ~what g sessions ~epsilon =
   in
   check_against "cold" paper_cold;
   let warm_start =
-    {
-      Max_flow.prev_lens = cold.Max_flow.dual_lengths;
-      prev_ln_base = cold.Max_flow.dual_ln_base;
-      room = 8.0;
-    }
+    { Max_flow.prev_lens = cold.Max_flow.dual_lengths; room = 8.0 }
   in
   check_against "warm" ~warm_start
     (counted_solve ~warm_start ~stop:Max_flow.Threshold g overlays ~epsilon)

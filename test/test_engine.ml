@@ -82,11 +82,6 @@ let run_events ~solver ~epsilon () =
 
 let test_events_maxflow () = run_events ~solver:Engine.Maxflow ~epsilon:0.05 ()
 
-(* Paper variant: the Fleischer variant's cold runs do not always meet
-   their own duality certificate on small random instances (a
-   pre-existing property, independent of warm starts), so the
-   certificate-gated engine is exercised on the variant that
-   certifies. *)
 let test_events_mcf () =
   run_events
     ~solver:

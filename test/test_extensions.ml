@@ -1,6 +1,6 @@
 (* Tests for the extension modules: Gomory_hu, Bounds,
-   Unsplittable_exact, the Fleischer MCF variant, Transit_stub,
-   randomized IP tie-breaking, and the churn simulator. *)
+   Unsplittable_exact, Transit_stub, randomized IP tie-breaking, and
+   the churn simulator. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -147,37 +147,6 @@ let test_unsplittable_guard () =
        ignore (Unsplittable_exact.solve ~max_combinations:1000 g overlays);
        false
      with Invalid_argument _ -> true)
-
-(* --- Fleischer variant -------------------------------------------------------- *)
-
-let test_fleischer_matches_paper_variant () =
-  let rng, g = env 34 in
-  let sessions =
-    Array.init 2 (fun id ->
-        Session.random rng ~id ~topology_size:40 ~size:5 ~demand:10.0)
-  in
-  let run variant =
-    let overlays = Array.map (Overlay.create g Overlay.Ip) sessions in
-    Max_concurrent_flow.solve ~variant g overlays ~epsilon:0.03
-      ~scaling:Max_concurrent_flow.Proportional
-  in
-  let paper = run Max_concurrent_flow.Paper in
-  let fleischer = run Max_concurrent_flow.Fleischer in
-  let fp = Solution.concurrent_ratio paper.Max_concurrent_flow.solution in
-  let ff = Solution.concurrent_ratio fleischer.Max_concurrent_flow.solution in
-  checkb "feasible" true
-    (Solution.is_feasible fleischer.Max_concurrent_flow.solution g ~tol:Check.default_tol);
-  checkb
-    (Printf.sprintf "objectives close (%.4f vs %.4f)" fp ff)
-    true
-    (abs_float (fp -. ff) <= 0.05 *. Float.max fp ff);
-  checkb
-    (Printf.sprintf "fewer MST ops (%d vs %d)"
-       fleischer.Max_concurrent_flow.main_mst_operations
-       paper.Max_concurrent_flow.main_mst_operations)
-    true
-    (fleischer.Max_concurrent_flow.main_mst_operations
-    <= paper.Max_concurrent_flow.main_mst_operations)
 
 (* --- Transit_stub --------------------------------------------------------------- *)
 
@@ -346,8 +315,6 @@ let suite =
     Alcotest.test_case "unsplittable dominates online" `Quick
       test_unsplittable_dominates_online;
     Alcotest.test_case "unsplittable guard" `Quick test_unsplittable_guard;
-    Alcotest.test_case "fleischer matches paper variant" `Quick
-      test_fleischer_matches_paper_variant;
     Alcotest.test_case "transit-stub shape" `Quick test_transit_stub_shape;
     Alcotest.test_case "transit-stub funnels traffic" `Quick
       test_transit_stub_funnels_traffic;

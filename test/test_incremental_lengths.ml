@@ -310,7 +310,6 @@ let test_sweep_many_sessions () =
         {
           Max_flow.prev_lens =
             Array.init (Graph.n_edges g) (fun _ -> 0.1 +. Rng.float rng 4.0);
-          prev_ln_base = 0.0;
           room = 3.0;
         }
       in
