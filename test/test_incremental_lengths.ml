@@ -355,8 +355,6 @@ let suite =
       test_arbitrary_workspace_matches_scratch;
     Alcotest.test_case "cross-check catches missed notification" `Quick
       test_cross_check_catches_missed_notification;
-    Alcotest.test_case "engine on refuses another length array" `Quick
-      test_engine_refuses_another_array;
     Alcotest.test_case "solver output independent of engine" `Quick
       test_solver_output_invariant;
     Alcotest.test_case "monotone skip keeps a tree of equal weight" `Quick
@@ -365,4 +363,6 @@ let suite =
       `Quick test_sweep_many_sessions;
     Alcotest.test_case "ip notify_usage on two overlays = scratch (property)"
       `Quick test_ip_notify_usage_matches_scratch;
+    Alcotest.test_case "engine on refuses another length array" `Quick
+      test_engine_refuses_another_array;
   ]
