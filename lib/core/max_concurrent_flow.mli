@@ -64,16 +64,16 @@ val ratio_to_epsilon : float -> float
 
 (** Warm-start state for incremental re-solves — the concurrent-flow
     analogue of {!Max_flow.warm_start}.  The previous run's dual shape
-    is inherited (renormalized) and the scale re-aimed so the dual objective [sum_e c_e d_e] opens at
-    [exp (-room)], terminating after ~[room] nats of dual growth
-    instead of the full [ln (1/delta)] climb.  Feasibility is settled
-    post hoc — the raw warm flow is normalized to measured link
-    saturation — and is
-    unconditional; the [(1 - 3 eps)] optimality claim must be
-    re-validated with [Check.certify_mcf] (escalate [room] or fall
-    back to a cold solve on a duality-gap violation).  Edges of zero
-    capacity are pinned to [infinity] as in a cold run; entries on
-    capacitated edges must be finite positive. *)
+    is inherited (renormalized) and the scale re-aimed so the dual
+    objective [sum_e c_e d_e] opens at [exp (-room)], terminating after
+    ~[room] nats of dual growth instead of the full [ln (1/delta)]
+    climb.  Feasibility is settled post hoc — the raw warm flow is
+    normalized to measured link saturation — and is unconditional;
+    the [(1 - 3 eps)] optimality claim must be re-validated with
+    [Check.certify_mcf] (escalate [room] or fall back to a cold solve
+    on a duality-gap violation).  Edges of zero capacity are pinned to
+    [infinity] as in a cold run; entries on capacitated edges must be
+    finite positive. *)
 type warm_start = {
   prev_lens : float array;  (** previous [result.dual_lengths] *)
   room : float;             (** dual headroom in nats, [> 0] *)
@@ -81,12 +81,13 @@ type warm_start = {
 
 (** [solve ?variant graph overlays ~epsilon ~scaling] runs the
     algorithm ([variant] defaults to [Paper], the only one).
-    [result.phases] counts demand phases.  [incremental] (default [true]) drives the overlays' incremental
-    length engine, with the dual-length array bound, in both the
-    MaxFlow preprocessing and the main loop; dual updates are batched
-    with one notify pass per routing.  [~incremental:false] forces
-    from-scratch weight recomputation (same output bit for bit, up to
-    the monotone skip's tie-breaks; see {!Max_flow.solve}).
+    [result.phases] counts demand phases.  [incremental] (default
+    [true]) drives the overlays' incremental length engine, with the
+    dual-length array bound, in both the MaxFlow preprocessing and the
+    main loop; dual updates are batched with one notify pass per
+    routing.  [~incremental:false] forces from-scratch weight
+    recomputation (same output bit for bit, up to the monotone skip's
+    tie-breaks; see {!Max_flow.solve}).
 
     [obs] (default [Obs.Sink.null]) receives the run's event trace:
     [Run_start] (run name ["mcf"], [a] = session count, [b] = epsilon);
@@ -94,9 +95,9 @@ type warm_start = {
     the per-session MaxFlow runs (which emit their own nested traces);
     a ["mcf.main"] span enclosing the main loop, inside which each
     phase is bracketed by [Phase_start]/[Phase_end] ([a] = 1-based
-    phase index, [b] = 0), with [Rescale] on dual
-    renormalization and [Demand_double] when the [T]-horizon doubles
-    the working demands ([a] = phase index at the doubling); then one
+    phase index, [b] = 0), with [Rescale] on dual renormalization and
+    [Demand_double] when the [T]-horizon doubles the working demands
+    ([a] = phase index at the doubling); then one
     [Session_rate] per slot and a final [Run_end] ([a] = phases,
     [b] = concurrent ratio).  With the null sink the solver output is
     bit-identical to an uninstrumented run.

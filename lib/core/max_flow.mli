@@ -43,11 +43,12 @@ val ratio_to_epsilon : float -> float
     previous run on (a churn-perturbed version of) the same graph.
 
     The solver only consumes the {e shape} of [prev_lens] — magnitudes
-    are renormalized on entry — and re-aims the scale so the minimum normalized tree length starts at
-    [exp (-room)] instead of [delta].  The run then terminates after
-    roughly [room / ln (1+eps)] dual doublings rather than the full
-    [ln (1/delta) / ln (1+eps)] climb, which is the source of the
-    re-solve speedup when the inherited shape is near-optimal.
+    are renormalized on entry — and re-aims the scale so the minimum
+    normalized tree length starts at [exp (-room)] instead of [delta].
+    The run then terminates after roughly [room / ln (1+eps)] dual
+    doublings rather than the full [ln (1/delta) / ln (1+eps)] climb,
+    which is the source of the re-solve speedup when the inherited
+    shape is near-optimal.
 
     Feasibility is unconditional: the raw warm flow is normalized
     {e post hoc} to measured link saturation (the GK per-edge growth
