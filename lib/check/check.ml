@@ -384,15 +384,34 @@ let rec sift_down w heap n i x =
     else heap.(i) <- x
   end
 
-(* The candidate pairs' weights under [lens]: in IP mode each fixed
-   route summed left to right; in arbitrary mode the shortest-path
+(* One workspace per duality certificate, sized for its largest
+   overlay and reused across its sessions: [w] the candidate pairs'
+   weights, [heap] Kruskal's heap of pair ids and [uf] the union-find
+   over member slots.  Each session uses a prefix of each array. *)
+type tree_ws = { w : float array; heap : int array; uf : int array }
+
+let tree_workspace overlays =
+  let n_pairs = ref 0 and n_members = ref 1 in
+  Array.iter
+    (fun o ->
+      n_pairs := max !n_pairs (Overlay.n_overlay_edges o);
+      n_members := max !n_members (Session.size (Overlay.session o)))
+    overlays;
+  {
+    w = Array.make !n_pairs 0.0;
+    heap = Array.make !n_pairs 0;
+    uf = Array.make !n_members 0;
+  }
+
+(* The candidate pairs' weights under [lens], into [w]: in IP mode each
+   fixed route summed left to right; in arbitrary mode the shortest-path
    distance, from one Dijkstra per slot that opens a pair (the pairs
    are sorted by first slot). *)
-let pair_weights overlay pairs lens =
-  let w = Array.make (Array.length pairs) 0.0 in
-  (match Overlay.mode overlay with
+let pair_weights w overlay lens =
+  let n_pairs = Overlay.n_overlay_edges overlay in
+  match Overlay.mode overlay with
   | Overlay.Ip ->
-    for oe = 0 to Array.length pairs - 1 do
+    for oe = 0 to n_pairs - 1 do
       let edges = (Overlay.candidate_route overlay oe).Route.edges in
       let acc = ref 0.0 in
       for i = 0 to Array.length edges - 1 do
@@ -407,27 +426,24 @@ let pair_weights overlay pairs lens =
     Dijkstra.validate_lengths g ~length;
     let ws = Dijkstra.workspace ~n:(Graph.n_vertices g) in
     let source = ref (-1) and dist = ref [||] in
-    Array.iteri
-      (fun oe (a, b) ->
-        if a <> !source then begin
-          source := a;
-          dist :=
-            (Dijkstra.shortest_path_tree_ws ws g ~length ~source:members.(a))
-              .Dijkstra.dist
-        end;
-        w.(oe) <- !dist.(members.(b)))
-      pairs);
-  w
+    for oe = 0 to n_pairs - 1 do
+      let a, b = Overlay.overlay_pair overlay oe in
+      if a <> !source then begin
+        source := a;
+        dist :=
+          (Dijkstra.shortest_path_tree_ws ws g ~length ~source:members.(a))
+            .Dijkstra.dist
+      end;
+      w.(oe) <- !dist.(members.(b))
+    done
 
 (* alpha(d)'s per-session term, from no solver code: Kruskal over the
    overlay's candidate pairs on this module's union-find, each pair
    weighed by [pair_weights].  [infinity] when the pairs do not span
    the members. *)
-let min_tree_weight overlay lens =
-  let pairs = Overlay.overlay_pairs overlay in
-  let w = pair_weights overlay pairs lens in
-  let n_pairs = Array.length pairs in
-  let heap = Array.make n_pairs 0 in
+let min_tree_weight_ws { w; heap; uf = parent } overlay lens =
+  pair_weights w overlay lens;
+  let n_pairs = Overlay.n_overlay_edges overlay in
   for oe = 0 to n_pairs - 1 do
     heap.(oe) <- oe
   done;
@@ -435,7 +451,6 @@ let min_tree_weight overlay lens =
     sift_down w heap n_pairs i heap.(i)
   done;
   let n = Session.size (Overlay.session overlay) in
-  let parent = Array.make (max n 1) 0 in
   for i = 0 to n - 1 do
     parent.(i) <- i
   done;
@@ -444,7 +459,7 @@ let min_tree_weight overlay lens =
     let oe = heap.(0) in
     decr left;
     sift_down w heap !left 0 heap.(!left);
-    let a, b = pairs.(oe) in
+    let a, b = Overlay.overlay_pair overlay oe in
     let ra = find parent a and rb = find parent b in
     if ra <> rb then begin
       parent.(ra) <- rb;
@@ -453,6 +468,9 @@ let min_tree_weight overlay lens =
     end
   done;
   if !joined < n - 1 then infinity else !total
+
+let min_tree_weight overlay lens =
+  min_tree_weight_ws (tree_workspace [| overlay |]) overlay lens
 
 (* [primal >= claimed * ub] certifies the approximation factor because
    [ub >= OPT] by weak duality; [primal <= ub] is weak duality itself.
@@ -495,10 +513,11 @@ let certify_max_flow ?(tol = default_tol) g overlays (r : Max_flow.result) =
   (* alpha(d): minimum normalized overlay-spanning-tree length, from
      this module's own MST per session under the final lengths *)
   let alpha = ref infinity in
+  let ws = tree_workspace overlays in
   Array.iteri
     (fun i o ->
       let w =
-        min_tree_weight o lens
+        min_tree_weight_ws ws o lens
         *. (smax /. float_of_int (Session.receivers sessions.(i)))
       in
       alpha := Float.min !alpha w)
@@ -588,8 +607,10 @@ let certify_mcf ?(tol = default_tol) g overlays ~scaling
   let lens = r.Max_concurrent_flow.dual_lengths in
   let s_obj = dual_objective g lens in
   let denom = ref 0.0 in
+  let ws = tree_workspace overlays in
   Array.iteri
-    (fun i o -> denom := !denom +. (working.(i) *. min_tree_weight o lens))
+    (fun i o ->
+      denom := !denom +. (working.(i) *. min_tree_weight_ws ws o lens))
     overlays;
   let ln_ub = log s_obj -. log !denom in
   let claimed = 1.0 -. (3.0 *. r.Max_concurrent_flow.epsilon) in

@@ -131,7 +131,14 @@ val certify : ?tol:float -> Graph.t -> Solution.t -> verdict
     union-find, sharing no code with the overlay's Prim or its tree
     memo, and no MST operation is counted.  [infinity] when the pairs
     do not span the members.  Raises [Invalid_argument] on a negative
-    length in [Arbitrary] mode. *)
+    length in [Arbitrary] mode.
+
+    Each call allocates its own weight array, heap and union-find,
+    sized for [overlay]; {!certify_max_flow} and {!certify_mcf} instead
+    size one such workspace per call for their largest overlay and
+    share it across their sessions, with the same arithmetic in the
+    same order, so their bounds are bit-identical to a sum of
+    [min_tree_weight] calls. *)
 val min_tree_weight : Overlay.t -> float array -> float
 
 (** [certify_max_flow graph overlays result] runs {!certify} and then

@@ -314,6 +314,7 @@ let graph t = t.graph
 let sparsify t = t.sparsify
 let n_overlay_edges t = Array.length t.pair_of_oedge
 let overlay_pairs t = Array.copy t.pair_of_oedge
+let overlay_pair t oe = t.pair_of_oedge.(oe)
 
 let candidate_route t oe =
   match t.ip with

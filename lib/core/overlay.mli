@@ -95,6 +95,11 @@ val n_overlay_edges : t -> int
     id.  Property tests use it to check pruned connectivity. *)
 val overlay_pairs : t -> (int * int) array
 
+(** [overlay_pair t oe] is [(overlay_pairs t).(oe)] without the copy:
+    the overlay's own pair, which allocates nothing.  Raises
+    [Invalid_argument] outside [0 .. n_overlay_edges t - 1]. *)
+val overlay_pair : t -> int -> int * int
+
 (** [candidate_route t oe] is the fixed IP route of candidate overlay
     edge [oe]: the route between the members of slots [a] and [b],
     where [(a, b) = (overlay_pairs t).(oe)].  The route is the
