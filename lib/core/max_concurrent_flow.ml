@@ -40,8 +40,25 @@ let c_rescales =
   Obs.Counter.make ~doc:"MaxConcurrentFlow dual-length renormalizations"
     "mcf.rescales"
 
+let c_certified_stops =
+  Obs.Counter.make
+    ~doc:
+      "MaxConcurrentFlow runs ended by their duality certificate, before \
+       room or the a-priori threshold"
+    "mcf.certified_stops"
+
+let c_warm_doublings =
+  Obs.Counter.make
+    ~doc:"working-demand doublings before a warm run's first phase"
+    "mcf.warm_doublings"
+
 (* Shared state of one run: lengths in log-space plus the incremental
-   dual objective. *)
+   dual objective.  A [Certificate] run also keeps its running
+   certificate in the units of [lens]: [raw.(i)] is session [i]'s raw
+   routed rate, [tree_w.(i)] the weight of the tree session [i] last
+   routed on, taken when that tree was chosen, [loads] the raw flow's
+   load per edge and [congestion] its maximum load / capacity.  The
+   three arrays are empty in a [Threshold] run. *)
 type state = {
   graph : Graph.t;
   epsilon : float;
@@ -52,9 +69,14 @@ type state = {
   mutable ln_base : float;
   mutable s_cache : float;     (* sum_e c_e lens_e *)
   ln_delta : float;
+  certificate : bool;
+  raw : float array;
+  tree_w : float array;
+  loads : float array;
+  mutable congestion : float;
 }
 
-let make_state graph overlays ~epsilon =
+let make_state graph overlays ~epsilon ~certificate =
   let m = Graph.n_edges graph in
   let ln_delta = -.(1.0 /. epsilon) *. log (float_of_int m /. (1.0 -. epsilon)) in
   (* d_e = exp(ln_base) * lens.(e); initial d_e = delta / c_e *)
@@ -71,8 +93,12 @@ let make_state graph overlays ~epsilon =
   in
   let caps = Array.init m (fun id -> Graph.capacity graph id) in
   let notify = Overlay.notify_index overlays in
+  let k = if certificate then Array.length overlays else 0 in
   { graph; epsilon; m; lens; caps; notify; ln_base = ln_delta; s_cache;
-    ln_delta }
+    ln_delta; certificate; raw = Array.make k 0.0;
+    tree_w = Array.make k 0.0;
+    loads = (if certificate then Array.make m 0.0 else [||]);
+    congestion = 0.0 }
 
 let refresh_dual st =
   st.s_cache <-
@@ -90,15 +116,20 @@ let renorm obs st overlays =
   for id = 0 to st.m - 1 do
     if st.lens.(id) < infinity then st.lens.(id) <- st.lens.(id) *. scale
   done;
+  for i = 0 to Array.length st.tree_w - 1 do
+    st.tree_w.(i) <- st.tree_w.(i) *. scale
+  done;
   Array.iter Overlay.notify_rescale overlays;
   st.s_cache <- st.s_cache *. scale;
   st.ln_base <- st.ln_base +. log renorm_threshold;
   Obs.Counter.incr c_rescales;
   Obs.Sink.emit obs Obs.Rescale ~session:(-1) ~a:st.ln_base ~b:0.0
 
-(* Route [c] units along [tree], updating lengths and the dual sum. *)
-let route obs st overlays solution tree c =
+(* Route [c] units of session [i] along [tree], updating lengths, the
+   dual sum and, in a [Certificate] run, the raw rate and loads. *)
+let route obs st overlays solution i tree c =
   Solution.add solution tree c;
+  if st.certificate then st.raw.(i) <- st.raw.(i) +. c;
   (* batched dual update: one pass over the tree's physical edges
      writing the length array, then one notify pass through the run's
      merged incidence index.  Every usage edge here has positive
@@ -118,14 +149,54 @@ let route obs st overlays solution tree c =
       in
       st.lens.(id) <- after;
       st.s_cache <- st.s_cache +. (ce *. (after -. before));
+      if st.certificate then begin
+        let load = st.loads.(id) +. (float_of_int count *. c) in
+        st.loads.(id) <- load;
+        if load /. ce > st.congestion then st.congestion <- load /. ce
+      end;
       if after > renorm_threshold then needs_renorm := true
     end
   done;
   Overlay.notify_usage st.notify usage;
   if !needs_renorm then renorm obs st overlays
 
+(* [Certificate]'s test, right after [refresh_dual] at a phase end.
+   Weak duality bounds the working-direction optimum by D(d)/alpha(d),
+   with alpha(d) = sum_i working_i * mintree_i(d), and the raw flow
+   divided by its congestion is feasible, so the run may stop once
+   lambda_raw * alpha(d) >= (1 - eps) * congestion * D(d).  The test
+   reads alpha' = sum_i working_i * tree_w.(i) in place of alpha(d):
+   each [tree_w.(i)] was a minimum tree weight when it was taken,
+   lengths have only grown since, and a rescale scales both alike, so
+   alpha' <= alpha(d) and the test is conservative. *)
+let certificate_holds st working =
+  let lambda = ref infinity and alpha = ref 0.0 in
+  for i = 0 to Array.length working - 1 do
+    lambda := Float.min !lambda (st.raw.(i) /. working.(i));
+    alpha := !alpha +. (working.(i) *. st.tree_w.(i))
+  done;
+  !lambda > 0.0
+  && !lambda *. !alpha >= (1.0 -. st.epsilon) *. st.congestion *. st.s_cache
+
+(* The warm demand scale: j = floor (log2 (D(d)/alpha(d))) at the
+   inherited lengths, 0 when the bound is below 2 or not finite; one
+   MST call per session.  D(d)/alpha(d) >= OPT, so 2^j doublings bring
+   the working optimum below 2, as Lemma 6's doublings would. *)
+let warm_doublings st overlays working =
+  let alpha = ref 0.0 in
+  Array.iteri
+    (fun i o ->
+      let tree = Overlay.min_spanning_tree o st.lens in
+      alpha := !alpha +. (working.(i) *. Otree.weight tree st.lens))
+    overlays;
+  let bound = st.s_cache /. !alpha in
+  if Float.is_finite bound && bound >= 2.0 then
+    int_of_float (Float.log2 bound)
+  else 0
+
 (* --- the paper's Table III main loop ------------------------------- *)
 
+(* the phase count, and whether the certificate ended the run *)
 let run_paper obs st overlays working solution =
   let k = Array.length overlays in
   let phases = ref 0 in
@@ -139,6 +210,7 @@ let run_paper obs st overlays working solution =
     max 1 (int_of_float (ceil bound))
   in
   let finished = ref (dual_reached_one st) in
+  let certified = ref false in
   while not !finished do
     incr phases;
     Obs.Counter.incr c_phases;
@@ -152,13 +224,19 @@ let run_paper obs st overlays working solution =
         let c = Float.min !remaining bottleneck in
         if c <= 0.0 || c = infinity then remaining := 0.0
         else begin
-          route obs st overlays solution tree c;
+          if st.certificate then st.tree_w.(i) <- Otree.weight tree st.lens;
+          route obs st overlays solution i tree c;
           remaining := !remaining -. c;
           if dual_reached_one st then finished := true
         end
       done
     done;
     refresh_dual st;
+    if st.certificate && (not !finished) && certificate_holds st working
+    then begin
+      certified := true;
+      finished := true
+    end;
     Obs.Sink.emit obs Obs.Phase_end ~session:(-1) ~a:(float_of_int !phases)
       ~b:0.0;
     if (not !finished) && !phases mod t_horizon = 0 then begin
@@ -170,12 +248,13 @@ let run_paper obs st overlays working solution =
         ~a:(float_of_int !phases) ~b:0.0
     end
   done;
-  !phases
+  (!phases, !certified)
 
 (* --- common driver --------------------------------------------------- *)
 
 let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
-    ?warm_start ?warm_zetas graph overlays ~epsilon ~scaling =
+    ?warm_start ?warm_zetas ?(stop = Max_flow.Threshold) graph overlays
+    ~epsilon ~scaling =
   if epsilon <= 0.0 || epsilon >= 1.0 /. 3.0 then
     invalid_arg "Max_concurrent_flow.solve: epsilon out of (0, 1/3)";
   let k = Array.length overlays in
@@ -210,7 +289,9 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
     Obs.Span.with_ obs preprocess_span (fun () ->
         Array.map
           (fun o ->
-            fst (Max_flow.solve_single ~incremental ~obs graph o ~epsilon))
+            fst
+              (Max_flow.solve_single ~incremental ~obs ~stop graph o
+                 ~epsilon))
           overlays)
   in
   let pre_mst_operations = Overlay.total_mst_operations overlays in
@@ -228,7 +309,10 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
       let s = Float.max (lambda /. kf) 1e-12 in
       Array.map (fun session -> session.Session.demand *. s) sessions
   in
-  let st = make_state graph overlays ~epsilon in
+  let st =
+    make_state graph overlays ~epsilon
+      ~certificate:(stop = Max_flow.Certificate)
+  in
   (* Warm start: inherit the previous run's dual shape (renormalized so
      the largest finite entry is 1 — only ratios matter) and aim
      [ln_base] so the dual objective opens at [exp (-room)] instead of
@@ -270,22 +354,32 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
   if incremental then
     Array.iter (fun o -> Overlay.begin_incremental o st.lens) overlays;
-  let phases =
+  let phases, certified =
     Fun.protect
       ~finally:(fun () ->
         if incremental then Array.iter Overlay.end_incremental overlays;
         if Obs.Sink.enabled obs then Array.iter Overlay.clear_sink overlays)
       (fun () ->
         Obs.Span.with_ obs main_span (fun () ->
+            (* a warm run starts at its duals' demand scale *)
+            (match warm_start with
+            | None -> ()
+            | Some _ ->
+              let j = warm_doublings st overlays working in
+              for i = 0 to k - 1 do
+                working.(i) <- Float.ldexp working.(i) j
+              done;
+              Obs.Counter.add c_warm_doublings j);
             match variant with
             | Paper -> run_paper obs st overlays working solution))
   in
-  (match warm_start with
-  | None ->
+  if certified then Obs.Counter.incr c_certified_stops;
+  (match (warm_start, stop) with
+  | None, Max_flow.Threshold ->
     (* Scale by log_{1+eps} (1/delta) for feasibility. *)
     let scale_factor = -.st.ln_delta /. log (1.0 +. epsilon) in
     if scale_factor > 0.0 then Solution.scale solution (1.0 /. scale_factor)
-  | Some _ ->
+  | Some _, _ | None, Max_flow.Certificate ->
     (* Measured feasibility scaling: normalize the raw flow to exact
        link saturation.  The GK per-edge growth bound (flow on edge e
        is at most [c_e log_{1+eps} (d_e^final / d_e^0)] for any

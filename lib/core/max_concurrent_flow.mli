@@ -52,8 +52,10 @@ type result = {
   working_demands : float array;
   (** the demand vector the main loop actually routed, per session
       slot: the preprocessing-scaled demands ([Maxflow_weighted] or
-      [Proportional], see {!demand_scaling}) times [2^j] after [j]
-      [T]-horizon doublings.  The [(1 - 3 eps)] guarantee is relative
+      [Proportional], see {!demand_scaling}) times [2^j], where [j]
+      counts the [T]-horizon doublings and, in a warm run, the
+      doublings of its demand scale (see {!warm_start}).  The
+      [(1 - 3 eps)] guarantee is relative
       to the max-min objective {e in this demand direction};
       [Check.certify_mcf] re-validates both the scaling semantics and
       the duality gap against it. *)
@@ -73,7 +75,25 @@ val ratio_to_epsilon : float -> float
     [Check.certify_mcf] (escalate [room] or fall back to a cold solve
     on a duality-gap violation).  Edges of zero capacity are pinned to
     [infinity] as in a cold run; entries on capacitated edges must be
-    finite positive. *)
+    finite positive.
+
+    {b Demand scale.}  Table III spends about [OPT / eps] phases per
+    nat of dual growth, [OPT] being the optimum in the working-demand
+    direction, and a warm run inherits the preprocessing scale, where
+    that optimum lies anywhere in [[1, k]].  So before its first phase
+    a warm run doubles its working demands
+    [j = max 0 (floor (log2 (D(d) / alpha(d))))] times, where
+    [D(d) = sum_e c_e d_e] over the capacitated edges and
+    [alpha(d) = sum_i working_i * mintree_i(d)], both at the inherited
+    lengths: [k] MST calls.  A bound that is not finite gives [j = 0].
+    Weak duality gives [D(d) / alpha(d) >= OPT], so the working
+    optimum starts below 2, as after Lemma 6's doublings, and the
+    run's duals grow about twice as fast per phase for each doubling.
+    [result.working_demands] carries the factor and
+    [Check.certify_mcf] accepts any power-of-two multiple of the
+    bases it re-derives from the zetas.  Registry counter
+    [mcf.warm_doublings] sums [j] over warm runs; cold runs keep the
+    preprocessing scale. *)
 type warm_start = {
   prev_lens : float array;  (** previous [result.dual_lengths] *)
   room : float;             (** dual headroom in nats, [> 0] *)
@@ -118,13 +138,42 @@ type warm_start = {
     the result ([pre_mst_operations] is then 0); the certificate
     re-derives the demand scaling from the recorded zetas, so reuse
     across demand/capacity churn stays certifiable.  Length must equal
-    the session count. *)
+    the session count.
+
+    [stop] (default [Max_flow.Threshold], Table III bit for bit: the
+    paper tables, [overlay_cli solve] and every from-scratch reference
+    use it) picks the stopping rule of the main loop, and is passed on
+    to the preprocessing MaxFlow runs ({!Max_flow.solve_single}).
+    Under [Max_flow.Certificate] the run also stops at the end of a
+    phase, right after [D(d)] is re-summed, once
+    [lambda_raw * alpha' >= (1 - eps) * congestion * D(d)]:
+    - [lambda_raw = min_i raw_i / working_i] over the raw (unscaled)
+      session rates, and [congestion] is the raw flow's maximum
+      load / capacity; both are kept up to date on each routed tree's
+      edges;
+    - [alpha' = sum_i working_i * w_i], where [w_i] is the weight of
+      the tree session [i] last routed on in the phase, taken when the
+      tree was chosen.  That tree was a minimum one then, lengths only
+      grow between rescales, and a rescale multiplies the stored [w_i]
+      together with the lengths, so [alpha' <= alpha(d)]: the test is
+      conservative against [Check.certify_mcf]'s bound
+      [D(d) / alpha(d)] and needs no MST call of its own.
+    Room (warm) and the a-priori threshold stay upper bounds, and a
+    run that reaches one first ends as under [Threshold].  Every
+    [Certificate] run, cold ones included, scales its flow by the
+    measured congestion, so it is feasible; one its certificate ended
+    is, by weak duality, at least [(1 - eps)] of optimal in its
+    working direction, inside the [(1 - 3 eps)] that [Check]
+    certifies.  The target is [1 - eps] as for MaxFlow.  Registry
+    counter [mcf.certified_stops] counts the runs the certificate
+    ended.  {!Engine} passes [Certificate] on every MCF run. *)
 val solve :
   ?variant:variant ->
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
   ?warm_start:warm_start ->
   ?warm_zetas:float array ->
+  ?stop:Max_flow.stop ->
   Graph.t ->
   Overlay.t array ->
   epsilon:float ->

@@ -342,8 +342,10 @@ let solve ?(incremental = true) ?(obs = Obs.Sink.null) ?warm_start
     dual_lengths = lens;
   }
 
-let solve_single ?incremental ?obs ?warm_start graph overlay ~epsilon =
-  let result = solve ?incremental ?obs ?warm_start graph [| overlay |] ~epsilon in
+let solve_single ?incremental ?obs ?warm_start ?stop graph overlay ~epsilon =
+  let result =
+    solve ?incremental ?obs ?warm_start ?stop graph [| overlay |] ~epsilon
+  in
   (* the single session keeps its own id; rate lookup goes through the
      session array of the fresh solution, which has exactly one slot *)
   let sessions = Solution.sessions result.solution in

@@ -152,7 +152,8 @@ type stop = Threshold | Certificate
     [stop] (default {!Threshold}, the paper's rule, which the paper
     tables, [overlay_cli solve] and every from-scratch reference use)
     picks the stopping rule; {!Engine} passes {!Certificate} on every
-    MaxFlow run. *)
+    MaxFlow run, and on every MaxConcurrentFlow run, whose
+    preprocessing passes it on to {!solve_single}. *)
 val solve :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
@@ -166,12 +167,19 @@ val solve :
 (** [solve_single graph overlay ~epsilon] runs the single-session
     special case and returns the session's maximum flow rate (the
     [zeta_i] of the concurrent-flow preprocessing) along with the full
-    result.  [obs] and [warm_start] as in {!solve}; the stopping rule
-    is always {!Threshold}. *)
+    result.  [obs], [warm_start] and [stop] as in {!solve}; [stop]
+    defaults to {!Threshold}.  [Max_concurrent_flow.solve] passes its
+    own [stop] to the preprocessing runs, and {!Engine} passes
+    {!Certificate} to the zeta run of an MCF join.  A zeta its
+    certificate ended is at least [1 - eps] of the session's maximum
+    flow, and may sit up to about [eps] below the paper rule's, which
+    usually lands closer to the optimum than its [1 - 2 eps]
+    promise. *)
 val solve_single :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
   ?warm_start:warm_start ->
+  ?stop:stop ->
   Graph.t ->
   Overlay.t ->
   epsilon:float ->

@@ -213,7 +213,7 @@ let run_solver t ~warm =
         Some { Max_flow.prev_lens; room }
       | None -> None
     in
-    (* every MaxFlow run, warm or cold, stops on its own certificate;
+    (* every solver run, warm or cold, stops on its own certificate;
        [certify_run] still gates what the engine accepts *)
     Run_maxflow
       (Max_flow.solve ~obs ?warm_start ~stop:Max_flow.Certificate t.graph
@@ -233,8 +233,8 @@ let run_solver t ~warm =
       else None
     in
     Run_mcf
-      (Max_concurrent_flow.solve ~variant ~obs ?warm_start ?warm_zetas t.graph
-         t.overlays ~epsilon ~scaling)
+      (Max_concurrent_flow.solve ~variant ~obs ?warm_start ?warm_zetas
+         ~stop:Max_flow.Certificate t.graph t.overlays ~epsilon ~scaling)
 
 let certify_run t run =
   match run with
@@ -423,7 +423,8 @@ let apply t (te : Churn.timed) =
     | Mcf _ ->
       (* only the joined session's standalone rate is missing *)
       let zeta, _ =
-        Max_flow.solve_single t.graph overlay ~epsilon:t.config.epsilon
+        Max_flow.solve_single ~stop:Max_flow.Certificate t.graph overlay
+          ~epsilon:t.config.epsilon
       in
       t.zetas <- append t.zetas zeta)
   | Churn.Session_leave { id } -> (

@@ -21,12 +21,14 @@
     falls back to a cold from-scratch solve, so an accepted state is
     never worse than what a batch caller would have computed.
 
-    Every MaxFlow run the engine starts — the initial solve, each warm
-    rung, the cold fallback — stops on its own duality certificate
-    ({!Max_flow.stop}: [Certificate], at [1 - eps]), with its room or
-    the a-priori threshold as the upper bound; [Check] still gates
-    what is accepted.  MCF runs, and the zeta MaxFlow of an MCF join,
-    keep the paper's rule.
+    Every solver run the engine starts — the initial solve, each warm
+    rung, the cold fallback, and the zeta MaxFlow of an MCF join —
+    stops on its own duality certificate ({!Max_flow.stop}:
+    [Certificate], at [1 - eps]; MaxFlow after a winner sweep, MCF at
+    a phase end), with its room or the a-priori threshold as the
+    upper bound; [Check] still gates what is accepted.  A warm MCF
+    rung also starts at its duals' demand scale (see
+    {!Max_concurrent_flow.warm_start}).
 
     Overlay contexts — route tables, incidence indexes, flat CSR
     workspaces ({!Flat}), sparsified candidate sets — persist across
@@ -53,8 +55,8 @@ type config = {
   rooms : float array;
       (** warm-start room ladder in nats, tried in order until the
           certificate passes; empty disables warm starts entirely.  A
-          MaxFlow rung's room is its upper bound: the rung may end
-          earlier on its own certificate.  The
+          rung's room is its upper bound: the rung may end earlier on
+          its own certificate.  The
           ladder is {e progressive}: each failed rung's final duals
           seed the next rung, so dual repair accumulates while every
           rung's primal restarts clean *)

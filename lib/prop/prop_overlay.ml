@@ -380,25 +380,59 @@ let warm_consistent c =
          band cold_obj)
   else Ok ()
 
-(* --- MaxFlow's certificate stop ----------------------------------------- *)
+(* --- the FPTAS solvers' certificate stop --------------------------------- *)
 
-let c_certified_stops = Obs.Counter.make "maxflow.certified_stops"
+let c_maxflow_stops = Obs.Counter.make "maxflow.certified_stops"
+let c_mcf_stops = Obs.Counter.make "mcf.certified_stops"
 
 let certificate_stop c =
   let ( let* ) = Result.bind in
   let g, sessions = instance c in
   let overlays = Array.map (Overlay.create g c.mode) sessions in
   let floor = 1.0 -. c.epsilon -. Check.default_tol in
+  (* one certificate-stopped run, cold or warm from [prev_lens] with 32
+     nats of room: its final duals, whether its certificate ended it,
+     and Check's verdict *)
+  let run ?prev_lens () =
+    match c.algo with
+    | Maxflow ->
+      let before = Obs.Counter.value c_maxflow_stops in
+      let warm_start =
+        Option.map
+          (fun prev_lens -> { Max_flow.prev_lens; room = 32.0 })
+          prev_lens
+      in
+      let r =
+        Max_flow.solve ~stop:Max_flow.Certificate ?warm_start g overlays
+          ~epsilon:c.epsilon
+      in
+      ( r.Max_flow.dual_lengths,
+        Obs.Counter.value c_maxflow_stops > before,
+        Check.certify_max_flow g overlays r )
+    | Mcf ->
+      let before = Obs.Counter.value c_mcf_stops in
+      let warm_start =
+        Option.map
+          (fun prev_lens -> { Max_concurrent_flow.prev_lens; room = 32.0 })
+          prev_lens
+      in
+      let scaling =
+        if c.instance_seed land 1 = 0 then Max_concurrent_flow.Maxflow_weighted
+        else Max_concurrent_flow.Proportional
+      in
+      let r =
+        Max_concurrent_flow.solve ~stop:Max_flow.Certificate ?warm_start g
+          overlays ~epsilon:c.epsilon ~scaling
+      in
+      ( r.Max_concurrent_flow.dual_lengths,
+        Obs.Counter.value c_mcf_stops > before,
+        Check.certify_mcf g overlays ~scaling r )
+    | _ -> invalid_arg "Prop_overlay.certificate_stop: FPTAS algorithms only"
+  in
   (* a run the certificate ended must reach [floor]; one that its
-     threshold or room ended first keeps the claimed 1 - 2 eps only *)
-  let solve what ?warm_start () =
-    let before = Obs.Counter.value c_certified_stops in
-    let r =
-      Max_flow.solve ~stop:Max_flow.Certificate ?warm_start g overlays
-        ~epsilon:c.epsilon
-    in
-    let by_certificate = Obs.Counter.value c_certified_stops > before in
-    let v = Check.certify_max_flow g overlays r in
+     threshold or room ended first keeps the claimed factor only *)
+  let solve what ?prev_lens () =
+    let duals, by_certificate, v = run ?prev_lens () in
     match (v.Check.primal, v.Check.dual_bound) with
     | _ when not (Check.ok v) ->
       Error
@@ -410,7 +444,7 @@ let certificate_stop c =
            "%s run stopped by its certificate achieves %.6f of the dual \
             bound, below 1 - eps"
            what (primal /. bound))
-    | _ -> Ok r
+    | _ -> Ok duals
   in
   let* cold = solve "cold" () in
   (* warm, as the engine re-solves a capacity change: one edge's
@@ -420,11 +454,7 @@ let certificate_stop c =
   let c_old = Graph.capacity g edge in
   let c_new = (0.6 +. Rng.float rng 0.8) *. c_old in
   Graph.set_capacity g edge c_new;
-  let lens = Array.copy cold.Max_flow.dual_lengths in
+  let lens = Array.copy cold in
   lens.(edge) <- lens.(edge) *. (c_old /. c_new);
-  let* _ =
-    solve "warm"
-      ~warm_start:{ Max_flow.prev_lens = lens; room = 32.0 }
-      ()
-  in
+  let* _ = solve "warm" ~prev_lens:lens () in
   Ok ()

@@ -99,13 +99,16 @@ val sparsify_sound : case -> spec:Sparsify.t -> (unit, string) result
     raises [Invalid_argument] otherwise. *)
 val warm_consistent : case -> (unit, string) result
 
-(** [certificate_stop c] runs MaxFlow under [~stop:Certificate] on the
+(** [certificate_stop c] runs [c.algo] — MaxFlow, or MCF under the
+    scaling {!solve_case} picks — with [~stop:Certificate] on the
     case's instance, cold, then warm from the cold run's duals after a
     capacity change (one edge scaled by a factor in [0.6, 1.4], its dual
     repaired by [c_old / c_new], 32 nats of room), and checks that each
-    run passes {!Check.certify_max_flow}.  A run that its certificate
-    ended (registry counter [maxflow.certified_stops]) must also reach
+    run passes {!Check.certify_max_flow} or {!Check.certify_mcf}.  A run
+    that its certificate ended (registry counter
+    [maxflow.certified_stops] or [mcf.certified_stops]) must also reach
     [1 - eps] of its dual bound, minus [Check.default_tol]; a run that
-    its threshold or room ended first is held to the claimed
-    [1 - 2 eps] only.  [c.algo] is ignored. *)
+    its threshold or room ended first is held to the claimed factor
+    only ([1 - 2 eps] or [1 - 3 eps]).  Raises [Invalid_argument] for
+    the other algorithms. *)
 val certificate_stop : case -> (unit, string) result

@@ -308,29 +308,82 @@ let test_multi_tree_beats_single_tree () =
     true
     (mf_thr >= bl_thr *. 0.95)
 
-(* --- MaxFlow's certificate stop ---------------------------------------- *)
+(* --- the certificate stop ------------------------------------------------ *)
 
-let c_certified_stops = Obs.Counter.make "maxflow.certified_stops"
+(* One FPTAS solver as [certificate_stop_on] drives it: [run] solves
+   cold, or warm from [(prev_lens, room)], under [stop], and returns
+   the run's final duals, its step count (MaxFlow iterations, MCF
+   phases) and Check's verdict; [stops] counts the runs a certificate
+   ended. *)
+type fptas = {
+  name : string;
+  steps : string;
+  stops : Obs.Counter.t;
+  run :
+    (float array * float) option ->
+    stop:Max_flow.stop ->
+    Graph.t ->
+    Overlay.t array ->
+    epsilon:float ->
+    float array * int * Check.verdict;
+}
 
-(* [solve] and how much it moved [maxflow.certified_stops] *)
-let counted_solve ?warm_start ~stop g overlays ~epsilon =
-  let before = Obs.Counter.value c_certified_stops in
-  let r = Max_flow.solve ?warm_start ~stop g overlays ~epsilon in
-  (r, Obs.Counter.value c_certified_stops - before)
+let maxflow =
+  {
+    name = "maxflow";
+    steps = "iterations";
+    stops = Obs.Counter.make "maxflow.certified_stops";
+    run =
+      (fun warm ~stop g overlays ~epsilon ->
+        let warm_start =
+          Option.map (fun (prev_lens, room) -> { Max_flow.prev_lens; room }) warm
+        in
+        let r = Max_flow.solve ?warm_start ~stop g overlays ~epsilon in
+        ( r.Max_flow.dual_lengths,
+          r.Max_flow.iterations,
+          Check.certify_max_flow g overlays r ));
+  }
+
+let mcf =
+  let scaling = Max_concurrent_flow.Maxflow_weighted in
+  {
+    name = "mcf";
+    steps = "phases";
+    stops = Obs.Counter.make "mcf.certified_stops";
+    run =
+      (fun warm ~stop g overlays ~epsilon ->
+        let warm_start =
+          Option.map
+            (fun (prev_lens, room) -> { Max_concurrent_flow.prev_lens; room })
+            warm
+        in
+        let r =
+          Max_concurrent_flow.solve ?warm_start ~stop g overlays ~epsilon
+            ~scaling
+        in
+        ( r.Max_concurrent_flow.dual_lengths,
+          r.Max_concurrent_flow.phases,
+          Check.certify_mcf g overlays ~scaling r ));
+  }
+
+(* [solver.run] and how much it moved the solver's stop counter *)
+let counted_run solver ?warm ~stop g overlays ~epsilon =
+  let before = Obs.Counter.value solver.stops in
+  let r = solver.run warm ~stop g overlays ~epsilon in
+  (r, Obs.Counter.value solver.stops - before)
 
 (* On [sessions], a cold run, and a warm run from the final duals of
    the paper-rule cold run with 8 nats of room: under
    [~stop:Certificate] each certifies, reaches 1 - eps of Check's dual
-   bound, ends on the certificate and takes fewer iterations than the
-   same run under the paper's rule, which the counter does not count. *)
-let certificate_stop_on ~what g sessions ~epsilon =
+   bound, ends on the certificate and takes fewer steps than the same
+   run under the paper's rule, which the counter does not count. *)
+let certificate_stop_on solver ~what g sessions ~epsilon =
   let overlays = Array.map (Overlay.create g Overlay.Ip) sessions in
-  let check_against label ?warm_start (paper, paper_stops) =
-    let cert, cert_stops =
-      counted_solve ?warm_start ~stop:Max_flow.Certificate g overlays ~epsilon
+  let check_against label ?warm ((_, paper_steps, _), paper_stops) =
+    let (_, steps, v), stops =
+      counted_run solver ?warm ~stop:Max_flow.Certificate g overlays ~epsilon
     in
-    let label = what ^ " " ^ label in
-    let v = Check.certify_max_flow g overlays cert in
+    let label = Printf.sprintf "%s %s %s" solver.name what label in
     checkb
       (Printf.sprintf "%s certifies (%s)" label
          (Format.asprintf "%a" Check.pp_verdict v))
@@ -342,36 +395,134 @@ let certificate_stop_on ~what g sessions ~epsilon =
       true
       (achieved >= 1.0 -. epsilon -. Check.default_tol);
     checkb
-      (Printf.sprintf "%s: %d iterations < the paper rule's %d" label
-         cert.Max_flow.iterations paper.Max_flow.iterations)
-      true
-      (cert.Max_flow.iterations < paper.Max_flow.iterations);
-    Alcotest.(check int) (label ^ ": certificate run counted") 1 cert_stops;
+      (Printf.sprintf "%s: %d %s < the paper rule's %d" label steps
+         solver.steps paper_steps)
+      true (steps < paper_steps);
+    Alcotest.(check int) (label ^ ": certificate run counted") 1 stops;
     Alcotest.(check int) (label ^ ": paper-rule run not counted") 0
       paper_stops
   in
-  let ((cold, _) as paper_cold) =
-    counted_solve ~stop:Max_flow.Threshold g overlays ~epsilon
+  let ((cold_lens, _, _), _) as paper_cold =
+    counted_run solver ~stop:Max_flow.Threshold g overlays ~epsilon
   in
   check_against "cold" paper_cold;
-  let warm_start =
-    { Max_flow.prev_lens = cold.Max_flow.dual_lengths; room = 8.0 }
-  in
-  check_against "warm" ~warm_start
-    (counted_solve ~warm_start ~stop:Max_flow.Threshold g overlays ~epsilon)
+  let warm = (cold_lens, 8.0) in
+  check_against "warm" ~warm
+    (counted_run solver ~warm ~stop:Max_flow.Threshold g overlays ~epsilon)
 
-let test_certificate_stop_setup_a () =
+let setup_a_stop solver ~ratio_to_epsilon ~ratio () =
   let setup = Setup.make_a ~seed:4 Setup.default_a in
-  certificate_stop_on ~what:"Setup A" setup.Setup.topology.Topology.graph
-    setup.Setup.sessions
-    ~epsilon:(Max_flow.ratio_to_epsilon 0.90)
+  certificate_stop_on solver ~what:"Setup A"
+    setup.Setup.topology.Topology.graph setup.Setup.sessions
+    ~epsilon:(ratio_to_epsilon ratio)
 
-let test_certificate_stop_waxman () =
+let waxman_stop solver ~ratio_to_epsilon ~ratio () =
   let g, sessions =
     make_env ~seed:23 ~n:60 ~sizes:[| 6; 5; 4 |] ~demand:100.0
   in
-  certificate_stop_on ~what:"Waxman 60" g sessions
-    ~epsilon:(Max_flow.ratio_to_epsilon 0.95)
+  certificate_stop_on solver ~what:"Waxman 60" g sessions
+    ~epsilon:(ratio_to_epsilon ratio)
+
+let test_certificate_stop_setup_a =
+  setup_a_stop maxflow ~ratio_to_epsilon:Max_flow.ratio_to_epsilon ~ratio:0.90
+
+let test_certificate_stop_waxman =
+  waxman_stop maxflow ~ratio_to_epsilon:Max_flow.ratio_to_epsilon ~ratio:0.95
+
+let test_mcf_certificate_stop_setup_a =
+  setup_a_stop mcf ~ratio_to_epsilon:Max_concurrent_flow.ratio_to_epsilon
+    ~ratio:0.85
+
+let test_mcf_certificate_stop_waxman =
+  waxman_stop mcf ~ratio_to_epsilon:Max_concurrent_flow.ratio_to_epsilon
+    ~ratio:0.85
+
+(* --- the warm MCF demand scale -------------------------------------------- *)
+
+(* A warm MCF run from [prev_lens] on Setup A's pair (flash_mcf's
+   standing sessions), under [Maxflow_weighted]: its working demands
+   must be exactly [2^j] times the bases Check re-derives from its
+   zetas, with [j = floor (log2 (D / alpha))] computed here from the
+   previous duals with Check's own tree weights (the bound is
+   scale-free, so the solver's renormalization does not move it), and
+   the run must certify.  Returns the bound. *)
+let warm_demand_scale_on ~prev_lens g sessions ~epsilon =
+  let scaling = Max_concurrent_flow.Maxflow_weighted in
+  let overlays = Array.map (Overlay.create g Overlay.Ip) sessions in
+  let r =
+    Max_concurrent_flow.solve
+      ~warm_start:{ Max_concurrent_flow.prev_lens; room = 8.0 }
+      g overlays ~epsilon ~scaling
+  in
+  let k = float_of_int (Array.length sessions) in
+  let bases =
+    Array.map (fun z -> Float.max (z /. k) 1e-12) r.Max_concurrent_flow.zetas
+  in
+  let d = ref 0.0 in
+  for e = 0 to Graph.n_edges g - 1 do
+    let c = Graph.capacity g e in
+    if c > 0.0 then d := !d +. (c *. prev_lens.(e))
+  done;
+  let alpha = ref 0.0 in
+  Array.iteri
+    (fun i o ->
+      alpha := !alpha +. (bases.(i) *. Check.min_tree_weight o prev_lens))
+    overlays;
+  let bound = !d /. !alpha in
+  let j = if bound >= 2.0 then int_of_float (Float.log2 bound) else 0 in
+  Array.iteri
+    (fun i base ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "bound %.3f: working demand %d = 2^%d * base" bound i
+           j)
+        (Float.ldexp base j) r.Max_concurrent_flow.working_demands.(i))
+    bases;
+  let v = Check.certify_mcf g overlays ~scaling r in
+  checkb
+    (Format.asprintf "warm run certifies (%a)" Check.pp_verdict v)
+    true (Check.ok v);
+  bound
+
+let mcf_epsilon = Max_concurrent_flow.ratio_to_epsilon 0.85
+
+(* Case 1: the duals of a run that also carried a third session price
+   links the pair alone leaves idle, so their bound is above 2 (6.3
+   here) and the warm run starts two doublings up. *)
+let test_warm_demand_scale_doubles () =
+  let setup = Setup.make_a ~seed:4 Setup.default_a in
+  let g = setup.Setup.topology.Topology.graph in
+  let pair = setup.Setup.sessions in
+  let third =
+    Session.random (Rng.create 3) ~id:10 ~topology_size:(Graph.n_vertices g)
+      ~size:3 ~demand:100.0
+  in
+  let prev =
+    Max_concurrent_flow.solve g
+      (Array.map (Overlay.create g Overlay.Ip) (Array.append pair [| third |]))
+      ~epsilon:mcf_epsilon ~scaling:Max_concurrent_flow.Maxflow_weighted
+  in
+  let bound =
+    warm_demand_scale_on ~prev_lens:prev.Max_concurrent_flow.dual_lengths g
+      pair ~epsilon:mcf_epsilon
+  in
+  checkb (Printf.sprintf "bound %.3f >= 2: j >= 1" bound) true (bound >= 2.0)
+
+(* Case 2: the pair's own converged duals bound its optimum below 2,
+   so the warm run keeps the preprocessing scale (j = 0). *)
+let test_warm_demand_scale_keeps () =
+  let setup = Setup.make_a ~seed:4 Setup.default_a in
+  let g = setup.Setup.topology.Topology.graph in
+  let pair = setup.Setup.sessions in
+  let prev =
+    Max_concurrent_flow.solve g
+      (Array.map (Overlay.create g Overlay.Ip) pair)
+      ~epsilon:mcf_epsilon ~scaling:Max_concurrent_flow.Maxflow_weighted
+  in
+  let bound =
+    warm_demand_scale_on ~prev_lens:prev.Max_concurrent_flow.dual_lengths g
+      pair ~epsilon:mcf_epsilon
+  in
+  checkb (Printf.sprintf "bound %.3f < 2" bound) true (bound < 2.0)
 
 let suite =
   [
@@ -407,4 +558,12 @@ let suite =
       test_interior_disjoint_baseline;
     Alcotest.test_case "multi-tree beats single tree" `Quick
       test_multi_tree_beats_single_tree;
+    Alcotest.test_case "mcf certificate stop: Setup A" `Quick
+      test_mcf_certificate_stop_setup_a;
+    Alcotest.test_case "mcf certificate stop: Waxman 60" `Quick
+      test_mcf_certificate_stop_waxman;
+    Alcotest.test_case "mcf warm demand scale: bound >= 2" `Quick
+      test_warm_demand_scale_doubles;
+    Alcotest.test_case "mcf warm demand scale: bound < 2" `Quick
+      test_warm_demand_scale_keeps;
   ]

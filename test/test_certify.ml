@@ -323,31 +323,37 @@ let warm_property_for algo () =
         [ Overlay.Ip; Overlay.Arbitrary ])
     Prop_overlay.all_families
 
-(* MaxFlow's certificate stop: topology family x routing mode, seed
-   stream offset 6000 (disjoint from every block above and below).
-   Each case runs a cold and a warm certificate-stopped MaxFlow and
-   demands both certify at 1 - eps of their dual bounds. *)
+(* The FPTAS solvers' certificate stop: solver x topology family x
+   routing mode, seed stream offset 6000 (disjoint from every block
+   above and below; MaxFlow's combos come first, so they keep the seeds
+   they had before MCF joined).  Each case runs a cold and a warm
+   certificate-stopped run and demands both certify, at 1 - eps of
+   their dual bounds when their certificate ended them. *)
 let certificate_stop_property () =
   let combo = ref 0 in
   List.iter
-    (fun family ->
+    (fun algo ->
       List.iter
-        (fun mode ->
-          incr combo;
-          let seed = Prop.case_seed ~seed:master_seed (6000 + !combo) in
-          Prop.check
-            ~name:
-              (Printf.sprintf "certificate-stop maxflow/%s/%s"
-                 (Prop_overlay.family_name family)
-                 (match mode with
-                 | Overlay.Ip -> "ip"
-                 | Overlay.Arbitrary -> "arbitrary"))
-            ~count:cases_per_combo ~seed
-            ~gen:(Prop_overlay.gen ~algo:Prop_overlay.Maxflow ~family ~mode)
-            ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
-            Prop_overlay.certificate_stop)
-        [ Overlay.Ip; Overlay.Arbitrary ])
-    Prop_overlay.all_families
+        (fun family ->
+          List.iter
+            (fun mode ->
+              incr combo;
+              let seed = Prop.case_seed ~seed:master_seed (6000 + !combo) in
+              Prop.check
+                ~name:
+                  (Printf.sprintf "certificate-stop %s/%s/%s"
+                     (Prop_overlay.algorithm_name algo)
+                     (Prop_overlay.family_name family)
+                     (match mode with
+                     | Overlay.Ip -> "ip"
+                     | Overlay.Arbitrary -> "arbitrary"))
+                ~count:cases_per_combo ~seed
+                ~gen:(Prop_overlay.gen ~algo ~family ~mode)
+                ~shrink:Prop_overlay.shrink ~print:Prop_overlay.case_to_string
+                Prop_overlay.certificate_stop)
+            [ Overlay.Ip; Overlay.Arbitrary ])
+        Prop_overlay.all_families)
+    [ Prop_overlay.Maxflow; Prop_overlay.Mcf ]
 
 (* wire-codec fuzz: seed stream offsets 5000 (round-trip) and 5100
    (mutation/truncation totality), disjoint from the solver blocks
@@ -862,8 +868,9 @@ let suite =
   in
   let certificate_tests =
     [
-      Alcotest.test_case "property: certificate-stopped maxflow certifies"
-        `Slow certificate_stop_property;
+      Alcotest.test_case
+        "property: certificate-stopped maxflow and mcf certify" `Slow
+        certificate_stop_property;
     ]
   in
   prop_tests @ sparsify_tests @ warm_tests @ certificate_tests @ wire_tests
