@@ -148,6 +148,11 @@ let instance c =
   in
   (g, sessions)
 
+(* the MCF scaling a case runs under: both policies, by seed parity *)
+let case_scaling c =
+  if c.instance_seed land 1 = 0 then Max_concurrent_flow.Maxflow_weighted
+  else Max_concurrent_flow.Proportional
+
 let solve_case ?(inspect = fun _ _ -> ()) c =
   let g, sessions = instance c in
   let fresh () = Array.map (Overlay.create g c.mode) sessions in
@@ -159,10 +164,7 @@ let solve_case ?(inspect = fun _ _ -> ()) c =
     Check.certify_max_flow g overlays r
   | Mcf ->
     let overlays = fresh () in
-    let scaling =
-      if c.instance_seed land 1 = 0 then Max_concurrent_flow.Maxflow_weighted
-      else Max_concurrent_flow.Proportional
-    in
+    let scaling = case_scaling c in
     let r = Max_concurrent_flow.solve g overlays ~epsilon:c.epsilon ~scaling in
     inspect g r.Max_concurrent_flow.solution;
     Check.certify_mcf g overlays ~scaling r
@@ -416,10 +418,7 @@ let certificate_stop c =
           (fun prev_lens -> { Max_concurrent_flow.prev_lens; room = 32.0 })
           prev_lens
       in
-      let scaling =
-        if c.instance_seed land 1 = 0 then Max_concurrent_flow.Maxflow_weighted
-        else Max_concurrent_flow.Proportional
-      in
+      let scaling = case_scaling c in
       let r =
         Max_concurrent_flow.solve ~stop:Max_flow.Certificate ?warm_start g
           overlays ~epsilon:c.epsilon ~scaling

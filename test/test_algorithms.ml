@@ -410,51 +410,56 @@ let certificate_stop_on solver ~what g sessions ~epsilon =
   check_against "warm" ~warm
     (counted_run solver ~warm ~stop:Max_flow.Threshold g overlays ~epsilon)
 
-let setup_a_stop solver ~ratio_to_epsilon ~ratio () =
+let certificate_stop_setup_a solver ~epsilon () =
   let setup = Setup.make_a ~seed:4 Setup.default_a in
   certificate_stop_on solver ~what:"Setup A"
-    setup.Setup.topology.Topology.graph setup.Setup.sessions
-    ~epsilon:(ratio_to_epsilon ratio)
+    setup.Setup.topology.Topology.graph setup.Setup.sessions ~epsilon
 
-let waxman_stop solver ~ratio_to_epsilon ~ratio () =
+let certificate_stop_waxman solver ~epsilon () =
   let g, sessions =
     make_env ~seed:23 ~n:60 ~sizes:[| 6; 5; 4 |] ~demand:100.0
   in
-  certificate_stop_on solver ~what:"Waxman 60" g sessions
-    ~epsilon:(ratio_to_epsilon ratio)
-
-let test_certificate_stop_setup_a =
-  setup_a_stop maxflow ~ratio_to_epsilon:Max_flow.ratio_to_epsilon ~ratio:0.90
-
-let test_certificate_stop_waxman =
-  waxman_stop maxflow ~ratio_to_epsilon:Max_flow.ratio_to_epsilon ~ratio:0.95
-
-let test_mcf_certificate_stop_setup_a =
-  setup_a_stop mcf ~ratio_to_epsilon:Max_concurrent_flow.ratio_to_epsilon
-    ~ratio:0.85
-
-let test_mcf_certificate_stop_waxman =
-  waxman_stop mcf ~ratio_to_epsilon:Max_concurrent_flow.ratio_to_epsilon
-    ~ratio:0.85
+  certificate_stop_on solver ~what:"Waxman 60" g sessions ~epsilon
 
 (* --- the warm MCF demand scale -------------------------------------------- *)
 
-(* A warm MCF run from [prev_lens] on Setup A's pair (flash_mcf's
-   standing sessions), under [Maxflow_weighted]: its working demands
-   must be exactly [2^j] times the bases Check re-derives from its
-   zetas, with [j = floor (log2 (D / alpha))] computed here from the
-   previous duals with Check's own tree weights (the bound is
-   scale-free, so the solver's renormalization does not move it), and
-   the run must certify.  Returns the bound. *)
-let warm_demand_scale_on ~prev_lens g sessions ~epsilon =
+let mcf_epsilon = Max_concurrent_flow.ratio_to_epsilon 0.85
+
+(* A warm MCF run on Setup A's pair (flash_mcf's standing sessions),
+   under [Maxflow_weighted], from the duals of a paper-rule run on the
+   pair, plus a third session when [third]: its working demands must
+   be exactly [2^j] times the bases Check re-derives from its zetas,
+   with [j = floor (log2 (D / alpha))] computed here from those duals
+   with Check's own tree weights (the bound is scale-free, so the
+   solver's renormalization does not move it), and the run must
+   certify.  Returns the bound. *)
+let warm_demand_scale ~third =
   let scaling = Max_concurrent_flow.Maxflow_weighted in
-  let overlays = Array.map (Overlay.create g Overlay.Ip) sessions in
+  let setup = Setup.make_a ~seed:4 Setup.default_a in
+  let g = setup.Setup.topology.Topology.graph in
+  let pair = setup.Setup.sessions in
+  let previous =
+    if third then
+      Array.append pair
+        [|
+          Session.random (Rng.create 3) ~id:10
+            ~topology_size:(Graph.n_vertices g) ~size:3 ~demand:100.0;
+        |]
+    else pair
+  in
+  let prev_lens =
+    (Max_concurrent_flow.solve g
+       (Array.map (Overlay.create g Overlay.Ip) previous)
+       ~epsilon:mcf_epsilon ~scaling)
+      .Max_concurrent_flow.dual_lengths
+  in
+  let overlays = Array.map (Overlay.create g Overlay.Ip) pair in
   let r =
     Max_concurrent_flow.solve
       ~warm_start:{ Max_concurrent_flow.prev_lens; room = 8.0 }
-      g overlays ~epsilon ~scaling
+      g overlays ~epsilon:mcf_epsilon ~scaling
   in
-  let k = float_of_int (Array.length sessions) in
+  let k = float_of_int (Array.length pair) in
   let bases =
     Array.map (fun z -> Float.max (z /. k) 1e-12) r.Max_concurrent_flow.zetas
   in
@@ -483,45 +488,17 @@ let warm_demand_scale_on ~prev_lens g sessions ~epsilon =
     true (Check.ok v);
   bound
 
-let mcf_epsilon = Max_concurrent_flow.ratio_to_epsilon 0.85
-
-(* Case 1: the duals of a run that also carried a third session price
-   links the pair alone leaves idle, so their bound is above 2 (6.3
-   here) and the warm run starts two doublings up. *)
+(* Case 1: the third session's duals price links the pair alone leaves
+   idle, so the bound is above 2 (6.3 here) and the warm run starts two
+   doublings up. *)
 let test_warm_demand_scale_doubles () =
-  let setup = Setup.make_a ~seed:4 Setup.default_a in
-  let g = setup.Setup.topology.Topology.graph in
-  let pair = setup.Setup.sessions in
-  let third =
-    Session.random (Rng.create 3) ~id:10 ~topology_size:(Graph.n_vertices g)
-      ~size:3 ~demand:100.0
-  in
-  let prev =
-    Max_concurrent_flow.solve g
-      (Array.map (Overlay.create g Overlay.Ip) (Array.append pair [| third |]))
-      ~epsilon:mcf_epsilon ~scaling:Max_concurrent_flow.Maxflow_weighted
-  in
-  let bound =
-    warm_demand_scale_on ~prev_lens:prev.Max_concurrent_flow.dual_lengths g
-      pair ~epsilon:mcf_epsilon
-  in
+  let bound = warm_demand_scale ~third:true in
   checkb (Printf.sprintf "bound %.3f >= 2: j >= 1" bound) true (bound >= 2.0)
 
 (* Case 2: the pair's own converged duals bound its optimum below 2,
    so the warm run keeps the preprocessing scale (j = 0). *)
 let test_warm_demand_scale_keeps () =
-  let setup = Setup.make_a ~seed:4 Setup.default_a in
-  let g = setup.Setup.topology.Topology.graph in
-  let pair = setup.Setup.sessions in
-  let prev =
-    Max_concurrent_flow.solve g
-      (Array.map (Overlay.create g Overlay.Ip) pair)
-      ~epsilon:mcf_epsilon ~scaling:Max_concurrent_flow.Maxflow_weighted
-  in
-  let bound =
-    warm_demand_scale_on ~prev_lens:prev.Max_concurrent_flow.dual_lengths g
-      pair ~epsilon:mcf_epsilon
-  in
+  let bound = warm_demand_scale ~third:false in
   checkb (Printf.sprintf "bound %.3f < 2" bound) true (bound < 2.0)
 
 let suite =
@@ -533,9 +510,11 @@ let suite =
     Alcotest.test_case "maxflow epsilon validation" `Quick
       test_maxflow_epsilon_validation;
     Alcotest.test_case "maxflow certificate stop: Setup A" `Quick
-      test_certificate_stop_setup_a;
+      (certificate_stop_setup_a maxflow
+         ~epsilon:(Max_flow.ratio_to_epsilon 0.90));
     Alcotest.test_case "maxflow certificate stop: Waxman 60" `Quick
-      test_certificate_stop_waxman;
+      (certificate_stop_waxman maxflow
+         ~epsilon:(Max_flow.ratio_to_epsilon 0.95));
     Alcotest.test_case "maxflow ratio monotone-ish" `Quick
       test_maxflow_tightening_ratio_improves;
     Alcotest.test_case "mcf feasible & fair" `Quick test_mcf_feasible_and_fair;
@@ -559,9 +538,9 @@ let suite =
     Alcotest.test_case "multi-tree beats single tree" `Quick
       test_multi_tree_beats_single_tree;
     Alcotest.test_case "mcf certificate stop: Setup A" `Quick
-      test_mcf_certificate_stop_setup_a;
+      (certificate_stop_setup_a mcf ~epsilon:mcf_epsilon);
     Alcotest.test_case "mcf certificate stop: Waxman 60" `Quick
-      test_mcf_certificate_stop_waxman;
+      (certificate_stop_waxman mcf ~epsilon:mcf_epsilon);
     Alcotest.test_case "mcf warm demand scale: bound >= 2" `Quick
       test_warm_demand_scale_doubles;
     Alcotest.test_case "mcf warm demand scale: bound < 2" `Quick
