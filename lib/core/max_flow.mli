@@ -172,9 +172,9 @@ val solve :
     own [stop] to the preprocessing runs, and {!Engine} passes
     {!Certificate} to the zeta run of an MCF join.  A zeta its
     certificate ended is at least [1 - eps] of the session's maximum
-    flow, and may sit up to about [eps] below the paper rule's, which
-    usually lands closer to the optimum than its [1 - 2 eps]
-    promise. *)
+    flow; against the paper rule's it may land a few percent either
+    way, since the paper rule's a-priori scale factor is
+    conservative. *)
 val solve_single :
   ?incremental:bool ->
   ?obs:Obs.Sink.t ->
