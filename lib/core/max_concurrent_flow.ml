@@ -52,13 +52,24 @@ let c_warm_doublings =
     ~doc:"working-demand doublings before a warm run's first phase"
     "mcf.warm_doublings"
 
+(* The run's float accumulators.  All fields are floats, so the record
+   is flat and writes allocate nothing (in [state], a mixed record,
+   each write would box its float).  d_e = exp [ln_base] * lens_e;
+   [s_cache] = sum_e c_e lens_e; [congestion] is the raw flow's
+   maximum load / capacity (0 in a [Threshold] run). *)
+type acc = {
+  mutable ln_base : float;
+  mutable s_cache : float;
+  mutable congestion : float;
+}
+
 (* Shared state of one run: lengths in log-space plus the incremental
    dual objective.  A [Certificate] run also keeps its running
    certificate in the units of [lens]: [raw.(i)] is session [i]'s raw
    routed rate, [tree_w.(i)] the weight of the tree session [i] last
    routed on, taken when that tree was chosen, [loads] the raw flow's
-   load per edge and [congestion] its maximum load / capacity.  The
-   three arrays are empty in a [Threshold] run. *)
+   load per edge and [acc.congestion] its maximum load / capacity.
+   The three arrays are empty in a [Threshold] run. *)
 type state = {
   graph : Graph.t;
   epsilon : float;
@@ -66,14 +77,12 @@ type state = {
   lens : float array;
   caps : float array;          (* edge id -> capacity, read without a closure *)
   notify : Overlay.notify_index;  (* the run's overlays, for [route] *)
-  mutable ln_base : float;
-  mutable s_cache : float;     (* sum_e c_e lens_e *)
+  acc : acc;
   ln_delta : float;
   certificate : bool;
   raw : float array;
   tree_w : float array;
   loads : float array;
-  mutable congestion : float;
 }
 
 let make_state graph overlays ~epsilon ~certificate =
@@ -94,14 +103,14 @@ let make_state graph overlays ~epsilon ~certificate =
   let caps = Array.init m (fun id -> Graph.capacity graph id) in
   let notify = Overlay.notify_index overlays in
   let k = if certificate then Array.length overlays else 0 in
-  { graph; epsilon; m; lens; caps; notify; ln_base = ln_delta; s_cache;
+  { graph; epsilon; m; lens; caps; notify;
+    acc = { ln_base = ln_delta; s_cache; congestion = 0.0 };
     ln_delta; certificate; raw = Array.make k 0.0;
     tree_w = Array.make k 0.0;
-    loads = (if certificate then Array.make m 0.0 else [||]);
-    congestion = 0.0 }
+    loads = (if certificate then Array.make m 0.0 else [||]) }
 
 let refresh_dual st =
-  st.s_cache <-
+  st.acc.s_cache <-
     Graph.fold_edges st.graph
       (fun acc e ->
         if e.Graph.capacity > 0.0 then
@@ -109,7 +118,7 @@ let refresh_dual st =
         else acc)
       0.0
 
-let dual_reached_one st = log st.s_cache +. st.ln_base >= 0.0
+let dual_reached_one st = log st.acc.s_cache +. st.acc.ln_base >= 0.0
 
 let renorm obs st overlays =
   let scale = 1.0 /. renorm_threshold in
@@ -120,10 +129,10 @@ let renorm obs st overlays =
     st.tree_w.(i) <- st.tree_w.(i) *. scale
   done;
   Array.iter Overlay.notify_rescale overlays;
-  st.s_cache <- st.s_cache *. scale;
-  st.ln_base <- st.ln_base +. log renorm_threshold;
+  st.acc.s_cache <- st.acc.s_cache *. scale;
+  st.acc.ln_base <- st.acc.ln_base +. log renorm_threshold;
   Obs.Counter.incr c_rescales;
-  Obs.Sink.emit obs Obs.Rescale ~session:(-1) ~a:st.ln_base ~b:0.0
+  Obs.Sink.emit obs Obs.Rescale ~session:(-1) ~a:st.acc.ln_base ~b:0.0
 
 (* Route [c] units of session [i] along [tree], updating lengths, the
    dual sum and, in a [Certificate] run, the raw rate and loads. *)
@@ -148,11 +157,12 @@ let route obs st overlays solution i tree c =
         before *. (1.0 +. (st.epsilon *. float_of_int count *. c /. ce))
       in
       st.lens.(id) <- after;
-      st.s_cache <- st.s_cache +. (ce *. (after -. before));
+      st.acc.s_cache <- st.acc.s_cache +. (ce *. (after -. before));
       if st.certificate then begin
         let load = st.loads.(id) +. (float_of_int count *. c) in
         st.loads.(id) <- load;
-        if load /. ce > st.congestion then st.congestion <- load /. ce
+        if load /. ce > st.acc.congestion then
+          st.acc.congestion <- load /. ce
       end;
       if after > renorm_threshold then needs_renorm := true
     end
@@ -176,7 +186,8 @@ let certificate_holds st working =
     alpha := !alpha +. (working.(i) *. st.tree_w.(i))
   done;
   !lambda > 0.0
-  && !lambda *. !alpha >= (1.0 -. st.epsilon) *. st.congestion *. st.s_cache
+  && !lambda *. !alpha
+     >= (1.0 -. st.epsilon) *. st.acc.congestion *. st.acc.s_cache
 
 (* The warm demand scale: j = floor (log2 (D(d)/alpha(d))) at the
    inherited lengths, 0 when the bound is below 2 or not finite; one
@@ -189,7 +200,7 @@ let warm_doublings st overlays working =
       let tree = Overlay.min_spanning_tree o st.lens in
       alpha := !alpha +. (working.(i) *. Otree.weight tree st.lens))
     overlays;
-  let bound = st.s_cache /. !alpha in
+  let bound = st.acc.s_cache /. !alpha in
   if Float.is_finite bound && bound >= 2.0 then
     int_of_float (Float.log2 bound)
   else 0
@@ -348,7 +359,7 @@ let solve ?(variant = Paper) ?(incremental = true) ?(obs = Obs.Sink.null)
         (if st.caps.(e) > 0.0 then w.prev_lens.(e) *. inv else infinity)
     done;
     refresh_dual st;
-    st.ln_base <- -.w.room -. log st.s_cache);
+    st.acc.ln_base <- -.w.room -. log st.acc.s_cache);
   let solution = Solution.create sessions in
   if Obs.Sink.enabled obs then
     Array.iter (fun o -> Overlay.set_sink o obs) overlays;
