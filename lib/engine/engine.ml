@@ -10,8 +10,6 @@ type config = {
   solver : solver;
   mode : Overlay.mode;
   sparsify : Sparsify.t;
-  rooms : float array;
-  clamp : float;
   certify_tol : float;
   obs : Obs.Sink.t;
 }
@@ -22,8 +20,6 @@ let default_config =
     solver = Maxflow;
     mode = Overlay.Ip;
     sparsify = Sparsify.full;
-    rooms = [| 2.0; 8.0; 32.0 |];
-    clamp = 8.0;
     certify_tol = Check.default_tol;
     obs = Obs.Sink.null;
   }
@@ -182,6 +178,18 @@ let repair_capacity t ~edge ~c_old ~c_new =
 
 (* --- solving ---------------------------------------------------------- *)
 
+(* The warm-start room ladder, in nats, tried in order until the
+   certificate passes.  A rung's room is its upper bound: the rung may
+   end earlier on its own certificate.  The ladder is progressive:
+   each failed rung's final duals seed the next rung, so dual repair
+   accumulates while every rung's primal restarts clean. *)
+let rooms = [| 2.0; 8.0; 32.0 |]
+
+(* The dynamic range, in nats, the first rung's inherited dual shape
+   keeps: entries below [exp (-clamp) * max] are floored (see
+   [clamp_range]). *)
+let clamp = 8.0
+
 (* Bound the dynamic range of an inherited dual shape to [clamp] nats
    (floor at [exp (-clamp) * max]).  After an event that opens new
    territory — a join whose members reach edges the previous instance
@@ -192,15 +200,12 @@ let repair_capacity t ~edge ~c_old ~c_new =
    top-of-range bottleneck ordering that warm starts exist to reuse.
    Infinite entries (zero-capacity edges) are left alone. *)
 let clamp_range ~clamp lens =
-  if not (Float.is_finite clamp && clamp > 0.0) then lens
+  let mx = ref 0.0 in
+  Array.iter (fun v -> if Float.is_finite v && v > !mx then mx := v) lens;
+  if !mx <= 0.0 then lens
   else begin
-    let mx = ref 0.0 in
-    Array.iter (fun v -> if Float.is_finite v && v > !mx then mx := v) lens;
-    if !mx <= 0.0 then lens
-    else begin
-      let lo = exp (-.clamp) *. !mx in
-      Array.map (fun v -> if v < lo then lo else v) lens
-    end
+    let lo = exp (-.clamp) *. !mx in
+    Array.map (fun v -> if v < lo then lo else v) lens
   end
 
 let run_solver t ~warm =
@@ -303,8 +308,7 @@ let resolve t =
          primal restarts clean (the early mass a repairing run routes
          in a stale direction would otherwise dilute the measured
          objective forever). *)
-      let rooms = t.config.rooms in
-      let warm_lens = ref (clamp_range ~clamp:t.config.clamp t.duals) in
+      let warm_lens = ref (clamp_range ~clamp t.duals) in
       let i = ref 0 in
       while !accepted = None && !i < Array.length rooms do
         incr attempts;

@@ -16,10 +16,11 @@
     saturation, DESIGN.md §12), but the epsilon optimality guarantee
     is re-validated on {e every} warm solution with
     [Check.certify_max_flow] / [Check.certify_mcf].  On a violation
-    the engine escalates through the [rooms] ladder — progressively,
-    each failed rung's dual repair seeding the next — and finally
-    falls back to a cold from-scratch solve, so an accepted state is
-    never worse than what a batch caller would have computed.
+    the engine escalates through a fixed ladder of rooms, 2, 8 and 32
+    nats — progressively, each failed rung's dual repair seeding the
+    next — and finally falls back to a cold from-scratch solve, so an
+    accepted state is never worse than what a batch caller would have
+    computed.
 
     Every solver run the engine starts — the initial solve, each warm
     rung, the cold fallback, and the zeta MaxFlow of an MCF join —
@@ -52,22 +53,6 @@ type config = {
   solver : solver;
   mode : Overlay.mode;
   sparsify : Sparsify.t;  (** candidate overlay edge policy for new sessions *)
-  rooms : float array;
-      (** warm-start room ladder in nats, tried in order until the
-          certificate passes; empty disables warm starts entirely.  A
-          rung's room is its upper bound: the rung may end earlier on
-          its own certificate.  The
-          ladder is {e progressive}: each failed rung's final duals
-          seed the next rung, so dual repair accumulates while every
-          rung's primal restarts clean *)
-  clamp : float;
-      (** dynamic-range bound, in nats, applied to the inherited dual
-          shape at the first rung: entries below [exp (-clamp) * max]
-          are floored there.  Compresses territory the previous
-          instance never priced (tens of nats below the active
-          structure after a join opens new edges) while preserving the
-          bottleneck ordering near the top of the range; non-positive
-          or non-finite disables the floor *)
   certify_tol : float;
   obs : Obs.Sink.t;
       (** receives the engine's churn-level telemetry in addition to
@@ -88,8 +73,7 @@ type config = {
 }
 
 (** [Maxflow], IP mode, full overlays, [epsilon = 0.05],
-    [rooms = [| 2; 8; 32 |]], [clamp = 8], [Check.default_tol], null
-    sink. *)
+    [Check.default_tol], null sink. *)
 val default_config : config
 
 type run =
