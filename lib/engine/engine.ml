@@ -261,6 +261,27 @@ let duals_of = function
   | Run_maxflow r -> r.Max_flow.dual_lengths
   | Run_mcf r -> r.Max_concurrent_flow.dual_lengths
 
+(* Check's achieved ratio, primal / dual bound, per warm rung index
+   and per cold solve: how close each attempt came to its claim *)
+let h_rung_achieved =
+  Array.init (Array.length rooms) (fun i ->
+      Obs.Histogram.make
+        ~doc:
+          (Printf.sprintf
+             "Check's achieved ratio (primal / dual bound) of warm rung %d" i)
+        (Printf.sprintf "engine.rung_achieved_%d" i))
+
+let h_cold_achieved =
+  Obs.Histogram.make
+    ~doc:"Check's achieved ratio (primal / dual bound) of each cold solve"
+    "engine.cold_achieved"
+
+(* 0, the histograms' zero bucket, when the verdict has no usable bound *)
+let achieved (v : Check.verdict) =
+  match (v.Check.primal, v.Check.dual_bound) with
+  | Some p, Some d when Float.is_finite d && d > 0.0 -> p /. d
+  | _ -> 0.0
+
 let accept t run =
   (match run with
   | Run_maxflow r -> t.duals <- Array.copy r.Max_flow.dual_lengths
@@ -320,6 +341,7 @@ let resolve t =
         solve_s := !solve_s +. (t1 -. t0);
         certify_s := !certify_s +. (t2 -. t1);
         let ok = Check.ok verdict in
+        Obs.Histogram.record h_rung_achieved.(!i) (achieved verdict);
         Obs.Sink.emit obs Obs.Rung_attempt ~session:!i ~a:rooms.(!i)
           ~b:(if ok then 1.0 else 0.0);
         if ok then accepted := Some run
@@ -352,6 +374,7 @@ let resolve t =
       let t2 = Obs.now () in
       solve_s := !solve_s +. (t1 -. t0);
       certify_s := !certify_s +. (t2 -. t1);
+      Obs.Histogram.record h_cold_achieved (achieved verdict);
       accept t run;
       t.cold_solves <- t.cold_solves + 1;
       Obs.Counter.incr c_cold;

@@ -67,9 +67,11 @@ type config = {
           the whole churn replay reconstructable offline
           ([overlay_cli trace engine]).  Independent of the sink, the
           engine feeds the registered histograms [engine.resolve_s],
-          [engine.resolve_<kind>_<warm|cold>_s], [engine.rung_depth]
-          and [engine.certify_s] — like every [Obs] surface, none of
-          this perturbs solver output. *)
+          [engine.resolve_<kind>_<warm|cold>_s], [engine.rung_depth],
+          [engine.certify_s], [engine.rung_achieved_<i>] (Check's
+          primal / dual bound of every attempt at rung [i]) and
+          [engine.cold_achieved] (the same, per cold solve) — like
+          every [Obs] surface, none of this perturbs solver output. *)
 }
 
 (** [Maxflow], IP mode, full overlays, [epsilon = 0.05],

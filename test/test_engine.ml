@@ -288,6 +288,61 @@ let test_speed_probe () =
   checkb "warm events augment strictly less than cold solves" true
     (!warm_iters < !cold_iters)
 
+(* Check's achieved ratio lands once per attempt: histogram
+   [engine.rung_achieved_<i>] takes one sample for every event that
+   tried rung [i] (attempts > i), and [engine.cold_achieved] one per
+   cold solve, the initial solve included *)
+let test_rung_achieved_histograms () =
+  let hist name =
+    match Obs.Registry.find_histogram name with
+    | Some h -> h
+    | None -> Alcotest.failf "histogram %s is not registered" name
+  in
+  let cold = hist "engine.cold_achieved" in
+  let rungs =
+    List.map (fun i -> hist (Printf.sprintf "engine.rung_achieved_%d" i))
+      [ 0; 1; 2 ]
+  in
+  let counts () = List.map Obs.Histogram.count (cold :: rungs) in
+  let zeros () =
+    List.fold_left
+      (fun acc h -> acc + (Obs.Histogram.snapshot h).Obs.Histogram.s_zeros)
+      0 (cold :: rungs)
+  in
+  let before = counts () and zeros0 = zeros () in
+  let graph, _, t = mk_engine ~seed:70 () in
+  let trace =
+    Churn.poisson_trace (Rng.create 74) graph
+      {
+        Churn.default_config with
+        Churn.arrival_rate = 1.5;
+        mean_holding_time = 4.0;
+        size_max = 6;
+        horizon = 8.0;
+        demand = 50.0;
+      }
+      ~first_id:100
+    |> Churn.with_perturbations (Rng.create 75) graph ~p_demand:0.3
+         ~p_capacity:0.2
+  in
+  let reports = Engine.replay t trace in
+  checkb "trace is non-trivial" true (List.length reports >= 8);
+  let delta = List.map2 ( - ) (counts ()) before in
+  check Alcotest.int "one cold sample per cold solve"
+    (Engine.stats t).Engine.cold_solves (List.hd delta);
+  List.iteri
+    (fun i d ->
+      let tried =
+        List.length
+          (List.filter (fun (r : Engine.report) -> r.Engine.attempts > i)
+             reports)
+      in
+      check Alcotest.int
+        (Printf.sprintf "rung %d: one sample per event with attempts > %d" i i)
+        tried d)
+    (List.tl delta);
+  check Alcotest.int "every verdict carries a positive ratio" zeros0 (zeros ())
+
 let suite =
   [
     Alcotest.test_case "initial cold solve" `Quick test_initial_solve;
@@ -306,4 +361,6 @@ let suite =
     Alcotest.test_case "workspace reuse: warm events allocate less" `Quick
       test_workspace_reuse_alloc;
     Alcotest.test_case "speed probe (informational)" `Quick test_speed_probe;
+    Alcotest.test_case "achieved ratio per rung and per cold solve" `Quick
+      test_rung_achieved_histograms;
   ]
