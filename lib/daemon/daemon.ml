@@ -30,6 +30,8 @@ type t = {
   config : config;
   engine : Engine.t;
   mutable listeners : Unix.file_descr list;
+  mutable socket_paths : string list;  (* of the Unix-domain listeners,
+                                          unlinked when they close *)
   mutable conns : conn list;
   mutable seq : int;
   mutable shutdown_wanted : bool;  (* set (possibly from a signal
@@ -57,6 +59,11 @@ let stats t =
   }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let unlink_quietly path = try Unix.unlink path with Unix.Unix_error _ -> ()
+
+let socket_path = function
+  | Unix.ADDR_UNIX path -> Some path
+  | Unix.ADDR_INET _ -> None
 
 let listen_on addr =
   (match addr with
@@ -78,13 +85,17 @@ let listen_on addr =
     raise e
 
 let create ?(config = default_config) ~engine addrs =
-  let listeners =
+  let bound =
     List.fold_left
       (fun acc addr ->
         match listen_on addr with
-        | fd -> fd :: acc
+        | fd -> (fd, socket_path addr) :: acc
         | exception e ->
-          List.iter close_quietly acc;
+          List.iter
+            (fun (fd, path) ->
+              close_quietly fd;
+              Option.iter unlink_quietly path)
+            acc;
           raise e)
       [] addrs
     |> List.rev
@@ -92,7 +103,8 @@ let create ?(config = default_config) ~engine addrs =
   {
     config;
     engine;
-    listeners;
+    listeners = List.map fst bound;
+    socket_paths = List.filter_map snd bound;
     conns = [];
     seq = 0;
     shutdown_wanted = false;
@@ -287,11 +299,16 @@ let accept_one t lfd =
       Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR | ECONNABORTED), _, _) ->
     ()
 
+let close_listeners t =
+  List.iter close_quietly t.listeners;
+  t.listeners <- [];
+  List.iter unlink_quietly t.socket_paths;
+  t.socket_paths <- []
+
 let begin_drain t =
   if not t.draining then begin
     t.draining <- true;
-    List.iter close_quietly t.listeners;
-    t.listeners <- [];
+    close_listeners t;
     (* in-flight events — complete frames already buffered — are still
        applied and replied to before the shutdown echo *)
     List.iter (fun c -> process_buffer t c) t.conns;
@@ -370,8 +387,7 @@ let drive t client frame =
   go ()
 
 let stop t =
-  List.iter close_quietly t.listeners;
-  t.listeners <- [];
+  close_listeners t;
   List.iter
     (fun c ->
       close_quietly c.fd;

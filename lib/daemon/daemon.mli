@@ -40,7 +40,10 @@ type t
     (removing a stale Unix-domain socket file first) and wraps the
     engine.  The engine may already hold sessions.  Raises
     [Unix.Unix_error] if a bind fails; on partial failure the
-    already-bound listeners are closed before re-raising. *)
+    already-bound listeners are closed (and their socket files
+    removed) before re-raising.  A Unix-domain listener's socket file
+    is removed whenever the listener closes: at the drain and at
+    {!stop}. *)
 val create : ?config:config -> engine:Engine.t -> Unix.sockaddr list -> t
 
 (** [poll ?timeout t] runs one [select] round (default 50 ms): accepts

@@ -444,6 +444,7 @@ let test_shutdown_frame_and_drain () =
         ignore (Daemon.poll ~timeout:0.01 d)
       done;
       Alcotest.(check bool) "drain finished" true (Daemon.finished d);
+      Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
       (* the socket no longer accepts *)
       match connect path with
       | c3 ->
