@@ -187,7 +187,8 @@ let rooms = [| 2.0; 8.0; 32.0 |]
 
 (* The dynamic range, in nats, the first rung's inherited dual shape
    keeps: entries below [exp (-clamp) * max] are floored (see
-   [clamp_range]). *)
+   [clamp_range]).  Each later rung inherits half the range of the
+   rung before it. *)
 let clamp = 8.0
 
 (* Bound the dynamic range of an inherited dual shape to [clamp] nats
@@ -198,7 +199,17 @@ let clamp = 8.0
    them before the surviving sessions see a single iteration.  The
    floor compresses dead territory to "cheap" while preserving the
    top-of-range bottleneck ordering that warm starts exist to reuse.
-   Infinite entries (zero-capacity edges) are left alone. *)
+   Infinite entries (zero-capacity edges) are left alone.
+
+   Why each failed rung halves the range it hands on: a warm
+   Garg-Koenemann run's certificate ratio is roughly L / (L + D), where
+   L is the nats of dual growth the run gets (its room) and D is how
+   far an edge that must now carry flow sits below its new price in
+   the inherited shape.  The clamp caps D.  A failed rung shows that D
+   was too large for its room, so the next rung, with four times the
+   room, starts from the failed rung's duals floored at half the range
+   that rung inherited: 8 nats for rung 0, then 4, then 2.  D / L falls
+   8x per rung. *)
 let clamp_range ~clamp lens =
   let mx = ref 0.0 in
   Array.iter (fun v -> if Float.is_finite v && v > !mx then mx := v) lens;
@@ -328,7 +339,8 @@ let resolve t =
          wasted — its dual repair carries into the next rung while the
          primal restarts clean (the early mass a repairing run routes
          in a stale direction would otherwise dilute the measured
-         objective forever). *)
+         objective forever).  Those duals keep half the range rung
+         [i-1] inherited (see [clamp_range]). *)
       let warm_lens = ref (clamp_range ~clamp t.duals) in
       let i = ref 0 in
       while !accepted = None && !i < Array.length rooms do
@@ -348,7 +360,10 @@ let resolve t =
         else begin
           Obs.Sink.emit obs Obs.Certify_fail ~session:!i ~a:rooms.(!i)
             ~b:(float_of_int (List.length verdict.Check.violations));
-          warm_lens := duals_of run
+          warm_lens :=
+            clamp_range
+              ~clamp:(Float.ldexp clamp (-(!i + 1)))
+              (duals_of run)
         end;
         incr i
       done
