@@ -71,7 +71,6 @@ type acc = {
    load per edge and [acc.congestion] its maximum load / capacity.
    The three arrays are empty in a [Threshold] run. *)
 type state = {
-  graph : Graph.t;
   epsilon : float;
   m : int;
   lens : float array;
@@ -93,30 +92,17 @@ let make_state graph overlays ~epsilon ~certificate =
   Graph.iter_edges graph (fun e ->
       lens.(e.Graph.id) <-
         (if e.Graph.capacity > 0.0 then 1.0 /. e.Graph.capacity else infinity));
-  let s_cache =
-    Graph.fold_edges graph
-      (fun acc e ->
-        if e.Graph.capacity > 0.0 then acc +. (e.Graph.capacity *. lens.(e.Graph.id))
-        else acc)
-      0.0
-  in
   let caps = Array.init m (fun id -> Graph.capacity graph id) in
+  let s_cache = Max_flow.dual_objective caps lens in
   let notify = Overlay.notify_index overlays in
   let k = if certificate then Array.length overlays else 0 in
-  { graph; epsilon; m; lens; caps; notify;
+  { epsilon; m; lens; caps; notify;
     acc = { ln_base = ln_delta; s_cache; congestion = 0.0 };
     ln_delta; certificate; raw = Array.make k 0.0;
     tree_w = Array.make k 0.0;
     loads = (if certificate then Array.make m 0.0 else [||]) }
 
-let refresh_dual st =
-  st.acc.s_cache <-
-    Graph.fold_edges st.graph
-      (fun acc e ->
-        if e.Graph.capacity > 0.0 then
-          acc +. (e.Graph.capacity *. st.lens.(e.Graph.id))
-        else acc)
-      0.0
+let refresh_dual st = st.acc.s_cache <- Max_flow.dual_objective st.caps st.lens
 
 let dual_reached_one st = log st.acc.s_cache +. st.acc.ln_base >= 0.0
 

@@ -184,3 +184,9 @@ val solve_single :
   Overlay.t ->
   epsilon:float ->
   float * result
+
+(** [dual_objective caps lens] is D(d) = sum over edges with
+    [caps.(e) > 0] of [caps.(e) *. lens.(e)], summed in edge order
+    (the order [Check]'s dual objective uses), without allocating per
+    edge.  Both solvers re-sum their dual objective with it. *)
+val dual_objective : float array -> float array -> float
