@@ -20,7 +20,11 @@
     nats — progressively, each failed rung's dual repair seeding the
     next — and finally falls back to a cold from-scratch solve, so an
     accepted state is never worse than what a batch caller would have
-    computed.
+    computed.  The first rung inherits the accepted duals floored to 8
+    nats of dynamic range; each failed rung hands the next one its
+    final duals floored to half the range it inherited itself (4, then
+    2 nats), so the mispricing a rung must absorb shrinks as its room
+    grows (DESIGN.md §12).
 
     Every solver run the engine starts — the initial solve, each warm
     rung, the cold fallback, and the zeta MaxFlow of an MCF join —
